@@ -292,7 +292,7 @@ def _cmd_convergence(args) -> int:
     path = os.path.join(args.out_dir, f"convergence_{spec.entry_id}.csv")
     _write_csv(path, ["h", "n", "linf_error", "observed_order"],
                [[r["h"], r["n"], r["linf_error"],
-                 r.get("observed_order", float("nan"))] for r in rows])
+                 r.get("observed_order", "")] for r in rows])
     _write_manifest(args.out_dir, "convergence",
                     {"entry": spec.entry_id, "k": spec.k,
                      "levels": args.levels, "T": args.T,

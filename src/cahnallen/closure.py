@@ -121,6 +121,8 @@ class DegenerateRoot:
 class ClosureSolution:
     branches: tuple[ClosureBranch, ...]
     degenerate: tuple[DegenerateRoot, ...]
+    # every branch back-substitutes to a structural zero, k symbolic
+    backsubstituted: bool
 
 
 @dataclass(frozen=True)
@@ -363,6 +365,7 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
     the requirement that grade 1 and grade 2 share one exponential rate is a
     quadratic in w, solved exactly.  Roots that leave no traveling wave or no
     integrable closed form are recorded as degenerate instead of returned.
+    Each returned branch is back-substituted once; the outcome is recorded.
     """
     grades = system.grades()
     if grades != (0, 1, 2, 3):
@@ -386,6 +389,7 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
 
     branches: list[ClosureBranch] = []
     degenerate: list[DegenerateRoot] = []
+    backsubstituted = True
     for a0 in a0_values:
         for s1 in signs:
             alpha = Radical2.sqrt2(s1)
@@ -430,12 +434,10 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
                 if lam != mu:
                     raise AssertionError("consistency root with lambda != mu")
                 branch = ClosureBranch(a0, s1, rho, lam, mu, dscale)
-                if not backsubstitute(system, branch):
-                    raise AssertionError(
-                        f"branch {branch.label()} fails back-substitution")
+                backsubstituted &= backsubstitute(system, branch)
                 branches.append(branch)
 
-    return ClosureSolution(tuple(branches), tuple(degenerate))
+    return ClosureSolution(tuple(branches), tuple(degenerate), backsubstituted)
 
 
 def integrate_closure(branch: ClosureBranch) -> SClosedForms:
@@ -567,7 +569,7 @@ def run_derivation(ode: TravelingWaveODE) -> DerivationReport:
     ))
     checks.append((
         "every branch back-substitutes to zero",
-        all(backsubstitute(system, b) for b in solution.branches),
+        solution.backsubstituted,
     ))
     half3 = Radical2(Fraction(0), Fraction(3, 2))
     checks.append((

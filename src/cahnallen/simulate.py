@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .solutions import SolutionSpec
 
@@ -23,7 +20,7 @@ BLOWUP_LIMIT = 1e6
 EXPLICIT_DT_MARGIN = 0.4  # dt <= margin * h**2 / 2
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -154,64 +151,67 @@ def measure_speed(result_or_trajectory) -> float:
 
 
 class _Imex:
-    """Crank-Nicolson diffusion solve, factored once per run."""
+    """Crank-Nicolson diffusion solve with explicit reaction.
+
+    The constructor factors the symmetric positive definite CN matrix once
+    (LAPACK dpttrf, O(n)); each step is one dpttrs solve.  On periodic grids
+    the cyclic matrix is A = B - r*e*e^T with e = e_0 + e_{n-1}, where B is
+    tridiagonal with 1 + 3r in both corners of its diagonal, so each step
+    solves with B and applies the Sherman-Morrison correction
+    (Numerical Recipes, section 2.7).
+    """
 
     def __init__(self, n: int, h: float, dt: float, periodic: bool):
+        # imported here so that only runs taking an IMEX step load LAPACK
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
+        self._dpttrs = dpttrs
         self.h, self.dt, self.periodic = h, dt, periodic
         r = dt / (2.0 * h * h)
         self.r = r
+        m = n if periodic else n - 2
+        diag = np.full(m, 1.0 + 2.0 * r)
         if periodic:
-            main = np.full(n, 1.0 + 2.0 * r)
-            mat = scipy.sparse.diags(
-                [main, np.full(n - 1, -r), np.full(n - 1, -r)], [0, -1, 1],
-                format="lil",
-            )
-            mat[0, n - 1] = -r
-            mat[n - 1, 0] = -r
-            self.solver = scipy.sparse.linalg.splu(mat.tocsc())
-        else:
-            m = n - 2
-            ab = np.zeros((3, m))
-            ab[0, 1:] = -r
-            ab[1, :] = 1.0 + 2.0 * r
-            ab[2, :-1] = -r
-            self.ab = ab
+            diag[0] = diag[-1] = 1.0 + 3.0 * r
+        self.d, self.e, _ = dpttrf(diag, np.full(m - 1, -r))
+        if periodic:
+            z = self._solve(np.concatenate(([-r], np.zeros(n - 2), [-r])))
+            self.correction = z / (1.0 + z[0] + z[-1])
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, _ = self._dpttrs(self.d, self.e, rhs)
+        return x
 
     def step(self, u, t_new, boundary_values):
         r, h = self.r, self.h
         if self.periodic:
             lap = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (h * h)
-            rhs = u + 0.5 * self.dt * lap + self.dt * reaction(u)
-            return self.solver.solve(rhs)
+            y = self._solve(u + 0.5 * self.dt * lap + self.dt * reaction(u))
+            return y - (y[0] + y[-1]) * self.correction
         lap = np.zeros_like(u)
         lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
         rhs = (u + 0.5 * self.dt * lap + self.dt * reaction(u))[1:-1]
         left, right = boundary_values(t_new)
         rhs[0] += r * left
         rhs[-1] += r * right
-        interior = scipy.linalg.solve_banded((1, 1), self.ab, rhs)
-        return np.concatenate(([left], interior, [right]))
+        return np.concatenate(([left], self._solve(rhs), [right]))
 
 
-def _rk4_rhs_factory(spec: SolutionSpec | None, grid: Grid1D, periodic: bool):
+def _rk4_rhs_factory(grid: Grid1D, periodic: bool):
+    """Method-of-lines right-hand side; on exact_dirichlet grids the two
+    boundary nodes take the given (left, right) values of u_t."""
     h2 = grid.h * grid.h
-    xs = grid.xs()
 
     if periodic:
-        def rhs(t: float, u: np.ndarray) -> np.ndarray:
+        def rhs(u: np.ndarray, edge) -> np.ndarray:
             lap = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / h2
             return lap + reaction(u)
         return rhs
 
-    if spec is None:
-        raise ConfigError("exact_dirichlet boundaries need a reference solution")
-
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
+    def rhs(u: np.ndarray, edge) -> np.ndarray:
         out = np.empty_like(u)
         out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2 + reaction(u[1:-1])
-        for idx, xb in ((0, xs[0]), (-1, xs[-1])):
-            u_t, _, _ = spec.partials(xb, t)
-            out[idx] = u_t
+        out[0], out[-1] = edge
         return out
 
     return rhs
@@ -223,24 +223,32 @@ def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
     dt = config.resolved_dt(h)
     if dt <= 0:
         raise ConfigError("time step must be positive")
-    if config.scheme == "explicit_rk4_mol":
+    if not periodic and spec is None:
+        raise ConfigError("exact_dirichlet boundaries need a reference solution")
+    rk4 = config.scheme == "explicit_rk4_mol"
+    if rk4:
         limit = EXPLICIT_DT_MARGIN * h * h / 2.0
         if dt > limit * (1.0 + 1e-12):
             raise ConfigError(
                 f"explicit scheme needs dt <= {limit:g} at h = {h:g}, got {dt:g}"
             )
-        rhs = _rk4_rhs_factory(spec, grid, periodic)
-        imex = None
+        rhs = _rk4_rhs_factory(grid, periodic)
     else:
-        rhs = None
         imex = _Imex(grid.n, h, dt, periodic)
-        if not periodic and spec is None:
-            raise ConfigError("exact_dirichlet boundaries need a reference solution")
 
     xs = grid.xs()
+    edges = xs[[0, -1]]
 
-    def boundary_values(t: float) -> tuple[float, float]:
-        return spec.eval(xs[0], t), spec.eval(xs[-1], t)
+    def boundary_values(t: float) -> np.ndarray:
+        u, _, _ = spec.profile(spec.xi(edges, t))
+        return u
+
+    def rk4_boundary_data(t: float, step: float):
+        """u_t on both boundary nodes at the stage times t, t + step/2 and
+        t + step, and u there at t + step, from one profile evaluation."""
+        ts = np.array([[t], [t + 0.5 * step], [t + step]])
+        u, du, _ = spec.profile(spec.xi(edges, ts))
+        return spec.w * du, u[2]
 
     result = SimResult(grid, config)
     snapshots = config.resolved_snapshots()
@@ -273,23 +281,25 @@ def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
         step = min(dt, target - t, config.T - t)
         if step < 1e-14:
             step = target - t
-        if config.scheme == "explicit_rk4_mol":
-            k1 = rhs(t, u)
-            k2 = rhs(t + 0.5 * step, u + 0.5 * step * k1)
-            k3 = rhs(t + 0.5 * step, u + 0.5 * step * k2)
-            k4 = rhs(t + step, u + step * k3)
+        if rk4:
+            if periodic:
+                u_t = (None, None, None)
+            else:
+                u_t, reset = rk4_boundary_data(t, step)
+            k1 = rhs(u, u_t[0])
+            k2 = rhs(u + 0.5 * step * k1, u_t[1])
+            k3 = rhs(u + 0.5 * step * k2, u_t[1])
+            k4 = rhs(u + step * k3, u_t[2])
             u = u + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += step
             if not periodic:
-                left, right = boundary_values(t)
-                u[0], u[-1] = left, right
+                u[0], u[-1] = reset
         else:
             if abs(step - dt) > 1e-14 * max(1.0, dt) and step < dt:
                 sub = _Imex(grid.n, h, step, periodic)
             else:
                 sub = imex
             u = sub.step(u, t + step, None if periodic else boundary_values)
-            t += step
+        t += step
         if float(np.max(np.abs(u))) > BLOWUP_LIMIT:
             raise UnstableStep(f"field magnitude exceeded {BLOWUP_LIMIT:g} at t = {t:g}")
         if pending and t >= pending[0] - 1e-12:

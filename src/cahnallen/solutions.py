@@ -28,7 +28,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .closure import ClosureBranch, run_derivation
 from .qfield import Radical2
@@ -47,6 +46,17 @@ class DegenerateConstant(Exception):
 
 class InvalidReduction(Exception):
     """The a/b -> shift reduction needs positive constants."""
+
+
+def logistic_pair(theta):
+    """(1/(1 + e^-theta), 1/(1 + e^theta)) to full relative precision.
+
+    Written as e^min(theta, 0) / (1 + e^-|theta|) and its mirror: every
+    exponent is <= 0, so nothing overflows, and the small half never comes
+    from a cancellation.
+    """
+    d = 1.0 + np.exp(-np.abs(theta))
+    return np.exp(np.minimum(theta, 0.0)) / d, np.exp(np.minimum(-theta, 0.0)) / d
 
 
 class Family(str, Enum):
@@ -143,8 +153,7 @@ class SolutionSpec:
         """S and 1-S of the lowered core, evaluated stably."""
         theta = self.nu * np.asarray(xi, dtype=float) + self.shift
         if self.qsign > 0:
-            s = expit(theta)
-            h = expit(-theta)
+            s, h = logistic_pair(theta)
         else:
             with np.errstate(over="ignore", divide="ignore"):
                 s = 1.0 / (-np.expm1(-theta))

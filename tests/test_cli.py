@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
 import json
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -194,11 +197,23 @@ def test_convergence_command(tmp_path, capsys):
                         "--T", "0.25", "--grid=-20,20,101",
                         "--out-dir", str(tmp_path)], capsys)
     assert code == 0
-    rows = np.loadtxt(tmp_path / "convergence_eq20+.csv", delimiter=",",
-                      skiprows=1)
+    rows = np.genfromtxt(tmp_path / "convergence_eq20+.csv", delimiter=",",
+                         skip_header=1)
     assert rows.shape[0] == 3
     orders = rows[1:, 3]
     assert np.all(np.abs(orders - 2.0) < 0.3)
+
+
+def test_convergence_csv_cells_are_finite_or_empty(tmp_path, capsys):
+    code, _, _ = run(["convergence", "--entry", "eq20+", "--T", "0.05",
+                      "--grid=-20,20,51", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    lines = (tmp_path / "convergence_eq20+.csv").read_text().splitlines()
+    assert lines[0] == "h,n,linf_error,observed_order"
+    cells = [line.split(",") for line in lines[1:]]
+    assert cells[0][3] == ""  # the first level has no order
+    for cell in (c for row in cells for c in row if c):
+        assert math.isfinite(float(cell)), cell
 
 
 # --- exit code contract -----------------------------------------------------------------
@@ -208,6 +223,29 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required --entry
     assert exc.value.code == 2
+
+
+def test_bad_time_step_is_usage_error(capsys):
+    code, _, err = run(["simulate", "--entry", "eq20+", "--dt=-1"], capsys)
+    assert code == 2
+    assert "time step must be positive" in err
+    assert "Traceback" not in err
+
+
+def test_derive_loads_no_scipy():
+    import cahnallen
+
+    src = os.path.dirname(os.path.dirname(cahnallen.__file__))
+    probe = ("import sys, contextlib, io\n"
+             "import cahnallen.cli as cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert cli.main(['derive']) == 0\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_exit_code():

@@ -12,6 +12,7 @@ from cahnallen.simulate import (
     NoCrossing,
     SimConfig,
     UnstableStep,
+    _Imex,
     convergence_study,
     discrete_energy,
     front_position,
@@ -209,6 +210,19 @@ def test_energy_never_increases_imex():
     res = simulate_field(_wavy_initial(grid), grid, cfg)
     increments = np.diff(res.energy_series)
     assert np.all(increments <= 1e-8)
+
+
+def test_periodic_imex_step_matches_dense_cyclic_solve():
+    n, h, dt = 16, 0.3, 0.05
+    r = dt / (2.0 * h * h)
+    cyclic = (np.diag(np.full(n, 1.0 + 2.0 * r))
+              + np.diag(np.full(n - 1, -r), 1) + np.diag(np.full(n - 1, -r), -1))
+    cyclic[0, -1] = cyclic[-1, 0] = -r
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, n)
+    lap = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (h * h)
+    want = np.linalg.solve(cyclic, u + 0.5 * dt * lap + dt * (u - u**3))
+    got = _Imex(n, h, dt, periodic=True).step(u, dt, None)
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_odd_symmetry_to_machine_precision():

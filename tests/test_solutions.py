@@ -1,6 +1,7 @@
 """Catalog entries: values, partials, constants, equivalences, symmetries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cahnallen.solutions import (
     InvalidReduction,
     SingularEvaluation,
     enumerate_catalog,
+    logistic_pair,
     make_ab,
     make_canonical,
     make_general,
@@ -19,6 +21,26 @@ from cahnallen.solutions import (
 
 SQRT2 = math.sqrt(2.0)
 SPEED = 3.0 / SQRT2  # |w|/k on every branch
+
+
+# --- the logistic core -------------------------------------------------------
+
+
+def _logistic_oracle(theta: float) -> float:
+    if theta >= 0:
+        return 1.0 / (1.0 + math.exp(-theta))
+    e = math.exp(theta)
+    return e / (1.0 + e)
+
+
+def test_logistic_pair_matches_math_exp_to_full_precision():
+    theta = np.linspace(-745.0, 745.0, 20001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, h = logistic_pair(theta)
+    for got, sign in ((s, 1.0), (h, -1.0)):
+        want = np.array([_logistic_oracle(sign * t) for t in theta])
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 # --- enumeration ------------------------------------------------------------
