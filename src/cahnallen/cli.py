@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -24,7 +25,8 @@ from . import __version__
 from .closure import run_derivation
 from .reduction import EvolutionEquation, WaveFrame, reduce_to_ode
 from .simulate import Grid1D, SimConfig, convergence_study, integrate
-from .solutions import SolutionSpec, catalog_by_id, enumerate_catalog
+from .solutions import (SolutionSpec, catalog_by_id, check_wave_number,
+                        enumerate_catalog)
 from .verify import GridSpec, classify_branches, ode_residual
 
 
@@ -45,12 +47,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _cells(row: list) -> str:
+    """One CSV row of mixed cells; floats keep 17 significant digits."""
+    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+
+
+def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
+    _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_manifest(out_dir: str, command: str, parameters: dict,
@@ -86,21 +89,29 @@ def resolve_entry(entry: str, k: float | None) -> SolutionSpec:
     return table[base]
 
 
+def _finite(text: str) -> float:
+    """A number option; nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_grid2(text: str) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(
             "grid must be xmin,xmax,nx,tmin,tmax,nt")
     xmin, xmax, nx, tmin, tmax, nt = parts
-    return GridSpec((float(xmin), float(xmax)), (float(tmin), float(tmax)),
-                    int(nx), int(nt))
+    return GridSpec((_finite(xmin), _finite(xmax)),
+                    (_finite(tmin), _finite(tmax)), int(nx), int(nt))
 
 
 def _parse_grid1(text: str) -> Grid1D:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be xmin,xmax,n")
-    return Grid1D(float(parts[0]), float(parts[1]), int(parts[2]))
+    return Grid1D(_finite(parts[0]), _finite(parts[1]), int(parts[2]))
 
 
 def emit_plot_data(spec: SolutionSpec, t_list: list[float],
@@ -122,9 +133,10 @@ def emit_plot_data(spec: SolutionSpec, t_list: list[float],
                 f"t={_fmt(t)}: omitted {omitted} rows inside the singular"
                 f" zone of {spec.entry_id}")
         us = spec.eval(xs[mask], np.full(int(np.sum(mask)), t))
-        rows = [[float(x), float(u)] for x, u in zip(xs[mask], us)]
         path = os.path.join(out_dir, f"{run_id}_t{index}.csv")
-        _write_csv(path, ["x", "u"], rows)
+        _write_csv(path, ["x", "u"], [
+            f"{x:.17g},{u:.17g}"
+            for x, u in zip(xs[mask].tolist(), us.tolist())])
         outputs.append(path)
     return outputs, notes
 
@@ -133,10 +145,10 @@ def emit_plot_data(spec: SolutionSpec, t_list: list[float],
 
 
 def _cmd_derive(args) -> int:
+    k = None if args.k == "symbolic" else check_wave_number(float(args.k))
     report = run_derivation(reduce_to_ode(EvolutionEquation(3), WaveFrame()))
     sys.stdout.write(report.trace)
-    if args.k != "symbolic":
-        k = float(args.k)
+    if k is not None:
         sys.stdout.write(f"numeric frame at k = {_fmt(k)}:\n")
         for b in report.solution.branches:
             w = float(b.w_over_k) * k
@@ -163,7 +175,8 @@ def _cmd_catalog(args) -> int:
         ])
     path = os.path.join(args.out_dir, "catalog.csv")
     _write_csv(path, ["entry_id", "family_code", "family", "reading", "a0",
-                      "s1", "sw", "k", "params", "validity"], rows)
+                      "s1", "sw", "k", "params", "validity"],
+               [_cells(row) for row in rows])
     _write_manifest(args.out_dir, "catalog", {"k": args.k}, [path], [])
     sys.stdout.write(f"wrote {len(rows)} entries to {path}\n")
     return 0
@@ -230,6 +243,8 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     spec = resolve_entry(args.entry, args.k)
     t_list = [float(s) for s in args.t.split(",")]
+    if not all(math.isfinite(t) for t in t_list):
+        raise ValueError(f"times must be finite numbers, got {args.t!r}")
     x_grid = args.x or (-10.0, 10.0, 201)
     outputs, notes = emit_plot_data(spec, t_list, x_grid, args.out_dir,
                                     spec.entry_id)
@@ -250,20 +265,23 @@ def _cmd_simulate(args) -> int:
     result = integrate(spec, grid, config)
     run_id = f"sim_{spec.entry_id}_{args.scheme}"
     outputs = []
-    for index, (t, u) in enumerate(zip(result.times, result.snapshots)):
+    xs = grid.xs().tolist()
+    for index, u in enumerate(result.snapshots):
         path = os.path.join(args.out_dir, f"{run_id}_t{index}.csv")
         _write_csv(path, ["x", "u"],
-                   [[float(x), float(v)] for x, v in zip(grid.xs(), u)])
+                   [f"{x:.17g},{v:.17g}" for x, v in zip(xs, u.tolist())])
         outputs.append(path)
     tpath = os.path.join(args.out_dir, f"{run_id}_trajectory.csv")
     _write_csv(tpath, ["t", "x_front"],
-               [[float(t), float(x)] for t, x in result.front_trajectory])
+               [f"{float(t):.17g},{float(x):.17g}"
+                for t, x in result.front_trajectory])
     outputs.append(tpath)
     mpath = os.path.join(args.out_dir, f"{run_id}_metrics.csv")
     _write_csv(mpath, ["t", "linf_error", "l2_error", "energy"],
-               [[t, e1, e2, en] for t, e1, e2, en in zip(
-                   result.times, result.linf_errors, result.l2_errors,
-                   result.energy_series)])
+               [f"{t:.17g},{e1:.17g},{e2:.17g},{en:.17g}"
+                for t, e1, e2, en in zip(
+                    result.times, result.linf_errors, result.l2_errors,
+                    result.energy_series)])
     outputs.append(mpath)
     speed = result.measured_speed
     _write_manifest(args.out_dir, "simulate",
@@ -291,8 +309,8 @@ def _cmd_convergence(args) -> int:
     rows = convergence_study(spec, grids, config)
     path = os.path.join(args.out_dir, f"convergence_{spec.entry_id}.csv")
     _write_csv(path, ["h", "n", "linf_error", "observed_order"],
-               [[r["h"], r["n"], r["linf_error"],
-                 r.get("observed_order", "")] for r in rows])
+               [_cells([r["h"], r["n"], r["linf_error"],
+                        r.get("observed_order", "")]) for r in rows])
     _write_manifest(args.out_dir, "convergence",
                     {"entry": spec.entry_id, "k": spec.k,
                      "levels": args.levels, "T": args.T,
@@ -327,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="residual audit of every catalog entry")
     p.add_argument("--k", type=float, default=1.0,
                    help="wave number (default 1.0)")
-    p.add_argument("--threshold", type=float, default=1e-8,
+    p.add_argument("--threshold", type=_finite, default=1e-8,
                    help="validity threshold on the max residual (default 1e-8)")
     p.add_argument("--grid", type=_parse_grid2, default=None,
                    metavar="xmin,xmax,nx,tmin,tmax,nt",
@@ -389,13 +407,16 @@ def _parse_x_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("x grid must be xmin,xmax,n")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    return _finite(parts[0]), _finite(parts[1]), int(parts[2])
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out_dir = getattr(args, "out_dir", None)
+        if out_dir is not None and not os.path.isdir(out_dir):
+            raise ValueError(f"output directory {out_dir!r} does not exist")
         return args.func(args)
     except (KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

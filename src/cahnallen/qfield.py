@@ -5,15 +5,18 @@ field Q(sqrt(2)): rationals extended by sqrt(2).  Keeping them exact lets
 every closure branch be checked by structural zero instead of a floating
 tolerance.
 
-``Rational`` is the stdlib ``fractions.Fraction``: it already guarantees
-gcd-reduced numerator/denominator with a positive denominator on top of
-arbitrary-precision integers, which is exactly the contract needed here.
+A ``Radical2`` holds ``(a + b*sqrt(2)) / d`` as three Python integers over
+one common denominator, kept in canonical form: ``d > 0`` and
+``gcd(a, b, d) == 1`` (zero is ``(0, 0, 1)``).  Equal values therefore have
+one representation, so equality and hashing compare the triple.  Each
+operation works on the integers directly and restores the invariant with a
+single ``math.gcd``; the rational parts r = a/d and s = b/d are available as
+``fractions.Fraction`` (``Rational``) for callers that need them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -22,6 +25,8 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 SQRT2 = math.sqrt(2.0)
+
+_gcd = math.gcd
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -36,38 +41,82 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
+def _raw(a: int, b: int, d: int) -> "Radical2":
+    """A Radical2 from a triple that is already canonical."""
+    out = _new(Radical2)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_d(out, d)
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> "Radical2":
+    """A Radical2 from any triple with d != 0."""
+    g = _gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _raw(a, b, d)
+
+
 class Radical2:
     """The number ``r + s*sqrt(2)`` with exact rational parts r, s."""
 
-    r: Fraction = Fraction(0)
-    s: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.r, Fraction):
-            object.__setattr__(self, "r", Fraction(self.r))
-        if not isinstance(self.s, Fraction):
-            object.__setattr__(self, "s", Fraction(self.s))
+    def __init__(self, r: RationalLike = 0, s: RationalLike = 0) -> None:
+        r, s = Fraction(r), Fraction(s)
+        # over the lcm of two reduced denominators the triple is canonical
+        d = math.lcm(r.denominator, s.denominator)
+        _set_a(self, r.numerator * (d // r.denominator))
+        _set_b(self, s.numerator * (d // s.denominator))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Radical2 is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _raw, (self._a, self._b, self._d)
 
     @classmethod
     def of(cls, value: "Radical2 | RationalLike") -> "Radical2":
         if isinstance(value, Radical2):
             return value
-        return cls(Fraction(value), Fraction(0))
+        if isinstance(value, int):
+            return _raw(int(value), 0, 1)
+        return cls(value)
 
     @classmethod
     def sqrt2(cls, multiple: RationalLike = 1) -> "Radical2":
-        return cls(Fraction(0), Fraction(multiple))
+        return cls(0, multiple)
+
+    @property
+    def r(self) -> Fraction:
+        """Rational part a/d."""
+        return Fraction(self._a, self._d)
+
+    @property
+    def s(self) -> Fraction:
+        """Coefficient b/d of sqrt(2)."""
+        return Fraction(self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.r) or bool(self.s)
+        return bool(self._a or self._b)
 
     def __neg__(self) -> "Radical2":
-        return Radical2(-self.r, -self.s)
+        return _raw(-self._a, -self._b, self._d)
 
     def __add__(self, other: "Radical2 | RationalLike") -> "Radical2":
-        other = Radical2.of(other)
-        return Radical2(self.r + other.r, self.s + other.s)
+        if not isinstance(other, Radical2):
+            other = Radical2.of(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1,
+                        self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -78,27 +127,29 @@ class Radical2:
         return (-self) + Radical2.of(other)
 
     def __mul__(self, other: "Radical2 | RationalLike") -> "Radical2":
-        other = Radical2.of(other)
-        return Radical2(
-            self.r * other.r + 2 * self.s * other.s,
-            self.r * other.s + self.s * other.r,
-        )
+        if not isinstance(other, Radical2):
+            other = Radical2.of(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2,
+                        self._d * other._d)
 
     __rmul__ = __mul__
 
     def conj(self) -> "Radical2":
         """Field conjugate r - s*sqrt(2)."""
-        return Radical2(self.r, -self.s)
+        return _raw(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Rational norm r**2 - 2*s**2 (the product with the conjugate)."""
-        return self.r * self.r - 2 * self.s * self.s
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a - 2 * b * b, d * d)
 
     def inverse(self) -> "Radical2":
-        n = self.norm()
-        if n == 0:
+        a, b, d = self._a, self._b, self._d
+        n = a * a - 2 * b * b  # zero only for zero, sqrt(2) being irrational
+        if not n:
             raise ZeroDivisionError("zero has no inverse in Q(sqrt(2))")
-        return Radical2(self.r / n, -self.s / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other: "Radical2 | RationalLike") -> "Radical2":
         return self * Radical2.of(other).inverse()
@@ -109,7 +160,7 @@ class Radical2:
     def __pow__(self, n: int) -> "Radical2":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Radical2.of(1)
+        out = ONE
         base = self
         while n > 0:
             if n & 1:
@@ -119,20 +170,23 @@ class Radical2:
         return out
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Radical2.of(other)
         if isinstance(other, Radical2):
-            return self.r == other.r and self.s == other.s
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, (int, Fraction)):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.r, self.s))
+        return hash((self._a, self._b, self._d))
 
     def __float__(self) -> float:
-        return float(self.r) + float(self.s) * SQRT2
+        # a/d is float(Fraction(a, d)): int true division rounds correctly
+        return self._a / self._d + self._b / self._d * SQRT2
 
     def is_rational(self) -> bool:
-        return self.s == 0
+        return not self._b
 
     def sqrt(self) -> "Radical2 | None":
         """Exact square root within Q(sqrt(2)), or None if there is none.
@@ -142,23 +196,24 @@ class Radical2:
         """
         if not self:
             return Radical2()
+        r, s = self.r, self.s
         candidates: list[Radical2] = []
-        if self.s == 0:
-            x = rational_sqrt(self.r)
+        if s == 0:
+            x = rational_sqrt(r)
             if x is not None:
-                candidates.append(Radical2(x, Fraction(0)))
-            y = rational_sqrt(self.r / 2)
+                candidates.append(Radical2(x, 0))
+            y = rational_sqrt(r / 2)
             if y is not None:
-                candidates.append(Radical2(Fraction(0), y))
+                candidates.append(Radical2(0, y))
         else:
-            disc = rational_sqrt(self.r * self.r - 2 * self.s * self.s)
+            disc = rational_sqrt(self.norm())
             if disc is not None:
                 for sign in (1, -1):
-                    y2 = (self.r + sign * disc) / 4
+                    y2 = (r + sign * disc) / 4
                     y = rational_sqrt(y2)
                     if y is None or y == 0:
                         continue
-                    x = self.s / (2 * y)
+                    x = s / (2 * y)
                     candidates.append(Radical2(x, y))
         for cand in candidates:
             if cand * cand == self:
@@ -169,9 +224,9 @@ class Radical2:
         if not self:
             return "0"
         parts: list[str] = []
-        if self.r:
+        if self._a:
             parts.append(str(self.r))
-        if self.s:
+        if self._b:
             mag = abs(self.s)
             if mag.numerator == 1:
                 core = "sqrt2"
@@ -180,14 +235,19 @@ class Radical2:
             if mag.denominator != 1:
                 core += f"/{mag.denominator}"
             if parts:
-                parts.append("- " + core if self.s < 0 else "+ " + core)
+                parts.append("- " + core if self._b < 0 else "+ " + core)
             else:
-                parts.append("-" + core if self.s < 0 else core)
+                parts.append("-" + core if self._b < 0 else core)
         return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"Radical2({self.r!r}, {self.s!r})"
 
+
+_new = object.__new__
+_set_a = Radical2._a.__set__
+_set_b = Radical2._b.__set__
+_set_d = Radical2._d.__set__
 
 ZERO = Radical2()
 ONE = Radical2.of(1)

@@ -65,8 +65,10 @@ class SimConfig:
     snapshot_times: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.T <= 0:
-            raise ValueError("final time must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ConfigError("final time must be positive and finite")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError("time step must be positive and finite")
         if self.boundary not in ("exact_dirichlet", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.scheme not in ("explicit_rk4_mol", "imex_cn"):

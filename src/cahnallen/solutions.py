@@ -23,6 +23,7 @@ marks the mixed choice sign(A1) != sign(A0).  Reading variants carry
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -328,10 +329,18 @@ def _printed_entry(entry_id: str, family_code: str, family: Family,
     )
 
 
+def check_wave_number(k: float) -> float:
+    """k itself if it is a usable wave number, else a ValueError."""
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"wave number k must be positive and finite, got {k}")
+    if k * k < sys.float_info.min:
+        raise ValueError(f"wave number k = {k} is too small: k**2 underflows")
+    return k
+
+
 def enumerate_catalog(k: float) -> list[SolutionSpec]:
     """Every sign/reading variant of the catalog, with stable ids."""
-    if k <= 0:
-        raise ValueError("wave number k must be positive")
+    check_wave_number(k)
     entries: list[SolutionSpec] = []
 
     for eid, eps, sw in _case1_ids("eq19"):

@@ -231,10 +231,7 @@ def as_expr(value: Bindable) -> SymExpr:
 def combine(op: str, operands: list[SymExpr], exponent: int | None = None) -> SymExpr:
     """Single entry point over the closed algebra: add, mul, int_pow."""
     if op == "add":
-        out = SymExpr.zero()
-        for e in operands:
-            out = out + e
-        return out
+        return SymExpr.from_terms(t for e in operands for t in e.terms)
     if op == "mul":
         out = SymExpr.const(1)
         for e in operands:
@@ -297,6 +294,30 @@ def diff_xi(e: SymExpr) -> SymExpr:
     return SymExpr.from_terms(out)
 
 
+def _rewrite(e: SymExpr, split, values: Mapping) -> SymExpr:
+    """Replace atoms in every term and normalize the sum once.
+
+    split(term) returns the term with the replaced atoms removed and the
+    (atom, exponent) pairs to replace; each power values[atom]**exp is
+    computed once per call.
+    """
+    powers: dict[tuple, SymExpr] = {}
+    out: list[Monomial] = []
+    for t in e.terms:
+        base, replaced = split(t)
+        factor: SymExpr | None = None
+        for key in replaced:
+            p = powers.get(key)
+            if p is None:
+                p = powers[key] = values[key[0]] ** key[1]
+            factor = p if factor is None else factor * p
+        if factor is None:
+            out.append(base)
+        else:
+            out.extend(_mono_mul(base, f) for f in factor.terms)
+    return SymExpr.from_terms(out)
+
+
 def substitute(e: SymExpr, bindings: Mapping[str, Bindable]) -> SymExpr:
     """Replace scalar atoms by expressions or exact scalars.
 
@@ -310,56 +331,39 @@ def substitute(e: SymExpr, bindings: Mapping[str, Bindable]) -> SymExpr:
     if not bindings:
         return e
     values = {name: as_expr(v) for name, v in bindings.items()}
-    out = SymExpr.zero()
-    for t in e.terms:
-        kept: dict[str, int] = {}
-        factor = SymExpr.const(1)
-        for atom, exp in t.sym_powers:
-            if atom in values:
-                factor = factor * values[atom] ** exp
-            else:
-                kept[atom] = exp
-        base = SymExpr.from_terms(
-            [Monomial(t.coeff, _canon_powers(kept, key=_atom_sort_key),
-                      t.u_powers, t.deriv_powers, t.s_grade)]
-        )
-        out = out + base * factor
-    return out
+
+    def split(t: Monomial) -> tuple[Monomial, list]:
+        kept = tuple(p for p in t.sym_powers if p[0] not in values)
+        replaced = [p for p in t.sym_powers if p[0] in values]
+        return Monomial(t.coeff, kept, t.u_powers, t.deriv_powers,
+                        t.s_grade), replaced
+
+    return _rewrite(e, split, values)
 
 
 def substitute_u(e: SymExpr, replacements: Mapping[int, SymExpr]) -> SymExpr:
     """Replace profile-derivative atoms u^(j) by expressions."""
-    out = SymExpr.zero()
-    for t in e.terms:
-        base = SymExpr.from_terms(
-            [Monomial(t.coeff, t.sym_powers, (), t.deriv_powers, t.s_grade)]
-        )
-        factor = SymExpr.const(1)
-        for order, exp in t.u_powers:
+
+    def split(t: Monomial) -> tuple[Monomial, tuple]:
+        for order, _ in t.u_powers:
             if order not in replacements:
                 raise KeyError(f"no replacement for u^({order})")
-            factor = factor * replacements[order] ** exp
-        out = out + base * factor
-    return out
+        return Monomial(t.coeff, t.sym_powers, (), t.deriv_powers,
+                        t.s_grade), t.u_powers
+
+    return _rewrite(e, split, replacements)
 
 
 def substitute_s(e: SymExpr, replacements: Mapping[int, SymExpr]) -> SymExpr:
     """Replace S-derivative atoms S^(j) by expressions (orders not listed stay)."""
-    out = SymExpr.zero()
-    for t in e.terms:
-        kept: dict[int, int] = {}
-        factor = SymExpr.const(1)
-        for order, exp in t.deriv_powers:
-            if order in replacements:
-                factor = factor * replacements[order] ** exp
-            else:
-                kept[order] = exp
-        base = SymExpr.from_terms(
-            [Monomial(t.coeff, t.sym_powers, t.u_powers, _canon_powers(kept),
-                      t.s_grade)]
-        )
-        out = out + base * factor
-    return out
+
+    def split(t: Monomial) -> tuple[Monomial, list]:
+        kept = tuple(p for p in t.deriv_powers if p[0] not in replacements)
+        replaced = [p for p in t.deriv_powers if p[0] in replacements]
+        return Monomial(t.coeff, t.sym_powers, t.u_powers, kept,
+                        t.s_grade), replaced
+
+    return _rewrite(e, split, replacements)
 
 
 def collect_grades(e: SymExpr) -> dict[int, SymExpr]:
@@ -372,10 +376,11 @@ def collect_grades(e: SymExpr) -> dict[int, SymExpr]:
 
 
 def recombine_grades(parts: Mapping[int, SymExpr]) -> SymExpr:
-    out = SymExpr.zero()
-    for g, part in parts.items():
-        out = out + part * SymExpr.s_inverse(g) if g else out + part
-    return out
+    return SymExpr.from_terms(
+        Monomial(t.coeff, t.sym_powers, t.u_powers, t.deriv_powers,
+                 t.s_grade + g)
+        for g, part in parts.items() for t in part.terms
+    )
 
 
 # --- pretty printing -------------------------------------------------------

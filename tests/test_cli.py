@@ -232,6 +232,58 @@ def test_bad_time_step_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--k", "nan"],
+    ["eval", "--entry", "eq20+", "--t", "nan"],
+    ["simulate", "--entry", "eq20+", "--grid=-20,20,201", "--dt", "nan"],
+    ["simulate", "--entry", "eq20+", "--T", "nan"],
+], ids=["catalog-k", "eval-t", "simulate-dt", "simulate-T"])
+def test_non_finite_input_is_usage_error(argv, tmp_path, capsys):
+    code, _, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # no CSV, no manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--entry", "eq20+", "--t", "0", "--x=nan,10,201"],
+    ["simulate", "--entry", "eq20+", "--grid=-20,inf,201"],
+    ["verify", "--threshold", "nan"],
+    ["verify", "--grid=-10,10,41,0,nan,3"],
+], ids=["eval-x", "simulate-grid", "verify-threshold", "verify-grid"])
+def test_non_finite_option_is_rejected_by_the_parser(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "is not a finite number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("k", ["0", "nan", "-1"])
+def test_derive_rejects_unusable_wave_number_before_printing(k, capsys):
+    code, out, err = run(["derive", f"--k={k}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: wave number k") and "Traceback" not in err
+
+
+def test_wave_number_whose_square_underflows_is_usage_error(tmp_path, capsys):
+    code, _, err = run(["verify", "--k", "1e-300", "--out-dir", str(tmp_path)],
+                       capsys)
+    assert code == 2
+    assert "underflows" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_output_directory_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, _, err = run(["eval", "--entry", "eq20+", "--t", "0",
+                        "--out-dir", str(missing)], capsys)
+    assert code == 2
+    assert "does not exist" in err and "Traceback" not in err
+    assert not missing.exists()
+
+
 def test_derive_loads_no_scipy():
     import cahnallen
 

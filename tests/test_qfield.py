@@ -1,6 +1,8 @@
 """Exact arithmetic in Q(sqrt(2))."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -101,3 +103,98 @@ def test_text_form():
     assert str(Radical2.sqrt2(Fraction(-3, 2))) == "-3*sqrt2/2"
     assert str(Radical2(Fraction(1), Fraction(1))) == "1 + sqrt2"
     assert str(Radical2(Fraction(1, 2), Fraction(-1, 4))) == "1/2 - sqrt2/4"
+
+
+# --- property test against a Fraction-pair oracle -------------------------------
+#
+# The oracle keeps r + s*sqrt(2) as a plain pair of Fractions.
+
+
+def _pair(v):
+    return v.r, v.s
+
+
+def _omul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c + 2 * b * d, a * d + b * c
+
+
+def _oinv(x):
+    a, b = x
+    n = a * a - 2 * b * b
+    return a / n, -b / n
+
+
+def _ostr(x):
+    r, s = x
+    text = [str(r)] if r else []
+    if s:
+        mag = abs(s)
+        core = "sqrt2" if mag.numerator == 1 else f"{mag.numerator}*sqrt2"
+        if mag.denominator != 1:
+            core += f"/{mag.denominator}"
+        sign = "-" if s < 0 else "+"
+        text.append(f"{sign} {core}" if text else
+                    ("-" + core if s < 0 else core))
+    return " ".join(text) or "0"
+
+
+def _canonical(v):
+    a, b, d = v._a, v._b, v._d
+    return d > 0 and math.gcd(a, b, d) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(radicals, radicals, st.integers(-4, 4))
+def test_radical_matches_fraction_pair_oracle(x, y, n):
+    px, py = _pair(x), _pair(y)
+    assert _canonical(x) and _canonical(y)
+    assert _pair(x + y) == (px[0] + py[0], px[1] + py[1])
+    assert _pair(x - y) == (px[0] - py[0], px[1] - py[1])
+    assert _pair(x * y) == _omul(px, py)
+    assert _pair(-x) == (-px[0], -px[1])
+    assert _pair(x.conj()) == (px[0], -px[1])
+    assert x.norm() == px[0] ** 2 - 2 * px[1] ** 2
+    assert float(x) == float(px[0]) + float(px[1]) * math.sqrt(2.0)
+    assert str(x) == _ostr(px)
+    assert repr(x) == f"Radical2({px[0]!r}, {px[1]!r})"
+    if y:
+        assert _pair(y.inverse()) == _oinv(py)
+        assert _pair(x / y) == _omul(px, _oinv(py))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if x or n >= 0:
+        power = (Fraction(1), Fraction(0))
+        base = px if n >= 0 else _oinv(px)
+        for _ in range(abs(n)):
+            power = _omul(power, base)
+        assert _pair(x**n) == power
+    results = [x + y, x - y, x * y, x**2, -x, x.conj()]
+    if y:
+        results += [y.inverse(), x / y, y**-3]
+    assert all(_canonical(v) for v in results)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(radicals, fractions)
+def test_radical_equality_and_hash_are_exact(x, q):
+    same = Radical2(x.r * 6, x.s * 6) / 6
+    assert same == x and hash(same) == hash(x)
+    assert (x == q) == (x.s == 0 and x.r == q)
+    assert (Radical2.of(q) == q) and Radical2.of(q) == Radical2(q, 0)
+    if q.denominator == 1:
+        assert Radical2.of(int(q)) == int(q)
+        assert hash(Radical2.of(int(q))) == hash(Radical2.of(q))
+    root = (x * x).sqrt()
+    assert root is not None and _pair(root) in {_pair(x), _pair(-x)}
+
+
+def test_radical_is_immutable():
+    v = Radical2(Fraction(1, 2), Fraction(3))
+    with pytest.raises(AttributeError):
+        v.r = Fraction(1)
+    with pytest.raises(AttributeError):
+        v._a = 5
+    assert (v._a, v._b, v._d) == (1, 6, 2)
+    assert pickle.loads(pickle.dumps(v)) == v and copy.copy(v) == v

@@ -17,8 +17,11 @@ from cahnallen.symexpr import (
     recombine_grades,
     substitute,
     substitute_s,
+    substitute_u,
     to_text,
 )
+from cahnallen.closure import build_ansatz_derivatives, form_coefficient_system
+from cahnallen.reduction import EvolutionEquation, WaveFrame, reduce_to_ode
 
 K = SymExpr.atom("k")
 W = SymExpr.atom("w")
@@ -179,6 +182,103 @@ def test_substitute_s_rewrites_orders():
     e = A1 * S3 + A1 * S2 * S1
     out = substitute_s(e, {3: K * S1, 2: S1.scaled(2)})
     assert out == A1 * K * S1 + (A1 * S1**2).scaled(2)
+
+
+# --- one-pass rewriting against the per-term sum ------------------------------
+#
+# The oracles below are the term-by-term definitions: each monomial, stripped
+# of the replaced atoms, times the product of the replacements' powers, summed
+# one term at a time.
+
+
+def _per_term_sum(e, split, values):
+    out = SymExpr.zero()
+    for t in e.terms:
+        base, replaced = split(t)
+        factor = SymExpr.const(1)
+        for atom, exp in replaced:
+            factor = factor * values[atom] ** exp
+        out = out + SymExpr.from_terms([base]) * factor
+    return out
+
+
+def _oracle_substitute(e, bindings):
+    def split(t):
+        kept = tuple(p for p in t.sym_powers if p[0] not in bindings)
+        return (Monomial(t.coeff, kept, t.u_powers, t.deriv_powers, t.s_grade),
+                [p for p in t.sym_powers if p[0] in bindings])
+    return _per_term_sum(e, split, bindings)
+
+
+def _oracle_substitute_u(e, replacements):
+    def split(t):
+        return (Monomial(t.coeff, t.sym_powers, (), t.deriv_powers, t.s_grade),
+                t.u_powers)
+    return _per_term_sum(e, split, replacements)
+
+
+def _oracle_substitute_s(e, replacements):
+    def split(t):
+        kept = tuple(p for p in t.deriv_powers if p[0] not in replacements)
+        return (Monomial(t.coeff, t.sym_powers, t.u_powers, kept, t.s_grade),
+                [p for p in t.deriv_powers if p[0] in replacements])
+    return _per_term_sum(e, split, replacements)
+
+
+def _derivation_exprs():
+    ansatz = build_ansatz_derivatives(1)
+    ode = reduce_to_ode(EvolutionEquation(3), WaveFrame())
+    system = form_coefficient_system(ode, ansatz)
+    return ode, ansatz, system
+
+
+def test_one_pass_substitute_u_matches_per_term_sum():
+    ode, ansatz, _ = _derivation_exprs()
+    for n in (1, 2):
+        a = build_ansatz_derivatives(n)
+        reps = {0: a.u, 1: a.u1, 2: a.u2}
+        assert substitute_u(ode.expression, reps) == _oracle_substitute_u(
+            ode.expression, reps)
+    reps = {0: ansatz.u1, 1: ansatz.u2 * K, 2: ansatz.u + W}
+    assert substitute_u(ode.expression, reps) == _oracle_substitute_u(
+        ode.expression, reps)
+
+
+def test_one_pass_substitute_matches_per_term_sum():
+    _, ansatz, system = _derivation_exprs()
+    bindings = [
+        {"A0": SymExpr.const(1), "A1": SymExpr.const(SQRT2),
+         "k": SymExpr.const(1)},
+        {"A0": SymExpr.const(Radical2(Fraction(-1), Fraction(0))),
+         "A1": K.scaled(-SQRT2), "w": K.scaled(Radical2.sqrt2(Fraction(3, 2)))},
+        {"k": W + A0, "A1": A1**2 - K},
+    ]
+    exprs = [*system.equations.values(), system.substituted, ansatz.u2]
+    for e in exprs:
+        for b in bindings:
+            assert substitute(e, b) == _oracle_substitute(e, b)
+
+
+def test_one_pass_substitute_s_matches_per_term_sum():
+    _, _, system = _derivation_exprs()
+    ratio_sets = [
+        {1: (K**2).scaled(3) * S1, 2: K.scaled(SQRT2) * S1,
+         3: SymExpr.const(Radical2(Fraction(5), Fraction(2))) * S1},
+        {3: K * S2 + W * S1, 1: S2 - S1},
+        {2: SymExpr.const(7)},
+    ]
+    for e in [*system.equations.values(), system.substituted]:
+        for ratios in ratio_sets:
+            assert substitute_s(e, ratios) == _oracle_substitute_s(e, ratios)
+
+
+def test_derivation_grades_recombine_in_one_pass():
+    _, ansatz, system = _derivation_exprs()
+    for e in (system.substituted, ansatz.u2, ansatz.u1 * ansatz.u2):
+        parts = collect_grades(e)
+        assert recombine_grades(parts) == e
+        assert combine("add", [p * SymExpr.s_inverse(g) for g, p in
+                               parts.items()]) == e
 
 
 # --- grade collection -------------------------------------------------------
