@@ -107,11 +107,11 @@ def _parse_grid2(text: str) -> GridSpec:
                     (_finite(tmin), _finite(tmax)), int(nx), int(nt))
 
 
-def _parse_grid1(text: str) -> Grid1D:
+def _parse_grid1(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be xmin,xmax,n")
-    return Grid1D(_finite(parts[0]), _finite(parts[1]), int(parts[2]))
+    return _finite(parts[0]), _finite(parts[1]), int(parts[2])
 
 
 def emit_plot_data(spec: SolutionSpec, t_list: list[float],
@@ -260,8 +260,7 @@ def _cmd_simulate(args) -> int:
     spec = resolve_entry(args.entry, args.k)
     grid = args.grid or Grid1D(-20.0, 20.0, 801)
     scheme = {"rk4": "explicit_rk4_mol", "imex": "imex_cn"}[args.scheme]
-    config = SimConfig(dt=args.dt, T=args.T, boundary=args.boundary,
-                       scheme=scheme)
+    config = SimConfig(dt=args.dt, T=args.T, scheme=scheme)
     result = integrate(spec, grid, config)
     run_id = f"sim_{spec.entry_id}_{args.scheme}"
     outputs = []
@@ -288,7 +287,7 @@ def _cmd_simulate(args) -> int:
                     {"entry": spec.entry_id, "k": spec.k, "scheme": scheme,
                      "T": args.T, "dt": args.dt,
                      "grid": [grid.x_min, grid.x_max, grid.n],
-                     "boundary": args.boundary,
+                     "boundary": config.boundary,
                      "measured_speed": speed}, outputs, [])
     sys.stdout.write(
         f"measured front speed: {_fmt(speed) if speed is not None else 'n/a'}"
@@ -359,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", required=True,
                    help="catalog entry id, optionally with a k<value> suffix")
     p.add_argument("--t", required=True, help="comma-separated times")
-    p.add_argument("--x", type=lambda s: _parse_x_grid(s), default=None,
+    p.add_argument("--x", type=_parse_grid1, default=None,
                    metavar="xmin,xmax,n",
                    help="profile grid (default -10,10,201)")
     p.add_argument("--k", type=float, default=None,
@@ -370,17 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="finite-difference run seeded by an entry")
     p.add_argument("--entry", required=True,
                    help="catalog entry id, optionally with a k<value> suffix")
-    p.add_argument("--grid", type=_parse_grid1, default=None,
-                   metavar="xmin,xmax,n", help="run grid (default -20,20,801)")
+    p.add_argument("--grid", type=lambda s: Grid1D(*_parse_grid1(s)),
+                   default=None, metavar="xmin,xmax,n",
+                   help="run grid (default -20,20,801)")
     p.add_argument("--scheme", choices=("rk4", "imex"), default="rk4",
                    help="time stepper (default rk4)")
     p.add_argument("--T", type=float, default=1.0,
                    help="final time (default 1.0)")
     p.add_argument("--dt", type=float, default=None,
                    help="time step (default 0.4*h^2/2)")
-    p.add_argument("--boundary", choices=("exact_dirichlet", "periodic"),
-                   default="exact_dirichlet",
-                   help="boundary handling (default exact_dirichlet)")
     p.add_argument("--k", type=float, default=None,
                    help="wave number (default 1.0 or the id suffix)")
     p.add_argument("--out-dir", default=".", help="output directory")
@@ -391,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalog entry id, optionally with a k<value> suffix")
     p.add_argument("--levels", type=int, default=3,
                    help="number of halvings from the base grid (default 3)")
-    p.add_argument("--grid", type=_parse_grid1, default=None,
-                   metavar="xmin,xmax,n", help="base grid (default -20,20,101)")
+    p.add_argument("--grid", type=lambda s: Grid1D(*_parse_grid1(s)),
+                   default=None, metavar="xmin,xmax,n",
+                   help="base grid (default -20,20,101)")
     p.add_argument("--T", type=float, default=0.5,
                    help="final time of each run (default 0.5)")
     p.add_argument("--k", type=float, default=None,
@@ -401,13 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convergence)
 
     return parser
-
-
-def _parse_x_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("x grid must be xmin,xmax,n")
-    return _finite(parts[0]), _finite(parts[1]), int(parts[2])
 
 
 def main(argv: list[str] | None = None) -> int:

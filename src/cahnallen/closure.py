@@ -190,85 +190,29 @@ def _poly_roots(coeffs: list[Radical2]) -> tuple[list[Radical2], int]:
     raise ValueError(f"cannot solve degree {deg} exactly")
 
 
-def _univariate_in(e: SymExpr, atom: str) -> list[Radical2]:
-    """Coefficient list of an expression that is a polynomial in one atom."""
-    coeffs: dict[int, Radical2] = {}
+def _coeffs(e: SymExpr, atom: str) -> list[Radical2]:
+    """Dense coefficient list of an expression that is a polynomial in one
+    scalar atom; the zero polynomial gives [0]."""
+    out = [Radical2()]
     for t in e.terms:
         if t.u_powers or t.deriv_powers or t.s_grade:
             raise ValueError("expression is not a scalar polynomial")
         power = 0
         for name, exp in t.sym_powers:
-            if name == atom:
-                power = exp
-            else:
+            if name != atom:
                 raise ValueError(f"unexpected atom {name!r}")
-        coeffs[power] = coeffs.get(power, Radical2()) + t.coeff
-    deg = max(coeffs) if coeffs else 0
-    return [coeffs.get(i, Radical2()) for i in range(deg + 1)]
+            power = exp
+        out.extend([Radical2()] * (power + 1 - len(out)))
+        out[power] = out[power] + t.coeff
+    return out
 
 
-def _homogeneous_in_alpha(e: SymExpr, main: str, scale: str) -> list[Radical2]:
-    """Coefficients in x = main/scale of a polynomial homogeneous in (main, scale)."""
-    coeffs: dict[int, Radical2] = {}
-    total: int | None = None
-    for t in e.terms:
-        powers = dict(t.sym_powers)
-        p = powers.pop(main, 0)
-        q = powers.pop(scale, 0)
-        if powers:
-            raise ValueError(f"unexpected atoms {sorted(powers)}")
-        if total is None:
-            total = p + q
-        elif p + q != total:
-            raise ValueError("polynomial is not homogeneous")
-        coeffs[p] = coeffs.get(p, Radical2()) + t.coeff
-    deg = max(coeffs) if coeffs else 0
-    return [coeffs.get(i, Radical2()) for i in range(deg + 1)]
-
-
-class _PolyW:
-    """Dense univariate polynomial in the speed atom over Q(sqrt(2))."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: list[Radical2]):
-        while coeffs and not coeffs[-1]:
-            coeffs = coeffs[:-1]
-        self.c = coeffs
-
-    @classmethod
-    def const(cls, v: Radical2) -> "_PolyW":
-        return cls([v])
-
-    def __add__(self, other: "_PolyW") -> "_PolyW":
-        n = max(len(self.c), len(other.c))
-        out = []
-        for i in range(n):
-            a = self.c[i] if i < len(self.c) else Radical2()
-            b = other.c[i] if i < len(other.c) else Radical2()
-            out.append(a + b)
-        return _PolyW(out)
-
-    def __mul__(self, other: "_PolyW") -> "_PolyW":
-        if not self.c or not other.c:
-            return _PolyW([])
-        out = [Radical2() for _ in range(len(self.c) + len(other.c) - 1)]
-        for i, a in enumerate(self.c):
-            for j, b in enumerate(other.c):
-                out[i + j] = out[i + j] + a * b
-        return _PolyW(out)
-
-    def __neg__(self) -> "_PolyW":
-        return _PolyW([-a for a in self.c])
-
-    def eval(self, x: Radical2) -> Radical2:
-        out = Radical2()
-        for a in reversed(self.c):
-            out = out * x + a
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.c
+def _horner(coeffs: list[Radical2], x: Radical2) -> Radical2:
+    """sum(coeffs[i] * x**i) by Horner's rule."""
+    out = Radical2()
+    for a in reversed(coeffs):
+        out = out * x + a
+    return out
 
 
 # --- pipeline steps --------------------------------------------------------
@@ -302,20 +246,6 @@ def _coeffs_by_s_signature(e: SymExpr) -> dict[tuple, SymExpr]:
         flat = Monomial(t.coeff, t.sym_powers, t.u_powers, (), 0)
         parts.setdefault(t.deriv_powers, []).append(flat)
     return {sig: SymExpr.from_terms(ms) for sig, ms in parts.items()}
-
-
-def _scalar_poly_in_w(e: SymExpr) -> _PolyW:
-    """Polynomial in w of an expression whose only atom is w (k bound to 1)."""
-    coeffs: dict[int, Radical2] = {}
-    for t in e.terms:
-        power = 0
-        for name, exp in t.sym_powers:
-            if name != "w":
-                raise ValueError(f"unexpected atom {name!r}")
-            power = exp
-        coeffs[power] = coeffs.get(power, Radical2()) + t.coeff
-    deg = max(coeffs) if coeffs else 0
-    return _PolyW([coeffs.get(i, Radical2()) for i in range(deg + 1)])
 
 
 _S1 = ((1, 1),)
@@ -371,15 +301,18 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
     if grades != (0, 1, 2, 3):
         raise ClosureUnsupported(f"expected grades (0, 1, 2, 3), got {grades}")
 
-    a0_roots_nz, a0_zero = _poly_roots(_univariate_in(system.equations[0], "A0"))
+    a0_roots_nz, a0_zero = _poly_roots(_coeffs(system.equations[0], "A0"))
     a0_values = ([Radical2()] if a0_zero else []) + a0_roots_nz
 
     g3 = _coeffs_by_s_signature(system.equations[3])
     if set(g3) != {((1, 3),)}:
         raise ClosureUnsupported("grade-3 equation is not a pure (S')^3 condition")
+    top = g3[((1, 3),)]
+    if len({sum(p for _, p in t.sym_powers) for t in top.terms}) > 1:
+        raise ValueError("polynomial is not homogeneous")
+    # homogeneous in (A1, k), so its roots in A1/k are its roots at k = 1
     alpha_roots, alpha_zero = _poly_roots(
-        _homogeneous_in_alpha(g3[((1, 3),)], "A1", "k")
-    )
+        _coeffs(substitute(top, {"k": 1}), "A1"))
     del alpha_zero  # A1 = 0 collapses the ansatz; only nonzero roots proceed
     if not alpha_roots:
         raise ClosureUnsupported(
@@ -399,23 +332,22 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
                     "k": SymExpr.const(1)}
             g2 = _coeffs_by_s_signature(substitute(system.equations[2], bind))
             g1 = _coeffs_by_s_signature(substitute(system.equations[1], bind))
-            lam_den = _scalar_poly_in_w(g2.get(_S1S2, SymExpr.zero()))
-            lam_num = -_scalar_poly_in_w(g2.get(_S1S1, SymExpr.zero()))
-            c_s3 = _scalar_poly_in_w(g1.get(_S3, SymExpr.zero()))
-            c_s2 = _scalar_poly_in_w(g1.get(_S2, SymExpr.zero()))
-            c_s1 = _scalar_poly_in_w(g1.get(_S1, SymExpr.zero()))
+            zero = SymExpr.zero()
+            num, den = -g2.get(_S1S1, zero), g2.get(_S1S2, zero)
+            e3, e2, e1 = (g1.get(sig, zero) for sig in (_S3, _S2, _S1))
             # grade 1 with S'' = lam*S' and S''' = mu*lam*S', under mu = lam:
-            consistency = c_s3 * lam_num * lam_num + c_s2 * lam_num * lam_den \
-                + c_s1 * lam_den * lam_den
-            if len(consistency.c) != 3:
+            consistency = _coeffs(
+                e3 * num * num + e2 * num * den + e1 * den * den, "w")
+            if len(consistency) != 3:
                 raise ClosureUnsupported("speed consistency is not quadratic")
-            roots, zero_mult = _poly_roots(list(consistency.c))
+            lam_num, lam_den, c_s3, c_s2, c_s1 = (
+                _coeffs(p, "w") for p in (num, den, e3, e2, e1))
+            roots, zero_mult = _poly_roots(consistency)
             all_roots = ([Radical2()] * zero_mult) + roots
             beta = 3 * a0 * alpha
             for rho in all_roots:
-                lam = None
-                if lam_den.eval(rho):
-                    lam = lam_num.eval(rho) / lam_den.eval(rho)
+                den_at = _horner(lam_den, rho)
+                lam = _horner(lam_num, rho) / den_at if den_at else None
                 dscale = (3 * (3 * a0 * a0 - 1)) + rho * (rho - beta)
                 if not rho:
                     degenerate.append(DegenerateRoot(
@@ -429,8 +361,8 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
                     degenerate.append(DegenerateRoot(
                         a0, s1, rho, "closed-form denominator vanishes"))
                     continue
-                mu_num = -(c_s2.eval(rho) * lam + c_s1.eval(rho))
-                mu = mu_num / (c_s3.eval(rho) * lam)
+                mu_num = -(_horner(c_s2, rho) * lam + _horner(c_s1, rho))
+                mu = mu_num / (_horner(c_s3, rho) * lam)
                 if lam != mu:
                     raise AssertionError("consistency root with lambda != mu")
                 branch = ClosureBranch(a0, s1, rho, lam, mu, dscale)

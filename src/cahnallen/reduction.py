@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qfield import Radical2
-from .symexpr import SymExpr, substitute
+from .symexpr import SymExpr
 
 
 class NonIntegerBalance(Exception):
@@ -69,11 +69,6 @@ def reduce_to_ode(eq: EvolutionEquation, frame: WaveFrame) -> TravelingWaveODE:
     return TravelingWaveODE(eq.m, expr)
 
 
-def term_degree(u_powers: tuple, n: int) -> int:
-    """Formal degree of a product of u-derivative powers at ansatz degree n."""
-    return sum(exp * (n + order) for order, exp in u_powers)
-
-
 def _degree_line(u_powers: tuple) -> tuple[int, int]:
     """Degree as the linear function a*n + b of the ansatz degree n."""
     a = sum(exp for _, exp in u_powers)
@@ -108,7 +103,3 @@ def balance_degree(ode: TravelingWaveODE) -> int:
         )
     return int(n)
 
-
-def bind_frame(ode: TravelingWaveODE, k: Radical2, w: Radical2) -> SymExpr:
-    """Numeric-frame form of the ODE expression (k, w replaced by values)."""
-    return substitute(ode.expression, {"k": SymExpr.const(k), "w": SymExpr.const(w)})

@@ -225,8 +225,6 @@ def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
     dt = config.resolved_dt(h)
     if dt <= 0:
         raise ConfigError("time step must be positive")
-    if not periodic and spec is None:
-        raise ConfigError("exact_dirichlet boundaries need a reference solution")
     rk4 = config.scheme == "explicit_rk4_mol"
     if rk4:
         limit = EXPLICIT_DT_MARGIN * h * h / 2.0
@@ -318,8 +316,11 @@ def integrate(spec: SolutionSpec, grid: Grid1D, config: SimConfig) -> SimResult:
 
     Rejects profiles whose singular zone touches the space-time window of
     the run (the pole travels with the wave, so it can enter the domain
-    after t = 0).
+    after t = 0), and periodic boundaries: every catalog entry tends to
+    different values at its two ends, so none is periodic.
     """
+    if config.boundary != "exact_dirichlet":
+        raise ConfigError("catalog entries need exact_dirichlet boundaries")
     xs = grid.xs()
     xi_lo = spec.k * grid.x_min + min(0.0, spec.w * config.T)
     xi_hi = spec.k * grid.x_max + max(0.0, spec.w * config.T)

@@ -194,7 +194,7 @@ class SymExpr:
 
     def __pow__(self, n: int) -> "SymExpr":
         if n < 0:
-            raise ValueError("int_pow exponent must be >= 0")
+            raise ValueError("exponent must be >= 0")
         out = SymExpr.const(1)
         base = self
         while n > 0:
@@ -226,23 +226,6 @@ def as_expr(value: Bindable) -> SymExpr:
     if isinstance(value, SymExpr):
         return value
     return SymExpr.const(Radical2.of(value))
-
-
-def combine(op: str, operands: list[SymExpr], exponent: int | None = None) -> SymExpr:
-    """Single entry point over the closed algebra: add, mul, int_pow."""
-    if op == "add":
-        return SymExpr.from_terms(t for e in operands for t in e.terms)
-    if op == "mul":
-        out = SymExpr.const(1)
-        for e in operands:
-            out = out * e
-        return out
-    if op == "int_pow":
-        (base,) = operands
-        if exponent is None or exponent < 0:
-            raise ValueError("int_pow requires exponent >= 0")
-        return base**exponent
-    raise ValueError(f"unknown op {op!r}")
 
 
 def diff_xi(e: SymExpr) -> SymExpr:

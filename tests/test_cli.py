@@ -104,6 +104,15 @@ def test_eval_profile_translates_with_time(tmp_path, capsys):
     assert np.max(np.abs(r1[inside, 1] - interp[inside])) < 1e-4
 
 
+@pytest.mark.parametrize("x", ["--x=-10,10,5", "--x=10,-10,21"])
+def test_eval_takes_short_and_reversed_x_grids(x, tmp_path, capsys):
+    code, _, _ = run(["eval", "--entry", "eq20+", "--t", "0", x,
+                      "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    rows = (tmp_path / "eq20+_t0.csv").read_text().splitlines()
+    assert len(rows) == 1 + int(x.rsplit(",", 1)[1])
+
+
 def test_eval_is_byte_deterministic(tmp_path, capsys):
     for sub in ("a", "b"):
         os.makedirs(tmp_path / sub)
@@ -180,6 +189,7 @@ def test_simulate_writes_exports(tmp_path, capsys):
     assert snap0.shape == (201, 2)
     manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
     assert manifest["parameters"]["measured_speed"] is not None
+    assert manifest["parameters"]["boundary"] == "exact_dirichlet"
 
 
 def test_simulate_imex(tmp_path, capsys):
@@ -223,6 +233,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required --entry
     assert exc.value.code == 2
+
+
+def test_periodic_boundary_is_not_a_cli_option(tmp_path, capsys):
+    # every catalog entry tends to different values at its two ends
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--entry", "eq20+", "--boundary", "periodic",
+              "--T", "1", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_time_step_is_usage_error(capsys):

@@ -6,6 +6,8 @@ import pytest
 
 from cahnallen.closure import (
     ClosureUnsupported,
+    CoefficientSystem,
+    _coeffs,
     backsubstitute,
     build_ansatz_derivatives,
     form_coefficient_system,
@@ -194,6 +196,34 @@ def test_closure_rejects_other_grade_sets():
     sys2 = form_coefficient_system(ode, build_ansatz_derivatives(1))
     with pytest.raises(ClosureUnsupported):
         solve_closure(sys2)
+
+
+def test_non_homogeneous_top_condition_is_rejected(system):
+    # A1*(A1^2 - 2*k) has the same roots in A1 at k = 1 as the true
+    # A1*(A1^2 - 2*k^2), so without the homogeneity check the closure would
+    # return branches that fail back-substitution
+    equations = dict(system.equations)
+    equations[3] = A1 * (A1**2 - SymExpr.const(2) * K) * S1**3
+    with pytest.raises(ValueError, match="not homogeneous"):
+        solve_closure(CoefficientSystem(equations, system.substituted))
+
+
+# --- coefficient lists --------------------------------------------------------
+
+
+def test_coeffs_keeps_interior_zeros():
+    assert _coeffs(A0**3 - A0, "A0") == [Radical2.of(c) for c in (0, -1, 0, 1)]
+
+
+def test_coeffs_of_zero_polynomial():
+    assert _coeffs(SymExpr.zero(), "w") == [Radical2()]
+
+
+@pytest.mark.parametrize("expr", [W * A0 + W, W**2 + S1, W * SINV],
+                         ids=["foreign-atom", "s-derivative", "grade"])
+def test_coeffs_rejects_non_scalar_polynomials(expr):
+    with pytest.raises(ValueError):
+        _coeffs(expr, "w")
 
 
 # --- closed forms -----------------------------------------------------------

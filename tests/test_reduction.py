@@ -10,9 +10,7 @@ from cahnallen.reduction import (
     NonIntegerBalance,
     WaveFrame,
     balance_degree,
-    bind_frame,
     reduce_to_ode,
-    term_degree,
 )
 from cahnallen.symexpr import SymExpr, substitute
 
@@ -47,7 +45,8 @@ def test_numeric_frame_equals_symbolic_then_bound():
     w0 = Radical2.sqrt2(2)
     numeric = reduce_to_ode(EvolutionEquation(3), WaveFrame(k=k0, w=w0))
     symbolic = reduce_to_ode(EvolutionEquation(3), WaveFrame())
-    assert numeric.expression == bind_frame(symbolic, k0, w0)
+    assert numeric.expression == substitute(symbolic.expression,
+                                            {"k": k0, "w": w0})
 
 
 def test_numeric_frame_rejects_zero_wavenumber():
@@ -68,17 +67,3 @@ def test_balance_degree(m, expected):
 def test_balance_without_integer_solution():
     with pytest.raises(NonIntegerBalance):
         balance_degree(reduce_to_ode(EvolutionEquation(4), WaveFrame()))
-
-
-def test_degree_rule_consistency():
-    # D(u^p * (d^q u)^s) = n*p + s*(n + q) for every term at the returned n
-    ode = reduce_to_ode(EvolutionEquation(3), WaveFrame())
-    n = balance_degree(ode)
-    for t in ode.expression.terms:
-        direct = term_degree(t.u_powers, n)
-        by_rule = sum(exp * (n + order) for order, exp in t.u_powers)
-        assert direct == by_rule
-    # the balanced pair has equal degree
-    cubic = term_degree(((0, 3),), n)
-    second = term_degree(((2, 1),), n)
-    assert cubic == second == 3

@@ -68,6 +68,11 @@ def test_config_validation():
         SimConfig(scheme="spectral")
 
 
+def test_integrate_rejects_periodic_boundaries(kink):
+    with pytest.raises(ConfigError):
+        integrate(kink, KINK_GRID, SimConfig(T=1.0, boundary="periodic"))
+
+
 # --- equilibria ------------------------------------------------------------------
 
 
