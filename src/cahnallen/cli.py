@@ -8,6 +8,9 @@ Numeric data goes to CSV with 17 significant digits so files are
 byte-identical across runs; JSON is used only for the run manifest and the
 audit table.  Every run writes a manifest listing its parameters and output
 files.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
+
+The numeric modules (solutions, verify, simulate) import numpy, so each
+handler imports what it uses: `derive` runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -18,16 +21,24 @@ import math
 import os
 import sys
 import tempfile
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .closure import run_derivation
-from .reduction import EvolutionEquation, WaveFrame, reduce_to_ode
-from .simulate import Grid1D, SimConfig, convergence_study, integrate
-from .solutions import (SolutionSpec, catalog_by_id, check_wave_number,
-                        enumerate_catalog)
-from .verify import GridSpec, classify_branches, ode_residual
+from .reduction import (EvolutionEquation, WaveFrame, check_wave_number,
+                        reduce_to_ode)
+
+if TYPE_CHECKING:
+    from .simulate import Grid1D
+    from .solutions import SolutionSpec
+    from .verify import GridSpec
+
+if "numpy" in sys.modules:
+    # numpy is loaded already, so the numeric modules cost only their own
+    # import time; importing them here keeps `import cahnallen.cli` a load
+    # of the whole package in such a process (perfbench/layers.py traces
+    # the modules it loads)
+    from . import simulate, solutions, verify  # noqa: F401
 
 
 def _fmt(v: float) -> str:
@@ -72,6 +83,8 @@ def _write_manifest(out_dir: str, command: str, parameters: dict,
 
 def resolve_entry(entry: str, k: float | None) -> SolutionSpec:
     """Entry lookup; a trailing k<value> on the id pins the wave number."""
+    from .solutions import catalog_by_id
+
     base, k_from_id = entry, None
     pos = entry.rfind("k")
     if pos > 0:
@@ -98,12 +111,14 @@ def _finite(text: str) -> float:
 
 
 def _parse_grid2(text: str) -> GridSpec:
+    from .verify import GridSpec
+
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(
             "grid must be xmin,xmax,nx,tmin,tmax,nt")
     xmin, xmax, nx, tmin, tmax, nt = parts
-    return GridSpec((_finite(xmin), _finite(xmax)),
+    return _checked(GridSpec, (_finite(xmin), _finite(xmax)),
                     (_finite(tmin), _finite(tmax)), int(nx), int(nt))
 
 
@@ -114,10 +129,27 @@ def _parse_grid1(text: str) -> tuple[float, float, int]:
     return _finite(parts[0]), _finite(parts[1]), int(parts[2])
 
 
+def _parse_run_grid(text: str) -> Grid1D:
+    from .simulate import Grid1D
+
+    return _checked(Grid1D, *_parse_grid1(text))
+
+
+def _checked(grid_type, *args):
+    """grid_type(*args); the reason of its ValueError is the usage error
+    (argparse would report only the name of the type function)."""
+    try:
+        return grid_type(*args)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def emit_plot_data(spec: SolutionSpec, t_list: list[float],
                    x_grid: tuple[float, float, int], out_dir: str,
                    run_id: str) -> tuple[list[str], list[str]]:
     """One x,u CSV per requested time; singular zones become omitted rows."""
+    import numpy as np
+
     xmin, xmax, n = x_grid
     xs = np.linspace(xmin, xmax, n)
     outputs: list[str] = []
@@ -163,6 +195,9 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .solutions import enumerate_catalog
+    from .verify import ode_residual
+
     entries = enumerate_catalog(args.k)
     rows = []
     for spec in entries:
@@ -183,6 +218,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .solutions import enumerate_catalog
+    from .verify import GridSpec, classify_branches
+
     catalog = enumerate_catalog(args.k)
     if args.corrupt:
         from dataclasses import replace
@@ -257,6 +295,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import Grid1D, SimConfig, integrate
+
     spec = resolve_entry(args.entry, args.k)
     grid = args.grid or Grid1D(-20.0, 20.0, 801)
     scheme = {"rk4": "explicit_rk4_mol", "imex": "imex_cn"}[args.scheme]
@@ -297,6 +337,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    from .simulate import Grid1D, SimConfig, convergence_study
+
     spec = resolve_entry(args.entry, args.k)
     base = args.grid or Grid1D(-20.0, 20.0, 101)
     grids = [
@@ -369,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="finite-difference run seeded by an entry")
     p.add_argument("--entry", required=True,
                    help="catalog entry id, optionally with a k<value> suffix")
-    p.add_argument("--grid", type=lambda s: Grid1D(*_parse_grid1(s)),
+    p.add_argument("--grid", type=_parse_run_grid,
                    default=None, metavar="xmin,xmax,n",
                    help="run grid (default -20,20,801)")
     p.add_argument("--scheme", choices=("rk4", "imex"), default="rk4",
@@ -388,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalog entry id, optionally with a k<value> suffix")
     p.add_argument("--levels", type=int, default=3,
                    help="number of halvings from the base grid (default 3)")
-    p.add_argument("--grid", type=lambda s: Grid1D(*_parse_grid1(s)),
+    p.add_argument("--grid", type=_parse_run_grid,
                    default=None, metavar="xmin,xmax,n",
                    help="base grid (default -20,20,101)")
     p.add_argument("--T", type=float, default=0.5,

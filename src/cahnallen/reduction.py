@@ -8,6 +8,8 @@ degrees D(d^p u / dxi^p) = n + p and D(u^p * (d^q u)^s) = n*p + s*(n + q).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +54,15 @@ class WaveFrame:
 
     def w_expr(self) -> SymExpr:
         return SymExpr.atom("w") if self.w is None else SymExpr.const(self.w)
+
+
+def check_wave_number(k: float) -> float:
+    """k itself if it is a usable wave number, else a ValueError."""
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"wave number k must be positive and finite, got {k}")
+    if k * k < sys.float_info.min:
+        raise ValueError(f"wave number k = {k} is too small: k**2 underflows")
+    return k
 
 
 @dataclass(frozen=True)

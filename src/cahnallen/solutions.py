@@ -23,7 +23,6 @@ marks the mixed choice sign(A1) != sign(A0).  Reading variants carry
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -32,7 +31,8 @@ import numpy as np
 
 from .closure import ClosureBranch, run_derivation
 from .qfield import Radical2
-from .reduction import EvolutionEquation, WaveFrame, reduce_to_ode
+from .reduction import (EvolutionEquation, WaveFrame, check_wave_number,
+                        reduce_to_ode)
 
 SINGULAR_HALF_WIDTH = 0.1
 
@@ -327,15 +327,6 @@ def _printed_entry(entry_id: str, family_code: str, family: Family,
         entry_id, family_code, family, "printed", a0, s1, sw, k,
         u0=u0, amp=amp, nu=nu, shift=shift, qsign=1, w=w, **params,
     )
-
-
-def check_wave_number(k: float) -> float:
-    """k itself if it is a usable wave number, else a ValueError."""
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"wave number k must be positive and finite, got {k}")
-    if k * k < sys.float_info.min:
-        raise ValueError(f"wave number k = {k} is too small: k**2 underflows")
-    return k
 
 
 def enumerate_catalog(k: float) -> list[SolutionSpec]:

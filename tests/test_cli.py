@@ -280,6 +280,22 @@ def test_non_finite_option_is_rejected_by_the_parser(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["convergence", "--entry", "eq20+", "--grid=1,0,10"], "empty grid interval"),
+    (["simulate", "--entry", "eq20+", "--grid=-20,20,4"],
+     "grid needs at least 8 points"),
+    (["verify", "--grid=-10,10,1,0,1,3"], "grid needs nx >= 2 and nt >= 1"),
+], ids=["convergence-empty", "simulate-short", "verify-short"])
+def test_grid_reason_reaches_the_usage_error(argv, reason, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --grid: {reason}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("k", ["0", "nan", "-1"])
 def test_derive_rejects_unusable_wave_number_before_printing(k, capsys):
     code, out, err = run(["derive", f"--k={k}"], capsys)
@@ -312,7 +328,8 @@ def test_derive_loads_no_scipy():
              "import cahnallen.cli as cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    assert cli.main(['derive']) == 0\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+             "print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('numpy', 'scipy')))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src},
                           timeout=120)

@@ -12,7 +12,7 @@ from cahnallen.simulate import (
     NoCrossing,
     SimConfig,
     UnstableStep,
-    _Imex,
+    _Split,
     convergence_study,
     discrete_energy,
     front_position,
@@ -141,10 +141,43 @@ def test_singular_profile_runs_off_pole(table1):
     assert res.linf_errors[-1] < 1e-3
 
 
-def test_blowup_detection(kink):
+def test_blowup_detection():
+    grid = Grid1D(-10.0, 10.0, 64)
     with pytest.raises(UnstableStep):
-        integrate(kink, Grid1D(-20.0, 20.0, 101),
-                  SimConfig(dt=50.0, T=500.0, scheme="imex_cn"))
+        simulate_field(100.0 * _wavy_initial(grid), grid,
+                       SimConfig(T=1.0, boundary="periodic"))
+
+
+def test_split_scheme_is_bounded_at_huge_steps(kink):
+    # exact reaction and diffusion substeps: no step size makes them unstable
+    res = integrate(kink, Grid1D(-20.0, 20.0, 101),
+                    SimConfig(dt=50.0, T=500.0, scheme="imex_cn"))
+    assert max(np.max(np.abs(s)) for s in res.snapshots) <= 1.0 + 1e-12
+
+
+def test_split_scheme_is_second_order_in_time(kink):
+    # n = 1601 keeps the spatial error below the temporal one at these steps
+    errors = [integrate(kink, Grid1D(-20.0, 20.0, 1601),
+                        SimConfig(dt=dt, T=1.0, scheme="imex_cn")).linf_errors[-1]
+              for dt in (0.1, 0.05, 0.025)]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 1.8, (errors, orders)
+
+
+def test_split_scheme_is_second_order_on_periodic_grids():
+    # against a run at a 16 times smaller step: the diffusion substep is
+    # exact, so the differences are the splitting error alone
+    grid = Grid1D(-10.0, 10.0, 128)
+
+    def final(dt):
+        cfg = SimConfig(dt=dt, T=1.0, boundary="periodic", scheme="imex_cn",
+                        snapshot_times=(1.0,))
+        return simulate_field(_wavy_initial(grid), grid, cfg).snapshots[-1]
+
+    reference = final(0.05 / 16)
+    errors = [np.max(np.abs(final(dt) - reference)) for dt in (0.2, 0.1, 0.05)]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 1.8, (errors, orders)
 
 
 # --- front tracking ----------------------------------------------------------------
@@ -217,17 +250,50 @@ def test_energy_never_increases_imex():
     assert np.all(increments <= 1e-8)
 
 
-def test_periodic_imex_step_matches_dense_cyclic_solve():
+def _dense_flow(matrix: np.ndarray, dt: float):
+    """phi_j(dt*matrix) for j = 0, 1, 2 from a dense eigendecomposition,
+    with phi_0 = exp, phi_1(z) = (e^z - 1)/z, phi_2(z) = (e^z - 1 - z)/z^2."""
+    lam, vecs = np.linalg.eigh(matrix)
+    z = dt * lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phis = (np.exp(z),
+                np.where(z == 0.0, 1.0, np.expm1(z) / z),
+                np.where(z == 0.0, 0.5, (np.expm1(z) - z) / (z * z)))
+    return [vecs @ np.diag(phi) @ vecs.T for phi in phis]
+
+
+def test_periodic_diffusion_step_matches_dense_eigensolution():
     n, h, dt = 16, 0.3, 0.05
-    r = dt / (2.0 * h * h)
-    cyclic = (np.diag(np.full(n, 1.0 + 2.0 * r))
-              + np.diag(np.full(n - 1, -r), 1) + np.diag(np.full(n - 1, -r), -1))
-    cyclic[0, -1] = cyclic[-1, 0] = -r
+    lap = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+           + np.diag(np.ones(n - 1), -1))
+    lap[0, -1] = lap[-1, 0] = 1.0
     u = np.random.default_rng(3).uniform(-1.0, 1.0, n)
-    lap = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (h * h)
-    want = np.linalg.solve(cyclic, u + 0.5 * dt * lap + dt * (u - u**3))
-    got = _Imex(n, h, dt, periodic=True).step(u, dt, None)
-    assert np.max(np.abs(got - want)) < 1e-13
+    flow, _, _ = _dense_flow(lap / (h * h), dt)
+    got = _Split(Grid1D(0.0, h * (n - 1), n), [dt], periodic=True).diffuse(u, dt)
+    assert np.max(np.abs(got - flow @ u)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_dirichlet_diffusion_step_matches_dense_eigensolution(n):
+    # interior nodes: u' = A u + g(t), where g carries boundary values that
+    # move linearly in time from (a0, b0) to (a1, b1); the exact solution is
+    # e^(dt A) u + dt phi1(dt A) g0 + dt phi2(dt A) (g1 - g0)
+    h, dt = 0.3, 0.05
+    m = n - 2
+    lap = (np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1)
+           + np.diag(np.ones(m - 1), -1)) / (h * h)
+    rng = np.random.default_rng(n)
+    u = rng.uniform(-1.0, 1.0, n)
+    end = rng.uniform(-1.0, 1.0, 2)
+    g0, g1 = np.zeros(m), np.zeros(m)
+    g0[[0, -1]] = u[[0, -1]] / (h * h)
+    g1[[0, -1]] = end / (h * h)
+    flow, phi1, phi2 = _dense_flow(lap, dt)
+    want = flow @ u[1:-1] + dt * phi1 @ g0 + dt * phi2 @ (g1 - g0)
+    got = _Split(Grid1D(0.0, h * (n - 1), n), [dt], periodic=False).diffuse(
+        u, dt, end)
+    assert np.max(np.abs(got[1:-1] - want)) < 1e-13
+    assert np.array_equal(got[[0, -1]], end)
 
 
 def test_odd_symmetry_to_machine_precision():

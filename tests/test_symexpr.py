@@ -85,6 +85,29 @@ def test_cube_of_ansatz_contains_multinomial_terms():
     assert top in cube.terms
 
 
+def test_pow_matches_repeated_product_with_fewest_squarings(monkeypatch):
+    ansatz = build_ansatz_derivatives(1)
+    e = ansatz.u + ansatz.u1 + ansatz.u2  # derivation-sized: 7 monomials
+    products = []
+    real_mul = SymExpr.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    repeated = SymExpr.const(1)
+    for n in range(6):
+        products.clear()
+        monkeypatch.setattr(SymExpr, "__mul__", counted)
+        power = e**n
+        monkeypatch.setattr(SymExpr, "__mul__", real_mul)
+        assert power == repeated
+        # one product per set bit, one squaring per bit after the first
+        assert len(products) == (bin(n).count("1") + n.bit_length() - 1
+                                 if n else 0)
+        repeated = repeated * e
+
+
 def test_pow_rejects_negative_exponent():
     with pytest.raises(ValueError):
         A0**-1
