@@ -11,6 +11,7 @@ speed -w/k dynamically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -265,15 +266,17 @@ class _Split:
     def _factors(self, step: float, lam: np.ndarray):
         """e^z; on Dirichlet grids the (4, n - 2) map from the boundary
         values (start, end) to their share of the new u_hat; the decay
-        e^-step of a reaction half step."""
+        e^-step of a reaction half step, kept above zero so that a zero
+        field stays zero (not 0/0) at steps beyond about 708."""
         z = step * lam
         decay = np.exp(z)
+        half_step = max(math.exp(-step), sys.float_info.min)
         if self.periodic:
-            return decay, None, math.exp(-step)
+            return decay, None, half_step
         phi1 = np.expm1(z) / z  # every eigenvalue is negative here
         weights = np.concatenate([(phi1 - decay) * self.lift_hat,
                                   (1.0 - phi1) * self.lift_hat])
-        return decay, weights, math.exp(-step)
+        return decay, weights, half_step
 
     def diffuse(self, u: np.ndarray, step: float, end=None) -> np.ndarray:
         """Exact heat flow over `step`; on Dirichlet grids the boundary

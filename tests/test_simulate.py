@@ -153,6 +153,11 @@ def test_split_scheme_is_bounded_at_huge_steps(kink):
     res = integrate(kink, Grid1D(-20.0, 20.0, 101),
                     SimConfig(dt=50.0, T=500.0, scheme="imex_cn"))
     assert max(np.max(np.abs(s)) for s in res.snapshots) <= 1.0 + 1e-12
+    # steps past e^-step's underflow: the equilibrium 0 stays exactly 0
+    grid = Grid1D(-10.0, 10.0, 64)
+    res = simulate_field(np.zeros(64), grid, SimConfig(
+        dt=1000.0, T=10000.0, boundary="periodic", scheme="imex_cn"))
+    assert all(np.all(s == 0.0) for s in res.snapshots)
 
 
 def test_split_scheme_is_second_order_in_time(kink):
