@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .closure import run_derivation
-from .reduction import (EvolutionEquation, WaveFrame, check_wave_number,
-                        reduce_to_ode)
+from .reduction import (EvolutionEquation, WaveFrame, check_times,
+                        check_wave_number, reduce_to_ode)
 
 if TYPE_CHECKING:
     from .simulate import Grid1D
@@ -295,6 +295,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    check_times(args.T, args.dt)  # before numpy loads and the derivation runs
     from .simulate import Grid1D, SimConfig, integrate
 
     spec = resolve_entry(args.entry, args.k)
@@ -337,6 +338,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    check_times(args.T, None)
     from .simulate import Grid1D, SimConfig, convergence_study
 
     spec = resolve_entry(args.entry, args.k)

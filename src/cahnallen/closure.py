@@ -17,8 +17,8 @@ general solution u = A0 + A1*S'/S follows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .qfield import Radical2
 from .reduction import TravelingWaveODE, balance_degree
@@ -42,16 +42,14 @@ class DegenerateBranch(Exception):
     """A closed form was requested for a branch outside its validity domain."""
 
 
-@dataclass(frozen=True)
-class Ansatz:
+class Ansatz(NamedTuple):
     n: int
     u: SymExpr
     u1: SymExpr
     u2: SymExpr
 
 
-@dataclass(frozen=True)
-class CoefficientSystem:
+class CoefficientSystem(NamedTuple):
     """Grade -> expression that must vanish; grades exactly as collected."""
 
     equations: dict[int, SymExpr]
@@ -61,8 +59,7 @@ class CoefficientSystem:
         return tuple(sorted(self.equations))
 
 
-@dataclass(frozen=True)
-class ClosureBranch:
+class ClosureBranch(NamedTuple):
     """One exact solution of the coefficient system.
 
     A0 = a0, A1 = s1*sqrt(2)*k, w = w_over_k * k.  The stored ratios are the
@@ -102,8 +99,7 @@ class ClosureBranch:
         return f"a0={a0} A1={sgn}sqrt2*k w=({self.w_over_k})*k"
 
 
-@dataclass(frozen=True)
-class DegenerateRoot:
+class DegenerateRoot(NamedTuple):
     a0: Radical2
     s1: int
     w_over_k: Radical2
@@ -117,16 +113,14 @@ class DegenerateRoot:
         )
 
 
-@dataclass(frozen=True)
-class ClosureSolution:
+class ClosureSolution(NamedTuple):
     branches: tuple[ClosureBranch, ...]
     degenerate: tuple[DegenerateRoot, ...]
     # every branch back-substitutes to a structural zero, k symbolic
     backsubstituted: bool
 
 
-@dataclass(frozen=True)
-class SClosedForms:
+class SClosedForms(NamedTuple):
     """Exponential closed forms of one branch.
 
     S''  = s2_scale * c1        * exp(nu*xi)
@@ -142,8 +136,7 @@ class SClosedForms:
     s_scale: Radical2
 
 
-@dataclass(frozen=True)
-class GeneralSolutionForm:
+class GeneralSolutionForm(NamedTuple):
     """u = a0 + num_scale*c1*k**2*E / (den_scale*c1*k**2*E + c2), E = exp(nu*xi)."""
 
     branch: ClosureBranch
@@ -432,8 +425,7 @@ def _cancel_common(num: SymExpr, den: SymExpr) -> tuple[SymExpr, SymExpr]:
     return num2, den2
 
 
-@dataclass(frozen=True)
-class DerivationReport:
+class DerivationReport(NamedTuple):
     ode: TravelingWaveODE
     n: int
     ansatz: Ansatz

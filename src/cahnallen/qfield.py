@@ -12,6 +12,10 @@ one representation, so equality and hashing compare the triple.  Each
 operation works on the integers directly and restores the invariant with a
 single ``math.gcd``; the rational parts r = a/d and s = b/d are available as
 ``fractions.Fraction`` (``Rational``) for callers that need them.
+
+``Frozen`` is the base of the package's immutable ``__slots__`` value
+types, ``Radical2`` among them.  Such a class builds no code when it is
+defined, unlike a frozen dataclass, which compiles six methods per class.
 """
 
 from __future__ import annotations
@@ -60,7 +64,45 @@ def _reduced(a: int, b: int, d: int) -> "Radical2":
     return _raw(a, b, d)
 
 
-class Radical2:
+class Frozen:
+    """An immutable record of its ``__slots__``: equality, hash, repr and
+    pickling go by the slot values in order, and assignment raises.  A
+    subclass's ``__init__`` takes the slots in order, checks them and
+    passes them on to this one (hot types set them through the slot
+    descriptors' ``__set__`` instead)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Radical2(Frozen):
     """The number ``r + s*sqrt(2)`` with exact rational parts r, s."""
 
     __slots__ = ("_a", "_b", "_d")
@@ -72,11 +114,6 @@ class Radical2:
         _set_a(self, r.numerator * (d // r.denominator))
         _set_b(self, s.numerator * (d // s.denominator))
         _set_d(self, d)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Radical2 is immutable")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return _raw, (self._a, self._b, self._d)

@@ -10,44 +10,51 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .qfield import Radical2
+from .qfield import Frozen, Radical2
 from .symexpr import SymExpr
+
+# about 45 rounding units of t = 1; a run to T = 1 takes 1e14 such steps
+MIN_TIME_STEP = 1e-14
 
 
 class NonIntegerBalance(Exception):
     """The balance equation has no positive integer solution."""
 
 
-@dataclass(frozen=True)
-class EvolutionEquation:
+class ConfigError(ValueError):
+    """A run configuration outside the domain of the time steppers."""
+
+
+class EvolutionEquation(Frozen):
     """u_t = u_xx - u^m + u with integer nonlinearity power m >= 2.
 
     m = 3 is the bistable (Allen-Cahn/Cahn-Allen) case.
     """
 
-    m: int = 3
+    __slots__ = ("m",)
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
+    def __init__(self, m: int = 3) -> None:
+        if m < 2:
             raise ValueError("nonlinearity power m must be >= 2")
+        super().__init__(m)
 
 
-@dataclass(frozen=True)
-class WaveFrame:
+class WaveFrame(Frozen):
     """The comoving frame xi = k*x + w*t.
 
     k and w are kept symbolic when None; an exact value pins them.
     """
 
-    k: Radical2 | None = None
-    w: Radical2 | None = None
+    __slots__ = ("k", "w")
 
-    def __post_init__(self) -> None:
-        if self.k is not None and not self.k:
+    def __init__(self, k: Radical2 | None = None,
+                 w: Radical2 | None = None) -> None:
+        if k is not None and not k:
             raise ValueError("numeric wave number k must be nonzero")
+        super().__init__(k, w)
 
     def k_expr(self) -> SymExpr:
         return SymExpr.atom("k") if self.k is None else SymExpr.const(self.k)
@@ -62,11 +69,27 @@ def check_wave_number(k: float) -> float:
         raise ValueError(f"wave number k must be positive and finite, got {k}")
     if k * k < sys.float_info.min:
         raise ValueError(f"wave number k = {k} is too small: k**2 underflows")
+    if k * k == math.inf:
+        raise ValueError(f"wave number k = {k} is too large: k**2 overflows")
     return k
 
 
-@dataclass(frozen=True)
-class TravelingWaveODE:
+def check_times(T: float, dt: float | None) -> None:
+    """A ConfigError unless the final time T and the time step dt (None:
+    the scheme's default) are usable; needs no numpy, so the command line
+    checks them before it loads the numeric layers."""
+    if not (math.isfinite(T) and T > 0):
+        raise ConfigError("final time must be positive and finite")
+    if dt is None:
+        return
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError("time step must be positive and finite")
+    if dt < MIN_TIME_STEP:
+        raise ConfigError(
+            f"time step {dt} is below the smallest step {MIN_TIME_STEP}")
+
+
+class TravelingWaveODE(NamedTuple):
     m: int
     expression: SymExpr  # in u, u', u'' with coefficients over k, w
 

@@ -12,21 +12,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
+from .qfield import Frozen
+from .reduction import ConfigError, check_times
 from .solutions import SolutionSpec
 
 BLOWUP_LIMIT = 1e6
 EXPLICIT_DT_MARGIN = 0.4  # dt <= margin * h**2 / 2
 STEPS_PER_PROFILE = 4096  # boundary data evaluated per block of steps
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class UnstableStep(Exception):
@@ -41,17 +38,15 @@ class InsufficientData(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    x_min: float
-    x_max: float
-    n: int
+class Grid1D(Frozen):
+    __slots__ = ("x_min", "x_max", "n")
 
-    def __post_init__(self) -> None:
-        if self.n < 8:
+    def __init__(self, x_min: float, x_max: float, n: int) -> None:
+        if n < 8:
             raise ValueError("grid needs at least 8 points")
-        if self.x_max <= self.x_min:
+        if x_max <= x_min:
             raise ValueError("empty grid interval")
+        super().__init__(x_min, x_max, n)
 
     @property
     def h(self) -> float:
@@ -61,23 +56,21 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.n)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    dt: float | None = None
-    T: float = 1.0
-    boundary: str = "exact_dirichlet"  # or "periodic"
-    scheme: str = "explicit_rk4_mol"  # or "imex_cn", the split scheme
-    snapshot_times: tuple[float, ...] | None = None
+class SimConfig(Frozen):
+    __slots__ = ("dt", "T", "boundary", "scheme", "snapshot_times")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ConfigError("final time must be positive and finite")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError("time step must be positive and finite")
-        if self.boundary not in ("exact_dirichlet", "periodic"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.scheme not in ("explicit_rk4_mol", "imex_cn"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+    def __init__(self, dt: float | None = None, T: float = 1.0,
+                 boundary: str = "exact_dirichlet",
+                 scheme: str = "explicit_rk4_mol",
+                 snapshot_times: tuple[float, ...] | None = None) -> None:
+        """boundary "exact_dirichlet" or "periodic"; scheme
+        "explicit_rk4_mol" or "imex_cn", the split scheme."""
+        check_times(T, dt)
+        if boundary not in ("exact_dirichlet", "periodic"):
+            raise ValueError(f"unknown boundary {boundary!r}")
+        if scheme not in ("explicit_rk4_mol", "imex_cn"):
+            raise ValueError(f"unknown scheme {scheme!r}")
+        super().__init__(dt, T, boundary, scheme, snapshot_times)
 
     def resolved_dt(self, h: float) -> float:
         if self.dt is not None:
@@ -93,17 +86,19 @@ class SimConfig:
         return tuple(np.linspace(0.0, self.T, 11))
 
 
-@dataclass
 class SimResult:
-    grid: Grid1D
-    config: SimConfig
-    times: list[float] = field(default_factory=list)
-    snapshots: list[np.ndarray] = field(default_factory=list)
-    linf_errors: list[float] = field(default_factory=list)
-    l2_errors: list[float] = field(default_factory=list)
-    energy_series: list[float] = field(default_factory=list)
-    front_trajectory: list[tuple[float, float]] = field(default_factory=list)
-    measured_speed: float | None = None
+    """What a run records, filled in while it marches."""
+
+    def __init__(self, grid: Grid1D, config: SimConfig) -> None:
+        self.grid = grid
+        self.config = config
+        self.times: list[float] = []
+        self.snapshots: list[np.ndarray] = []
+        self.linf_errors: list[float] = []
+        self.l2_errors: list[float] = []
+        self.energy_series: list[float] = []
+        self.front_trajectory: list[tuple[float, float]] = []
+        self.measured_speed: float | None = None
 
 
 def reaction(u: np.ndarray) -> np.ndarray:
@@ -318,8 +313,6 @@ def _schedule(config: SimConfig, dt: float):
     while t < config.T - 1e-12:
         target = pending[0] if pending else config.T
         step = min(dt, target - t, config.T - t)
-        if step < 1e-14:
-            step = target - t
         starts.append(t)
         steps.append(step)
         t += step

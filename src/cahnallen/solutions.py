@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,7 @@ class Family(str, Enum):
     CANONICAL_TANH = "canonical_tanh"
 
 
-@dataclass(frozen=True)
-class SingularZone:
+class SingularZone(NamedTuple):
     center: float
     half_width: float = SINGULAR_HALF_WIDTH
 

@@ -15,11 +15,10 @@ is assumed for either until the closure is integrated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .qfield import Radical2
+from .qfield import Frozen, Radical2
 
 CORE_ATOMS = ("k", "w", "A0", "A1", "c1", "c2")
 
@@ -44,13 +43,19 @@ def _canon_powers(powers: Mapping, key=None) -> tuple:
     return tuple(items)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    coeff: Radical2
-    sym_powers: tuple = ()
-    u_powers: tuple = ()
-    deriv_powers: tuple = ()
-    s_grade: int = 0
+class Monomial(Frozen):
+    """coeff times (atom, exponent) powers of each kind, times S**-s_grade."""
+
+    __slots__ = ("coeff", "sym_powers", "u_powers", "deriv_powers", "s_grade")
+
+    def __init__(self, coeff: Radical2, sym_powers: tuple = (),
+                 u_powers: tuple = (), deriv_powers: tuple = (),
+                 s_grade: int = 0) -> None:
+        _set_coeff(self, coeff)
+        _set_sym(self, sym_powers)
+        _set_u(self, u_powers)
+        _set_deriv(self, deriv_powers)
+        _set_grade(self, s_grade)
 
     @classmethod
     def make(
@@ -88,6 +93,13 @@ class Monomial:
         return sum(e for _, e in self.deriv_powers)
 
 
+_set_coeff = Monomial.coeff.__set__
+_set_sym = Monomial.sym_powers.__set__
+_set_u = Monomial.u_powers.__set__
+_set_deriv = Monomial.deriv_powers.__set__
+_set_grade = Monomial.s_grade.__set__
+
+
 def _merge_powers(a: tuple, b: tuple, key=None) -> tuple:
     merged: dict = {}
     for atom, e in a:
@@ -107,11 +119,13 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     )
 
 
-@dataclass(frozen=True)
-class SymExpr:
+class SymExpr(Frozen):
     """Normalized sum of monomials; the empty sum is zero."""
 
-    terms: tuple = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple = ()) -> None:
+        _set_terms(self, terms)
 
     @classmethod
     def zero(cls) -> "SymExpr":
@@ -221,6 +235,9 @@ class SymExpr:
 
     def __str__(self) -> str:
         return to_text(self)
+
+
+_set_terms = SymExpr.terms.__set__
 
 
 def as_expr(value: Bindable) -> SymExpr:

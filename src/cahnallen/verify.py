@@ -9,10 +9,11 @@ or a mis-scaled argument leaves an O(1) residual.  The default threshold of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .qfield import Frozen
 from .solutions import Family, SolutionSpec, reduce_ab_to_canonical
 
 PDE_THRESHOLD = 1e-8
@@ -22,16 +23,15 @@ EQUIVALENCE_TOL = 1e-12
 STANDARD_XI_POINTS = tuple(np.linspace(-15.0, 15.0, 61))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    x_range: tuple[float, float] = (-10.0, 10.0)
-    t_range: tuple[float, float] = (0.0, 1.0)
-    nx: int = 201
-    nt: int = 11
+class GridSpec(Frozen):
+    __slots__ = ("x_range", "t_range", "nx", "nt")
 
-    def __post_init__(self) -> None:
-        if self.nx < 2 or self.nt < 1:
+    def __init__(self, x_range: tuple[float, float] = (-10.0, 10.0),
+                 t_range: tuple[float, float] = (0.0, 1.0),
+                 nx: int = 201, nt: int = 11) -> None:
+        if nx < 2 or nt < 1:
             raise ValueError("grid needs nx >= 2 and nt >= 1")
+        super().__init__(x_range, t_range, nx, nt)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         xs = np.linspace(self.x_range[0], self.x_range[1], self.nx)
@@ -43,8 +43,7 @@ def standard_grid() -> GridSpec:
     return GridSpec()
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     entry_id: str
     max_abs: float
     mean_abs: float
@@ -128,8 +127,7 @@ _STENCILS = {
 }
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(NamedTuple):
     h_values: tuple[float, ...]
     max_diff: dict[str, tuple[float, ...]]
     observed_order: dict[str, float]
@@ -215,8 +213,7 @@ class PerturbedSolution:
         return self.base.partials(x, t)
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     entry_id: str
     family_code: str
     family: str
@@ -230,8 +227,7 @@ class AuditRow:
     valid: bool
 
 
-@dataclass(frozen=True)
-class EquivalenceRow:
+class EquivalenceRow(NamedTuple):
     ab_entry: str
     canonical_code: str
     shift_c: float
@@ -239,8 +235,7 @@ class EquivalenceRow:
     confirmed: bool
 
 
-@dataclass(frozen=True)
-class AuditTable:
+class AuditTable(NamedTuple):
     rows: tuple[AuditRow, ...]
     equivalences: tuple[EquivalenceRow, ...]
     family_valid: dict[str, bool]

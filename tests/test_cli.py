@@ -311,6 +311,34 @@ def test_wave_number_whose_square_underflows_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["derive", "--k", "1e155"],
+    ["catalog", "--k", "1e155"],
+    ["verify", "--k", "1e155"],
+    ["eval", "--entry", "eq20+", "--t", "0", "--k", "1e200"],
+], ids=["derive", "catalog", "verify", "eval"])
+def test_wave_number_whose_square_overflows_is_usage_error(argv, tmp_path,
+                                                           capsys):
+    if argv[0] != "derive":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: wave number k") and err.count("\n") == 1
+    assert "k**2 overflows" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "imex"])
+def test_time_step_below_the_floor_is_usage_error(scheme, tmp_path, capsys):
+    # a short T keeps the run small should the check ever let dt through
+    code, _, err = run(["simulate", "--entry", "eq20+", "--T", "1e-13",
+                        "--dt", "1e-15", "--scheme", scheme,
+                        "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == "error: time step 1e-15 is below the smallest step 1e-14\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_output_directory_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing"
     code, _, err = run(["eval", "--entry", "eq20+", "--t", "0",
@@ -335,6 +363,30 @@ def test_derive_loads_no_scipy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["simulate", "--entry", "eq20+", "--dt=-1"],
+     "time step must be positive and finite"),
+    (["convergence", "--entry", "eq20+", "--T", "nan"],
+     "final time must be positive and finite"),
+], ids=["simulate-dt", "convergence-T"])
+def test_bad_time_is_reported_before_numpy_loads(argv, reason, tmp_path):
+    import cahnallen
+
+    src = os.path.dirname(os.path.dirname(cahnallen.__file__))
+    probe = ("import sys\n"
+             "from cahnallen.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print('numpy' in sys.modules)\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {reason}\n"
+    assert proc.stdout == "False\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_subcommand_exit_code():

@@ -13,6 +13,7 @@ from cahnallen.simulate import (
     SimConfig,
     UnstableStep,
     _Split,
+    _schedule,
     convergence_study,
     discrete_energy,
     front_position,
@@ -66,6 +67,17 @@ def test_config_validation():
         SimConfig(boundary="reflecting")
     with pytest.raises(ValueError):
         SimConfig(scheme="spectral")
+
+
+def test_no_step_is_longer_than_dt():
+    config = SimConfig(dt=0.03, T=1.0, snapshot_times=(0.0, 0.1, 0.25, 1.0))
+    at_zero, starts, steps, marks = _schedule(config, config.dt)
+    assert at_zero and max(steps) <= 0.03
+    assert math.isclose(sum(steps), 1.0)
+    assert [m for m in marks if m is not None] == [0.1, 0.25, 1.0]
+    # SimConfig rejects a dt below 1e-14; the schedule alone does not
+    # stretch such a step to the next snapshot time either
+    assert max(_schedule(SimConfig(T=2e-12), 1e-15)[2]) == 1e-15
 
 
 def test_integrate_rejects_periodic_boundaries(kink):
