@@ -1,6 +1,7 @@
 """Finite-difference dynamics: accuracy, fronts, invariants, two schemes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cahnallen.simulate import (
     NoCrossing,
     SimConfig,
     UnstableStep,
+    _Rk4,
     _Split,
     _schedule,
     convergence_study,
@@ -197,6 +199,94 @@ def test_split_scheme_is_second_order_on_periodic_grids():
     assert min(orders) >= 1.8, (errors, orders)
 
 
+# --- the buffered RK4 step against the plain formulas ----------------------------
+
+
+def _plain_rk4_step(u, step, h2, u_t=None, end=None):
+    """The RK4 step as allocating array expressions, the oracle of _Rk4."""
+
+    def rhs(v, edge):
+        if edge is None:
+            lap = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / h2
+            return lap + (v - v * v * v)
+        out = np.empty_like(v)
+        mid = v[1:-1]
+        out[1:-1] = (v[2:] - 2.0 * mid + v[:-2]) / h2 + (mid - mid * mid * mid)
+        out[0], out[-1] = edge
+        return out
+
+    if u_t is None:
+        u_t = (None, None, None)
+    k1 = rhs(u, u_t[0])
+    k2 = rhs(u + 0.5 * step * k1, u_t[1])
+    k3 = rhs(u + 0.5 * step * k2, u_t[1])
+    k4 = rhs(u + step * k3, u_t[2])
+    u = u + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if end is not None:
+        u[0], u[-1] = end
+    return u
+
+
+def _rk4_case(periodic: bool, seed: int):
+    """A stepper, a rough start field and a source of per-step boundary
+    data (None on periodic grids) on the 801-point default grid."""
+    rng = np.random.default_rng(seed)
+    xs = KINK_GRID.xs()
+    u = np.tanh(xs) + 0.05 * rng.standard_normal(xs.size)
+
+    def edges():
+        if periodic:
+            return None, None
+        return rng.uniform(-2.0, 2.0, (3, 2)).tolist(), rng.uniform(
+            -1.0, 1.0, 2).tolist()
+
+    return _Rk4(KINK_GRID), u, edges
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("steps", [1, 100])
+def test_rk4_step_is_bit_identical_to_plain_formulas(periodic, steps):
+    stepper, u, edges = _rk4_case(periodic, 0)
+    dt = SimConfig().resolved_dt(KINK_GRID.h)
+    want = got = u
+    for i in range(steps):
+        step = dt if i < steps - 1 else 0.37 * dt  # a shortened last step
+        u_t, end = edges()
+        want = _plain_rk4_step(want, step, stepper.h2, u_t, end)
+        got = stepper.step(got, step, u_t, end)
+        assert np.array_equal(got, want), i
+
+
+def test_rk4_step_returns_fresh_arrays():
+    stepper, u, edges = _rk4_case(False, 1)
+    dt = SimConfig().resolved_dt(KINK_GRID.h)
+    before = u.copy()
+    first = stepper.step(u, dt, *edges())
+    second = stepper.step(u, dt, *edges())
+    assert np.array_equal(u, before)
+    for a, b in ((first, second), (first, u), (second, u)):
+        assert not np.shares_memory(a, b)
+    for buffer in (stepper.k, stepper.stage, stepper.scratch):
+        assert not np.shares_memory(first, buffer)
+        assert not np.shares_memory(second, buffer)
+
+
+def test_rk4_step_allocates_only_its_result():
+    stepper, u, edges = _rk4_case(False, 2)
+    dt = SimConfig().resolved_dt(KINK_GRID.h)
+    u = stepper.step(u, dt, *edges())  # warm-up
+    data = [edges() for _ in range(200)]
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for u_t, end in data:
+            u = stepper.step(u, dt, u_t, end)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2.5 * u.size * u.itemsize, peak - start
+
+
 # --- front tracking ----------------------------------------------------------------
 
 
@@ -265,6 +355,35 @@ def test_energy_never_increases_imex():
     res = simulate_field(_wavy_initial(grid), grid, cfg)
     increments = np.diff(res.energy_series)
     assert np.all(increments <= 1e-8)
+
+
+def _four_mode_field(n: int, seed: int) -> np.ndarray:
+    """Four seeded Fourier modes of the period, scaled to a maximum of 0.9."""
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    u = sum(rng.uniform(-1.0, 1.0) * np.sin(j * theta + rng.uniform(0.0, 2 * np.pi))
+            for j in range(1, 5))
+    return 0.9 * u / np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
+def test_split_scheme_energy_at_large_steps(n, dt):
+    # the energy falls at every step while the field settles; once two
+    # fronts remain (from t = 5 on) and it changes only exponentially
+    # slowly, the splitting error shows as rises that scale like dt^5
+    # (1.4e-9 at dt = 0.05, 2e-6 at 0.2)
+    grid = Grid1D(0.0, 16.0 * np.pi * (n - 1) / n, n)
+    steps = round(10.0 / dt)
+    settling = round(2.0 / dt)
+    for seed in (0, 1):
+        cfg = SimConfig(dt=dt, T=steps * dt, boundary="periodic",
+                        scheme="imex_cn",
+                        snapshot_times=tuple(dt * np.arange(steps + 1)))
+        res = simulate_field(_four_mode_field(n, seed), grid, cfg)
+        increments = np.diff(res.energy_series)
+        assert np.all(increments[:settling] < 0.0), seed
+        assert np.max(increments) <= 0.02 * dt**5, seed
 
 
 def _dense_flow(matrix: np.ndarray, dt: float):
