@@ -156,9 +156,7 @@ def emit_plot_data(spec: SolutionSpec, t_list: list[float],
     notes: list[str] = []
     for index, t in enumerate(t_list):
         xi = spec.xi(xs, t)
-        mask = np.ones(xs.shape, dtype=bool)
-        for zone in spec.singular_zones():
-            mask &= ~zone.contains(xi)
+        mask = spec.regular_mask(xi)
         omitted = int(np.sum(~mask))
         if omitted:
             notes.append(

@@ -140,13 +140,21 @@ class SolutionSpec:
     def front_level(self) -> float:
         return self.u0 + self.amp / 2.0
 
-    def _check_regular(self, xi) -> None:
+    def regular_mask(self, xi) -> np.ndarray:
+        """True where xi lies outside every singular zone."""
+        mask = np.ones(np.shape(xi), dtype=bool)
         for zone in self.singular_zones():
-            if np.any(zone.contains(xi)):
-                raise SingularEvaluation(
-                    f"{self.entry_id}: point inside singular zone at"
-                    f" xi = {zone.center:g} (half width {zone.half_width:g})"
-                )
+            mask &= ~zone.contains(xi)
+        return mask
+
+    def _check_regular(self, xi) -> None:
+        zones = self.singular_zones()
+        if zones and not self.regular_mask(xi).all():
+            zone = zones[0]
+            raise SingularEvaluation(
+                f"{self.entry_id}: point inside singular zone at"
+                f" xi = {zone.center:g} (half width {zone.half_width:g})"
+            )
 
     # -- evaluation ----------------------------------------------------
 

@@ -9,6 +9,7 @@ or a mis-scaled argument leaves an O(1) residual.  The default threshold of
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -34,9 +35,17 @@ class GridSpec(Frozen):
         super().__init__(x_range, t_range, nx, nt)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.linspace(self.x_range[0], self.x_range[1], self.nx)
-        ts = np.linspace(self.t_range[0], self.t_range[1], self.nt)
-        return np.meshgrid(xs, ts, indexing="ij")
+        """The (x, t) mesh, built once per grid and shared read-only."""
+        return _mesh(self)
+
+
+@lru_cache(maxsize=16)
+def _mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.linspace(grid.x_range[0], grid.x_range[1], grid.nx)
+    ts = np.linspace(grid.t_range[0], grid.t_range[1], grid.nt)
+    X, T = np.meshgrid(xs, ts, indexing="ij")
+    X.flags.writeable = T.flags.writeable = False
+    return X, T
 
 
 def standard_grid() -> GridSpec:
@@ -62,24 +71,33 @@ class ResidualReport(NamedTuple):
         return self.max_abs < self.threshold
 
 
-def _regular_mask(spec, xi: np.ndarray) -> np.ndarray:
-    mask = np.ones(xi.shape, dtype=bool)
-    for zone in spec.singular_zones():
-        mask &= ~zone.contains(xi)
-    return mask
+def _regular_part(spec, xi: np.ndarray):
+    """(mask, xi with singular points moved one unit off the first zone's
+    center); the mask is None when the entry has no singular zone."""
+    zones = spec.singular_zones()
+    if not zones:
+        return None, xi
+    mask = spec.regular_mask(xi)
+    return mask, np.where(mask, xi, zones[0].center + 1.0)
 
 
 def _report(entry_id, resid, xs, ts, mask, threshold, grid=None) -> ResidualReport:
-    vals = np.abs(resid[mask])
-    if vals.size == 0:
+    """Max, mean and location of |resid| over the points the mask keeps
+    (every point when mask is None)."""
+    vals = np.abs(resid)
+    if mask is None:
+        n_points, total = vals.size, np.sum(vals)
+    else:
+        n_points, total = int(np.count_nonzero(mask)), np.sum(vals, where=mask)
+        vals[~mask] = -1.0
+    if n_points == 0:
         raise ValueError("every grid point fell inside a singular zone")
-    max_abs = float(np.max(vals))
-    mean_abs = math.fsum(vals.tolist()) / vals.size
-    flat = np.where(mask, np.abs(resid), -1.0)
-    i, j = np.unravel_index(int(np.argmax(flat)), flat.shape)
+    at = int(np.argmax(vals))
+    i, j = np.unravel_index(at, vals.shape)
     return ResidualReport(
-        entry_id, max_abs, mean_abs, (float(xs[i, j]), float(ts[i, j])),
-        threshold, int(vals.size), int(mask.size - vals.size), grid,
+        entry_id, float(vals.flat[at]), float(total) / n_points,
+        (float(xs[i, j]), float(ts[i, j])),
+        threshold, n_points, vals.size - n_points, grid,
     )
 
 
@@ -88,14 +106,11 @@ def pde_residual(spec, grid: GridSpec | None = None,
     """Pointwise u_t - u_xx + u^3 - u on the grid, singular zones excluded."""
     grid = grid or standard_grid()
     X, T = grid.mesh()
-    xi = spec.k * X + spec.w * T
-    mask = _regular_mask(spec, xi)
-    xi_safe = np.where(mask, xi, 0.0 if not spec.singular_zones()
-                       else spec.singular_zones()[0].center + 1.0)
-    u, du, d2 = spec.profile(xi_safe)
+    mask, xi = _regular_part(spec, spec.k * X + spec.w * T)
+    u, du, d2 = spec.profile(xi)
     u_t = spec.w * du
     u_xx = spec.k * spec.k * d2
-    resid = u_t - u_xx + u**3 - u
+    resid = u_t - u_xx + u * u * u - u
     return _report(spec.entry_id, resid, X, T, mask, threshold, grid)
 
 
@@ -103,11 +118,9 @@ def ode_residual(spec, xi_points=STANDARD_XI_POINTS,
                  threshold: float = ODE_THRESHOLD) -> ResidualReport:
     """Pointwise w*u' - k^2*u'' + u^3 - u along the wave coordinate."""
     xi = np.asarray(xi_points, dtype=float).reshape(-1, 1)
-    mask = _regular_mask(spec, xi)
-    center = spec.singular_zones()[0].center if spec.singular_zones() else 0.0
-    xi_safe = np.where(mask, xi, center + 1.0)
+    mask, xi_safe = _regular_part(spec, xi)
     u, du, d2 = spec.profile(xi_safe)
-    resid = spec.w * du - spec.k * spec.k * d2 + u**3 - u
+    resid = spec.w * du - spec.k * spec.k * d2 + u * u * u - u
     zeros = np.zeros_like(xi)
     return _report(spec.entry_id, resid, xi, zeros, mask, threshold)
 
@@ -141,6 +154,11 @@ def _lsq_slope(xs: list[float], ys: list[float]) -> float:
     return num / den
 
 
+def _shifts(rows: list[tuple[float, int]]) -> np.ndarray:
+    """The column of steps o*h, one per (h, o) row."""
+    return np.array([o * h for h, o in rows]).reshape(-1, 1)
+
+
 def fd_crosscheck(spec, grid: GridSpec | None = None,
                   h_list=(1e-2, 5e-3, 2.5e-3), stencil_order: int = 2,
                   ) -> ConvergenceTable:
@@ -163,12 +181,19 @@ def fd_crosscheck(spec, grid: GridSpec | None = None,
         mask &= np.abs(xi - zone.center) > zone.half_width + margin
     xs, ts = X[mask], T[mask]
 
+    # one evaluation per direction: row (h, o) is the wave shifted by o*h
+    t_rows = [(h, o) for h in h_list for o, _ in stencil["d1"]]
+    x_rows = [(h, o) for h in h_list
+              for o in sorted({o for o, _ in stencil["d1"] + stencil["d2"]})]
+    along_t = dict(zip(t_rows, spec.eval(xs, ts + _shifts(t_rows))))
+    along_x = dict(zip(x_rows, spec.eval(xs + _shifts(x_rows), ts)))
+
     diffs: dict[str, list[float]] = {"u_t": [], "u_x": [], "u_xx": []}
     u_t, u_x, u_xx = spec.partials(xs, ts)
     for h in h_list:
-        fd_t = sum(c * spec.eval(xs, ts + o * h) for o, c in stencil["d1"]) / h
-        fd_x = sum(c * spec.eval(xs + o * h, ts) for o, c in stencil["d1"]) / h
-        fd_xx = sum(c * spec.eval(xs + o * h, ts) for o, c in stencil["d2"]) / (h * h)
+        fd_t = sum(c * along_t[h, o] for o, c in stencil["d1"]) / h
+        fd_x = sum(c * along_x[h, o] for o, c in stencil["d1"]) / h
+        fd_xx = sum(c * along_x[h, o] for o, c in stencil["d2"]) / (h * h)
         diffs["u_t"].append(float(np.max(np.abs(fd_t - u_t))))
         diffs["u_x"].append(float(np.max(np.abs(fd_x - u_x))))
         diffs["u_xx"].append(float(np.max(np.abs(fd_xx - u_xx))))
@@ -201,6 +226,9 @@ class PerturbedSolution:
 
     def singular_zones(self):
         return self.base.singular_zones()
+
+    def regular_mask(self, xi):
+        return self.base.regular_mask(xi)
 
     def profile(self, xi):
         u, du, d2 = self.base.profile(xi)

@@ -114,6 +114,15 @@ def test_coth_eval_refuses_singular_zone(table1):
     assert np.isfinite(sing.eval(0.2, 0.0))
 
 
+def test_regular_mask_excludes_exactly_the_singular_zone(table1):
+    xi = np.linspace(-1.0, 1.0, 201)
+    zone = table1["eq21+"].singular_zones()[0]
+    mask = table1["eq21+"].regular_mask(xi)
+    assert np.array_equal(mask, np.abs(xi - zone.center) >= zone.half_width)
+    assert table1["eq20+"].regular_mask(xi.reshape(3, 67)).all()
+    assert table1["eq20+"].regular_mask(xi).shape == xi.shape
+
+
 def test_case_two_kink_connects_zero_and_a0(table1):
     for eid, lo, hi in (("eq23+", 0.0, 1.0), ("eq23-", -1.0, 0.0)):
         spec = table1[eid]

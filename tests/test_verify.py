@@ -1,12 +1,19 @@
 """Residual certification, finite-difference cross checks, branch audit."""
 
+import math
+
 import numpy as np
 import pytest
 
-from cahnallen.solutions import make_canonical, make_general
+from cahnallen.solutions import (Family, enumerate_catalog, make_canonical,
+                                 make_general, reduce_ab_to_canonical)
 from cahnallen.verify import (
+    _STENCILS,
+    ODE_THRESHOLD,
+    PDE_THRESHOLD,
     GridSpec,
     PerturbedSolution,
+    _lsq_slope,
     classify_branches,
     fd_crosscheck,
     ode_residual,
@@ -194,3 +201,112 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(nx=1)
     assert standard_grid().nx == 201
+
+
+# --- the cheaper kernels against the plain formulations -------------------------
+
+
+def _fd_oracle(spec, h_list=(1e-2, 5e-3, 2.5e-3), stencil_order=2):
+    """The cross check with one evaluation per (h, offset), as first written."""
+    stencil = _STENCILS[stencil_order]
+    arms = max(abs(o) for o, _ in stencil["d1"] + stencil["d2"])
+    X, T = np.meshgrid(np.linspace(-10.0, 10.0, 41), np.linspace(0.0, 1.0, 5),
+                       indexing="ij")
+    xi = spec.k * X + spec.w * T
+    margin = max(h_list) * arms * (abs(spec.k) + abs(spec.w)) + 1e-9
+    mask = np.ones(xi.shape, dtype=bool)
+    for zone in spec.singular_zones():
+        mask &= np.abs(xi - zone.center) > zone.half_width + margin
+    xs, ts = X[mask], T[mask]
+    diffs = {"u_t": [], "u_x": [], "u_xx": []}
+    u_t, u_x, u_xx = spec.partials(xs, ts)
+    for h in h_list:
+        fd_t = sum(c * spec.eval(xs, ts + o * h) for o, c in stencil["d1"]) / h
+        fd_x = sum(c * spec.eval(xs + o * h, ts) for o, c in stencil["d1"]) / h
+        fd_xx = sum(c * spec.eval(xs + o * h, ts) for o, c in stencil["d2"]) / (h * h)
+        diffs["u_t"].append(float(np.max(np.abs(fd_t - u_t))))
+        diffs["u_x"].append(float(np.max(np.abs(fd_x - u_x))))
+        diffs["u_xx"].append(float(np.max(np.abs(fd_xx - u_xx))))
+    logs_h = [math.log(h) for h in h_list]
+    orders = {name: _lsq_slope(logs_h, [math.log(max(d, 1e-300)) for d in ds])
+              for name, ds in diffs.items()}
+    return {name: tuple(ds) for name, ds in diffs.items()}, orders
+
+
+@pytest.mark.parametrize("entry, kwargs", [
+    ("eq20+", dict(stencil_order=2)),
+    ("eq20+", dict(stencil_order=4, h_list=(0.2, 0.1, 0.05))),
+    ("eq21+", dict(stencil_order=2)),
+    ("constant", dict(stencil_order=2)),
+])
+def test_batched_crosscheck_is_bit_identical(table1, entry, kwargs):
+    spec = (make_general(0, 1, 1, 1.0, c1=0.0, c2=1.0) if entry == "constant"
+            else table1[entry])
+    table = fd_crosscheck(spec, **kwargs)
+    max_diff, orders = _fd_oracle(spec, **kwargs)
+    assert table.max_diff == max_diff
+    assert table.observed_order == orders
+
+
+def _verdict_oracle(catalog):
+    """Verdicts, family coverage and equivalences from a fresh mesh per
+    entry and the cube as a power."""
+    def fresh_mesh():
+        return np.meshgrid(np.linspace(-10.0, 10.0, 201),
+                           np.linspace(0.0, 1.0, 11), indexing="ij")
+
+    def residual_ok(spec, xi, threshold):
+        mask = np.ones(xi.shape, dtype=bool)
+        for zone in spec.singular_zones():
+            mask &= ~zone.contains(xi)
+        center = spec.singular_zones()[0].center if spec.singular_zones() else 0.0
+        u, du, d2 = spec.profile(np.where(mask, xi, center + 1.0))
+        resid = spec.w * du - spec.k * spec.k * d2 + u**3 - u
+        return float(np.max(np.abs(resid[mask]))) < threshold
+
+    valid, family_valid, equivalences = [], {}, []
+    for spec in catalog:
+        X, T = fresh_mesh()
+        ok = (residual_ok(spec, spec.k * X + spec.w * T, PDE_THRESHOLD)
+              and residual_ok(spec, np.linspace(-15.0, 15.0, 61).reshape(-1, 1),
+                              ODE_THRESHOLD))
+        valid.append((spec.entry_id, ok))
+        family_valid[spec.family_code] = family_valid.get(spec.family_code, False) or ok
+        if (spec.family is Family.AB_EXP_FORM and spec.reading == "derived"
+                and ok and spec.a > 0 and spec.b > 0):
+            canon = reduce_ab_to_canonical(spec)
+            diff = float(np.max(np.abs(spec.eval(X, T) - canon.eval(X, T))))
+            equivalences.append((spec.entry_id, canon.family_code,
+                                 canon.c or 0.0, diff, diff < 1e-12))
+    return valid, family_valid, equivalences
+
+
+@pytest.mark.parametrize("k", (0.05, 0.5, 1.0, 1.37, 2.5, 5.0, 10.0, 15.0))
+def test_audit_verdicts_match_plain_formulation(k):
+    catalog = enumerate_catalog(k)
+    audit = classify_branches(catalog)
+    valid, family_valid, equivalences = _verdict_oracle(catalog)
+    assert [(r.entry_id, r.valid) for r in audit.rows] == valid
+    assert audit.family_valid == family_valid
+    assert [tuple(e) for e in audit.equivalences] == equivalences
+    with pytest.raises(ValueError):
+        GridSpec().mesh()[0][0, 0] = 1.0
+
+
+def test_each_grid_mesh_is_built_once(table1, catalog1, monkeypatch):
+    builds = []
+    meshgrid = np.meshgrid
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return meshgrid(*args, **kwargs)
+
+    monkeypatch.setattr(np, "meshgrid", counted)
+    audit_grid = GridSpec((-7.5, 7.5), (0.0, 0.75), 97, 7)
+    fd_grid = GridSpec((-6.5, 6.5), (0.0, 0.25), 37, 3)
+    classify_branches(catalog1, audit_grid)
+    for _ in range(3):
+        for entry in ("eq20+", "eq21+", "eq23-m"):
+            fd_crosscheck(table1[entry], fd_grid)
+    assert audit_grid.mesh() is audit_grid.mesh()
+    assert len(builds) <= 2
