@@ -103,15 +103,16 @@ class SimResult:
 
 def discrete_energy(u: np.ndarray, h: float, periodic: bool) -> float:
     """Lyapunov functional of the semi-discrete flow:
-    sum h * (0.5*((u_{i+1}-u_i)/h)^2 - 0.5*u_i^2 + 0.25*u_i^4)."""
+    sum h * (0.5*((u_{i+1}-u_i)/h)^2 - 0.5*u_i^2 + 0.25*u_i^4), with the
+    potential formed as sum w_i*(0.25*w_i - 0.5), w_i = u_i^2."""
     if periodic:
         du = (np.roll(u, -1) - u) / h
-        grad = 0.5 * float(np.dot(du, du)) * h
-        pot = float(np.sum(-0.5 * u * u + 0.25 * u**4)) * h
+        w = u * u
     else:
         du = np.diff(u) / h
-        grad = 0.5 * float(np.dot(du, du)) * h
-        pot = float(np.sum(-0.5 * u[:-1] ** 2 + 0.25 * u[:-1] ** 4)) * h
+        w = u[:-1] * u[:-1]
+    grad = 0.5 * float(np.dot(du, du)) * h
+    pot = float(np.dot(w, 0.25 * w - 0.5)) * h
     return grad + pot
 
 
@@ -148,15 +149,16 @@ def measure_speed(result_or_trajectory) -> float:
     return float(np.dot(ts - tm, xs - xm) / np.dot(ts - tm, ts - tm))
 
 
-def _react(u: np.ndarray, decay: float) -> np.ndarray:
+def _react(u: np.ndarray, decay: float, out=None, w=None) -> np.ndarray:
     """Exact flow of u' = u - u^3 over a time tau, with decay = e^(-2*tau):
     u / sqrt(decay + (1 - decay)*u^2).  It keeps 0 and +-1 fixed exactly
-    and never overflows."""
-    w = u * u
+    and never overflows.  The denominator goes to `w`, a fresh array by
+    default, and the result to `out` (which may be u), by default to w."""
+    w = np.multiply(u, u, out=w)
     w *= 1.0 - decay
     w += decay
     np.sqrt(w, out=w)
-    return np.divide(u, w, out=w)
+    return np.divide(u, w, out=w if out is None else out)
 
 
 @lru_cache(maxsize=8)
@@ -167,23 +169,24 @@ def _sinft_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
     return scale * (sines + 0.5), scale * (sines - 0.5)
 
 
-def _dst(x: np.ndarray) -> np.ndarray:
+def _dst(x: np.ndarray, out=None) -> np.ndarray:
     """Orthonormal DST-I along the last axis, its own inverse:
     F_k = sqrt(2/m) * sum_j x_j sin(pi*j*k/m) for j, k = 1..m-1.
 
     One rfft of half the odd extension's length (Numerical Recipes,
     section 12.4, sinft): with y_j = sin(pi*j/m)*(x_j + x_(m-j))
     + (x_j - x_(m-j))/2 and Y = rfft(y), F_2k = -Im Y_k and
-    F_(2k+1) = F_(2k-1) + Re Y_k, where F_1 = Re Y_0 / 2.
+    F_(2k+1) = F_(2k-1) + Re Y_k, where F_1 = Re Y_0 / 2.  `out`, a fresh
+    array by default, must not overlap x.
     """
     m = x.shape[-1] + 1
     own, mirror = _sinft_weights(m)
     y = np.empty(x.shape[:-1] + (m,))
     y[..., 0] = 0.0
     np.multiply(own, x, out=y[..., 1:])
-    y[..., 1:] += mirror * x[..., ::-1]
+    out = np.multiply(mirror, x[..., ::-1], out=out)
+    y[..., 1:] += out
     big = np.fft.rfft(y)
-    out = np.empty_like(x)
     np.negative(big.imag[..., 1:(m + 1) // 2], out=out[..., 1::2])
     big.real[..., 0] *= 0.5
     np.cumsum(big.real[..., :m // 2], axis=-1, out=out[..., 0::2])
@@ -196,34 +199,44 @@ class _Rk4:
     step on the exact boundary values.
 
     A stepper owns one run's work buffers: four stage derivatives, a stage
-    vector and an interior scratch vector, all written in place.  Each step
-    still returns a fresh array, which the caller may keep, and it computes
-    every value with the operations, in the order, of the plain formulas
-    u_xx + u - u^3 and u + step/6 * (k1 + 2 k2 + 2 k3 + k4)."""
+    vector and an interior scratch vector, all written in place through
+    views taken once.  Each step still returns a fresh array, which the
+    caller may keep.  The right-hand side is a*(u[i+1] + u[i-1])
+    + u[i]*(b - u[i]*u[i]) with a = 1/h^2 and b = 1 - 2/h^2, and the step
+    u + step/6 * (((k1 + 2 k2) + 2 k3) + k4)."""
 
     stages = (0.0, 0.5, 1.0)  # where in a step the boundary u_t is needed
 
     def __init__(self, grid: Grid1D):
-        self.h2 = grid.h * grid.h
+        h2 = grid.h * grid.h
+        self.a, self.b = 1.0 / h2, 1.0 - 2.0 / h2
         self.k = np.empty((4, grid.n))
+        self.doubled = self.k[1:3]
+        self.rows = [(row, row[1:-1]) for row in self.k]
         self.stage = np.empty(grid.n)
+        self.stage_views = self._views(self.stage)
         self.scratch = np.empty(grid.n - 2)
 
-    def _node(self, left: float, mid: float, right: float) -> float:
-        """u_xx + u - u^3 at one node, in the order of the array code."""
-        return (right - 2.0 * mid + left) / self.h2 + (mid - mid * mid * mid)
+    @staticmethod
+    def _views(u: np.ndarray):
+        return u, u[:-2], u[1:-1], u[2:]
 
-    def _rhs(self, u: np.ndarray, edge, out: np.ndarray) -> None:
-        """u_xx + u - u^3 into `out`: on the two boundary nodes the given
-        u_t, or with edge None the periodic wrap-around."""
-        mid, lap, cubic = u[1:-1], out[1:-1], self.scratch
-        np.multiply(2.0, mid, out=lap)
-        np.subtract(u[2:], lap, out=lap)
-        lap += u[:-2]
-        lap /= self.h2
+    def _node(self, left: float, mid: float, right: float) -> float:
+        """The right-hand side at one node, in the order of the array code."""
+        return self.a * (right + left) + mid * (self.b - mid * mid)
+
+    def _rhs(self, views, edge, row) -> None:
+        """u_xx + u - u^3 of `views` (from `_views`) into `row`, a k row and
+        its interior: on the two boundary nodes the given u_t, or with edge
+        None the periodic wrap-around."""
+        u, left, mid, right = views
+        out, lap = row
+        cubic = self.scratch
+        np.add(right, left, out=lap)
+        lap *= self.a
         np.multiply(mid, mid, out=cubic)
+        np.subtract(self.b, cubic, out=cubic)
         cubic *= mid
-        np.subtract(mid, cubic, out=cubic)
         lap += cubic
         if edge is None:
             first, second, penult, last = u[[0, 1, -2, -1]].tolist()
@@ -234,22 +247,19 @@ class _Rk4:
     def step(self, u: np.ndarray, step: float, u_t=None, end=None) -> np.ndarray:
         if u_t is None:
             u_t = (None, None, None)
-        k1, k2, k3, k4 = self.k
-        stage = self.stage
-        self._rhs(u, u_t[0], k1)
-        for c, k, k_next, edge in ((0.5 * step, k1, k2, u_t[1]),
-                                   (0.5 * step, k2, k3, u_t[1]),
-                                   (step, k3, k4, u_t[2])):
-            np.multiply(c, k, out=stage)
+        rows, stage = self.rows, self.stage
+        self._rhs(self._views(u), u_t[0], rows[0])
+        half = 0.5 * step
+        for c, (prev, _), row, edge in ((half, rows[0], rows[1], u_t[1]),
+                                         (half, rows[1], rows[2], u_t[1]),
+                                         (step, rows[2], rows[3], u_t[2])):
+            np.multiply(c, prev, out=stage)
             stage += u
-            self._rhs(stage, edge, k_next)
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= step / 6.0
-        u = u + k2
+            self._rhs(self.stage_views, edge, row)
+        self.doubled *= 2.0
+        np.add.reduce(self.k, axis=0, out=stage)
+        stage *= step / 6.0
+        u = u + stage
         if end is not None:
             u[0], u[-1] = end
         return u
@@ -283,6 +293,9 @@ class _Split:
             mode = np.pi * np.arange(1, n - 1) / (2 * (n - 1))
             frac = np.arange(1, n - 1) / (n - 1)
             self.lift_hat = _dst(np.stack([1.0 - frac, frac]))
+            # per-run buffers: sine coefficients, scratch, boundary values
+            self.hat, self.work = np.empty((2, n - 2))
+            self.ends = np.empty(4)
         lam = -(2.0 / grid.h * np.sin(mode)) ** 2
         # every step length of the run, so a partial step costs no rebuild
         self.factors = {s: self._factors(s, lam) for s in set(steps)}
@@ -302,29 +315,36 @@ class _Split:
                                   (1.0 - phi1) * self.lift_hat])
         return decay, weights, half_step
 
-    def diffuse(self, u: np.ndarray, step: float, end=None) -> np.ndarray:
-        """Exact heat flow over `step`; on Dirichlet grids the boundary
-        values move linearly from u's two end nodes to `end`."""
+    def diffuse(self, u: np.ndarray, step: float, end=None,
+                out=None) -> np.ndarray:
+        """Exact heat flow over `step`, as a fresh array or, on Dirichlet
+        grids, into `out` (which may be u); there the boundary values move
+        linearly from u's two end nodes to `end`."""
         decay, weights, _ = self.factors[step]
         if self.periodic:
             return np.fft.irfft(decay * np.fft.rfft(u), u.size)
-        u_hat = _dst(u[1:-1])
+        u_hat, ends = _dst(u[1:-1], self.hat), self.ends
         u_hat *= decay
-        u_hat += np.concatenate([u[[0, -1]], end]) @ weights
-        out = np.empty_like(u)
-        out[1:-1] = _dst(u_hat)
-        out[[0, -1]] = end
+        ends[0], ends[1] = u[0], u[-1]
+        ends[2:] = end
+        u_hat += np.matmul(ends, weights, out=self.work)
+        if out is None:
+            out = np.empty_like(u)
+        _dst(u_hat, out[1:-1])
+        out[0], out[-1] = end
         return out
 
     def step(self, u: np.ndarray, step: float, u_t=None, end=None) -> np.ndarray:
         decay = self.factors[step][2]
         if self.periodic:
             return _react(self.diffuse(_react(u, decay), step), decay)
-        u = u.copy()
-        u[1:-1] = _react(u[1:-1], decay)
-        u = self.diffuse(u, step, end)
-        u[1:-1] = _react(u[1:-1], decay)
-        return u
+        out = np.empty_like(u)
+        inner = out[1:-1]
+        out[0], out[-1] = u[0], u[-1]
+        _react(u[1:-1], decay, inner, self.work)
+        self.diffuse(out, step, end, out)
+        _react(inner, decay, inner, self.work)
+        return out
 
 
 def _schedule(config: SimConfig, dt: float):
@@ -405,7 +425,7 @@ def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
         record(0.0, u)
     for start, step, mark, (u_t, end) in zip(starts, steps, marks, edges):
         u = stepper.step(u, step, u_t, end)
-        if np.abs(u).max() > BLOWUP_LIMIT:
+        if not np.abs(u).max() <= BLOWUP_LIMIT:  # NaN fails it too
             raise UnstableStep(f"field magnitude exceeded {BLOWUP_LIMIT:g}"
                                f" at t = {start + step:g}")
         if mark is not None:
@@ -440,10 +460,17 @@ def integrate(spec: SolutionSpec, grid: Grid1D, config: SimConfig) -> SimResult:
 
 
 def simulate_field(u0, grid: Grid1D, config: SimConfig) -> SimResult:
-    """Evolve raw initial data (periodic boundaries only)."""
+    """Evolve raw initial data (periodic boundaries only): finite values,
+    one per grid point."""
     if config.boundary != "periodic":
         raise ConfigError("raw initial data needs periodic boundaries")
-    return _march(np.asarray(u0, dtype=float), grid, config, None)
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (grid.n,):
+        raise ValueError(f"initial data of shape {u0.shape} on a grid of"
+                         f" {grid.n} points")
+    if not np.isfinite(u0).all():
+        raise ValueError("initial data holds non-finite values")
+    return _march(u0, grid, config, None)
 
 
 def convergence_study(spec: SolutionSpec, grids: list[Grid1D],

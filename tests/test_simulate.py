@@ -15,6 +15,7 @@ from cahnallen.simulate import (
     UnstableStep,
     _Rk4,
     _Split,
+    _march,
     _schedule,
     convergence_study,
     discrete_energy,
@@ -162,6 +163,35 @@ def test_blowup_detection():
                        SimConfig(T=1.0, boundary="periodic"))
 
 
+@pytest.mark.parametrize("scheme", ["explicit_rk4_mol", "imex_cn"])
+def test_blowup_check_catches_nan(scheme):
+    # simulate_field rejects such data; _march's own check must not miss it
+    grid = Grid1D(-10.0, 10.0, 64)
+    u0 = _wavy_initial(grid)
+    u0[17] = np.nan
+    config = SimConfig(dt=1e-3, T=0.01, boundary="periodic", scheme=scheme)
+    with pytest.raises(UnstableStep, match="exceeded"):
+        _march(u0, grid, config, None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simulate_field_rejects_non_finite_data(bad):
+    grid = Grid1D(-10.0, 10.0, 64)
+    u0 = _wavy_initial(grid)
+    u0[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate_field(u0, grid, SimConfig(T=0.1, boundary="periodic"))
+
+
+@pytest.mark.parametrize("shape", [(63,), (65,), (64, 1), ()],
+                         ids=["short", "long", "column", "scalar"])
+def test_simulate_field_rejects_mis_sized_data(shape):
+    grid = Grid1D(-10.0, 10.0, 64)
+    with pytest.raises(ValueError, match="on a grid of 64 points"):
+        simulate_field(np.zeros(shape), grid,
+                       SimConfig(T=0.1, boundary="periodic"))
+
+
 def test_split_scheme_is_bounded_at_huge_steps(kink):
     # exact reaction and diffusion substeps: no step size makes them unstable
     res = integrate(kink, Grid1D(-20.0, 20.0, 101),
@@ -202,8 +232,28 @@ def test_split_scheme_is_second_order_on_periodic_grids():
 # --- the buffered RK4 step against the plain formulas ----------------------------
 
 
-def _plain_rk4_step(u, step, h2, u_t=None, end=None):
-    """The RK4 step as allocating array expressions, the oracle of _Rk4."""
+def _plain_rhs(h):
+    """a*(v[i+1] + v[i-1]) + v[i]*(b - v[i]*v[i]), a = 1/h^2, b = 1 - 2/h^2,
+    as allocating array expressions: the order of _Rk4."""
+    h2 = h * h
+    a, b = 1.0 / h2, 1.0 - 2.0 / h2
+
+    def rhs(v, edge):
+        if edge is None:
+            return a * (np.roll(v, -1) + np.roll(v, 1)) + v * (b - v * v)
+        out = np.empty_like(v)
+        mid = v[1:-1]
+        out[1:-1] = a * (v[2:] + v[:-2]) + mid * (b - mid * mid)
+        out[0], out[-1] = edge
+        return out
+
+    return rhs
+
+
+def _previous_rhs(h):
+    """(v[i+1] - 2 v[i] + v[i-1])/h^2 + (v[i] - v[i]^3): the order of the
+    stepper before its right-hand side was regrouped."""
+    h2 = h * h
 
     def rhs(v, edge):
         if edge is None:
@@ -215,6 +265,11 @@ def _plain_rk4_step(u, step, h2, u_t=None, end=None):
         out[0], out[-1] = edge
         return out
 
+    return rhs
+
+
+def _plain_rk4_step(u, step, rhs, u_t=None, end=None):
+    """The RK4 step as allocating array expressions, the oracle of _Rk4."""
     if u_t is None:
         u_t = (None, None, None)
     k1 = rhs(u, u_t[0])
@@ -252,9 +307,22 @@ def test_rk4_step_is_bit_identical_to_plain_formulas(periodic, steps):
     for i in range(steps):
         step = dt if i < steps - 1 else 0.37 * dt  # a shortened last step
         u_t, end = edges()
-        want = _plain_rk4_step(want, step, stepper.h2, u_t, end)
+        want = _plain_rk4_step(want, step, _plain_rhs(KINK_GRID.h), u_t, end)
         got = stepper.step(got, step, u_t, end)
         assert np.array_equal(got, want), i
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_rk4_step_drifts_from_previous_order_by_rounding_only(periodic):
+    stepper, u, edges = _rk4_case(periodic, 3)
+    dt = SimConfig().resolved_dt(KINK_GRID.h)
+    before = got = u
+    for _ in range(100):
+        u_t, end = edges()
+        before = _plain_rk4_step(before, dt, _previous_rhs(KINK_GRID.h),
+                                 u_t, end)
+        got = stepper.step(got, dt, u_t, end)
+    assert np.max(np.abs(got - before)) <= 1e-13
 
 
 def test_rk4_step_returns_fresh_arrays():
@@ -285,6 +353,99 @@ def test_rk4_step_allocates_only_its_result():
     finally:
         tracemalloc.stop()
     assert peak - start <= 2.5 * u.size * u.itemsize, peak - start
+
+
+# --- the in-place split step against the allocating one ---------------------------
+
+
+def _previous_dst(x):
+    """The allocating DST-I of the split stepper before it wrote in place."""
+    m = x.shape[-1] + 1
+    scale = math.sqrt(2.0 / m)
+    sines = np.sin(np.pi * np.arange(1, m) / m)
+    own, mirror = scale * (sines + 0.5), scale * (sines - 0.5)
+    y = np.empty(x.shape[:-1] + (m,))
+    y[..., 0] = 0.0
+    np.multiply(own, x, out=y[..., 1:])
+    y[..., 1:] += mirror * x[..., ::-1]
+    big = np.fft.rfft(y)
+    out = np.empty_like(x)
+    np.negative(big.imag[..., 1:(m + 1) // 2], out=out[..., 1::2])
+    big.real[..., 0] *= 0.5
+    np.cumsum(big.real[..., :m // 2], axis=-1, out=out[..., 0::2])
+    return out
+
+
+def _previous_split_step(stepper, u, step, end=None):
+    """The allocating Strang step, from the stepper's own factors."""
+    decay, weights, half = stepper.factors[step]
+
+    def react(v):
+        w = v * v
+        w *= 1.0 - half
+        w += half
+        np.sqrt(w, out=w)
+        return np.divide(v, w, out=w)
+
+    if stepper.periodic:
+        return react(np.fft.irfft(decay * np.fft.rfft(react(u)), u.size))
+    u = u.copy()
+    u[1:-1] = react(u[1:-1])
+    u_hat = _previous_dst(u[1:-1])
+    u_hat *= decay
+    u_hat += np.concatenate([u[[0, -1]], end]) @ weights
+    out = np.empty_like(u)
+    out[1:-1] = _previous_dst(u_hat)
+    out[[0, -1]] = end
+    out[1:-1] = react(out[1:-1])
+    return out
+
+
+def _split_case(periodic: bool, n: int, seed: int):
+    """A split stepper for steps of 0.01 and a shortened 0.0037, a rough
+    start field and a source of moving end values (None when periodic)."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-20.0, 20.0, n)
+    u = np.tanh(grid.xs()) + 0.05 * rng.standard_normal(n)
+
+    def ends():
+        return None if periodic else rng.uniform(-1.0, 1.0, 2).tolist()
+
+    return _Split(grid, [0.01, 0.0037], periodic), u, ends
+
+
+@pytest.mark.parametrize("n", [64, 801])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("steps", [1, 100])
+def test_split_step_is_bit_identical_to_allocating_step(n, periodic, steps):
+    stepper, u, ends = _split_case(periodic, n, 4)
+    before = u.copy()
+    want = got = u
+    for i in range(steps):
+        step = 0.01 if i < steps - 1 else 0.0037  # a shortened last step
+        end = ends()
+        want = _previous_split_step(stepper, want, step, end)
+        got = stepper.step(got, step, None, end)
+        assert np.array_equal(got, want), i
+    assert np.array_equal(u, before)
+    assert not np.shares_memory(got, u)
+
+
+def test_split_step_allocates_little_beyond_its_result():
+    stepper, u, ends = _split_case(False, 6401, 5)
+    u = stepper.step(u, 0.01, None, ends())  # warm-up
+    data = [ends() for _ in range(50)]
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for end in data:
+            u = stepper.step(u, 0.01, None, end)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result, the input it replaces, and the DST's padded copy and
+    # rfft spectrum (about 4 fields); the allocating step peaked at about 7
+    assert peak - start <= 5 * u.size * u.itemsize, peak - start
 
 
 # --- front tracking ----------------------------------------------------------------
@@ -462,6 +623,21 @@ def test_energy_of_known_field():
         grid.h * 11 * (-0.25))
     assert discrete_energy(u, grid.h, periodic=False) == pytest.approx(
         grid.h * 10 * (-0.25))
+
+
+@pytest.mark.parametrize("n", [801, 6401])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_energy_matches_plain_sum(n, periodic):
+    rng = np.random.default_rng(n)
+    grid = Grid1D(-20.0, 20.0, n)
+    u = np.tanh(grid.xs()) + 0.3 * rng.standard_normal(n)  # mixed sign
+    h, values = grid.h, u.tolist()
+    count = n if periodic else n - 1
+    want = math.fsum(
+        h * (0.5 * ((values[(i + 1) % n] - values[i]) / h) ** 2
+             - 0.5 * values[i] ** 2 + 0.25 * values[i] ** 4)
+        for i in range(count))
+    assert discrete_energy(u, h, periodic) == pytest.approx(want, rel=1e-13)
 
 
 # --- convergence ------------------------------------------------------------------------
