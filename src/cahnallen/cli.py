@@ -97,7 +97,7 @@ def resolve_entry(entry: str, k: float | None) -> SolutionSpec:
     k_eff = k if k is not None else (k_from_id if k_from_id is not None else 1.0)
     table = catalog_by_id(k_eff)
     if base not in table:
-        raise KeyError(
+        raise ValueError(
             f"unknown catalog entry {base!r}; run the catalog command for ids")
     return table[base]
 
@@ -107,6 +107,14 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive(text: str) -> float:
+    """A finite number option that must be above zero."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
     return value
 
 
@@ -127,6 +135,13 @@ def _parse_grid1(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be xmin,xmax,n")
     return _finite(parts[0]), _finite(parts[1]), int(parts[2])
+
+
+def _parse_profile_grid(text: str) -> tuple[float, float, int]:
+    xmin, xmax, n = _parse_grid1(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("grid needs at least 1 point")
+    return xmin, xmax, n
 
 
 def _parse_run_grid(text: str) -> Grid1D:
@@ -386,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="residual audit of every catalog entry")
     p.add_argument("--k", type=float, default=1.0,
                    help="wave number (default 1.0)")
-    p.add_argument("--threshold", type=_finite, default=1e-8,
+    p.add_argument("--threshold", type=_positive, default=1e-8,
                    help="validity threshold on the max residual (default 1e-8)")
     p.add_argument("--grid", type=_parse_grid2, default=None,
                    metavar="xmin,xmax,nx,tmin,tmax,nt",
@@ -400,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", required=True,
                    help="catalog entry id, optionally with a k<value> suffix")
     p.add_argument("--t", required=True, help="comma-separated times")
-    p.add_argument("--x", type=_parse_grid1, default=None,
+    p.add_argument("--x", type=_parse_profile_grid, default=None,
                    metavar="xmin,xmax,n",
                    help="profile grid (default -10,10,201)")
     p.add_argument("--k", type=float, default=None,
@@ -451,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         if out_dir is not None and not os.path.isdir(out_dir):
             raise ValueError(f"output directory {out_dir!r} does not exist")
         return args.func(args)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -11,12 +11,12 @@ back-substitution into all four grade equations with k left symbolic.
 
 S is integrated in closed form only at the very end: each branch yields
 S'' = c1*exp(nu*xi), then S' and S by division with the same rate, and the
-general solution u = A0 + A1*S'/S follows.
+general solution u = A0 + A1*S'/S follows; the two scales of that closed form
+are exact properties of the branch.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,10 +36,6 @@ from .symexpr import (
 
 class ClosureUnsupported(Exception):
     """The closure solver only treats the degree-1 ansatz."""
-
-
-class DegenerateBranch(Exception):
-    """A closed form was requested for a branch outside its validity domain."""
 
 
 class Ansatz(NamedTuple):
@@ -66,6 +62,13 @@ class ClosureBranch(NamedTuple):
     dimensionless products lambda*k and mu*k (both ratios scale as 1/k); the
     integration constants c1, c2 stay symbolic until a catalog entry binds
     them.  denom_scale is the S closed-form denominator divided by k**2.
+
+    The closed form, with E = exp(nu*xi) and nu = nu_times_k / k:
+
+        S''  = c1 * E
+        S'   = s1_scale * c1 * k    * E
+        S    = s_scale  * c1 * k**2 * E + c2
+        u    = a0 + alpha*s1_scale*c1*k**2*E / (s_scale*c1*k**2*E + c2)
     """
 
     a0: Radical2
@@ -93,6 +96,16 @@ class ClosureBranch(NamedTuple):
         """Exponential rate of the closed forms, times k."""
         return self.mu_times_k
 
+    @property
+    def s1_scale(self) -> Radical2:
+        """S' over c1*k*E: 3 over the exponent denominator w/k - 3*a0*alpha."""
+        return 3 / (self.w_over_k - 3 * self.a0 * self.alpha)
+
+    @property
+    def s_scale(self) -> Radical2:
+        """The coefficient of c1*k**2*E in S."""
+        return 3 / self.denom_scale
+
     def label(self) -> str:
         sgn = "+" if self.s1 > 0 else "-"
         a0 = f"{self.a0_int:+d}" if self.a0_int else "0"
@@ -118,37 +131,6 @@ class ClosureSolution(NamedTuple):
     degenerate: tuple[DegenerateRoot, ...]
     # every branch back-substitutes to a structural zero, k symbolic
     backsubstituted: bool
-
-
-class SClosedForms(NamedTuple):
-    """Exponential closed forms of one branch.
-
-    S''  = s2_scale * c1        * exp(nu*xi)
-    S'   = s1_scale * c1 * k    * exp(nu*xi)
-    S    = s_scale  * c1 * k**2 * exp(nu*xi) + c2
-    with nu = nu_times_k / k.
-    """
-
-    branch: ClosureBranch
-    nu_times_k: Radical2
-    s2_scale: Radical2
-    s1_scale: Radical2
-    s_scale: Radical2
-
-
-class GeneralSolutionForm(NamedTuple):
-    """u = a0 + num_scale*c1*k**2*E / (den_scale*c1*k**2*E + c2), E = exp(nu*xi)."""
-
-    branch: ClosureBranch
-    nu_times_k: Radical2
-    num_scale: Radical2
-    den_scale: Radical2
-
-    def eval_xi(self, xi: float, k: float, c1: float, c2: float) -> float:
-        e = math.exp(float(self.nu_times_k) / k * xi)
-        num = float(self.num_scale) * c1 * k * k * e
-        den = float(self.den_scale) * c1 * k * k * e + c2
-        return self.branch.a0_int + num / den
 
 
 # --- small exact polynomial helpers ---------------------------------------
@@ -365,30 +347,6 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
     return ClosureSolution(tuple(branches), tuple(degenerate), backsubstituted)
 
 
-def integrate_closure(branch: ClosureBranch) -> SClosedForms:
-    """Closed exponential forms of S'', S', S for one branch."""
-    rho, beta = branch.w_over_k, 3 * branch.a0 * branch.alpha
-    if not (rho - beta):
-        raise DegenerateBranch("exponent denominator vanishes")
-    if not branch.denom_scale:
-        raise DegenerateBranch("closed-form denominator vanishes")
-    nu = branch.nu_times_k
-    s1_scale = Radical2.of(3) / (rho - beta)
-    s_scale = Radical2.of(3) / branch.denom_scale
-    forms = SClosedForms(branch, nu, Radical2.of(1), s1_scale, s_scale)
-    # d/dxi consistency: each scale times nu reproduces the next derivative.
-    if s_scale * nu != s1_scale or s1_scale * nu != forms.s2_scale:
-        raise AssertionError("closed forms are not an antiderivative chain")
-    return forms
-
-
-def assemble_general_solution(branch: ClosureBranch) -> GeneralSolutionForm:
-    """u = A0 + A1*S'/S with the closed forms of the branch inserted."""
-    forms = integrate_closure(branch)
-    num_scale = branch.alpha * forms.s1_scale
-    return GeneralSolutionForm(branch, forms.nu_times_k, num_scale, forms.s_scale)
-
-
 # --- trace and certified derivation ---------------------------------------
 
 
@@ -431,8 +389,6 @@ class DerivationReport(NamedTuple):
     ansatz: Ansatz
     system: CoefficientSystem
     solution: ClosureSolution
-    forms: tuple[SClosedForms, ...]
-    general: tuple[GeneralSolutionForm, ...]
     checks: tuple[tuple[str, bool], ...]
     trace: str
 
@@ -466,8 +422,6 @@ def run_derivation(ode: TravelingWaveODE) -> DerivationReport:
     ansatz = build_ansatz_derivatives(n)
     system = form_coefficient_system(ode, ansatz)
     solution = solve_closure(system)
-    forms = tuple(integrate_closure(b) for b in solution.branches)
-    general = tuple(assemble_general_solution(b) for b in solution.branches)
 
     checks: list[tuple[str, bool]] = []
     checks.append(("balance degree is 1", n == 1))
@@ -508,17 +462,16 @@ def run_derivation(ode: TravelingWaveODE) -> DerivationReport:
     ))
     checks.append((
         "closed forms chain under differentiation",
-        all(f.s_scale * f.nu_times_k == f.s1_scale for f in forms),
+        all(b.s_scale * b.nu_times_k == b.s1_scale
+            and b.s1_scale * b.nu_times_k == 1 for b in solution.branches),
     ))
 
-    trace = _render_trace(ode, ansatz, system, solution, forms, general)
+    trace = _render_trace(ode, ansatz, system, solution)
     return DerivationReport(
-        ode, n, ansatz, system, solution, forms, general,
-        tuple(checks), trace,
-    )
+        ode, n, ansatz, system, solution, tuple(checks), trace)
 
 
-def _render_trace(ode, ansatz, system, solution, forms, general) -> str:
+def _render_trace(ode, ansatz, system, solution) -> str:
     lines: list[str] = []
     add = lines.append
     add(f"traveling-wave reduction (m = {ode.m}):")
@@ -547,17 +500,15 @@ def _render_trace(ode, ansatz, system, solution, forms, general) -> str:
     for d in solution.degenerate:
         add(f"  discarded {d.label()}")
     add("closed forms per branch (E = exp(rate*xi)):")
-    for f in forms:
-        add(f"  [{f.branch.label()}]")
-        add(f"    S'' = c1*E ; S' = ({f.s1_scale})*c1*k*E ;"
-            f" S = ({f.s_scale})*c1*k^2*E + c2")
+    for b in solution.branches:
+        add(f"  [{b.label()}]")
+        add(f"    S'' = c1*E ; S' = ({b.s1_scale})*c1*k*E ;"
+            f" S = ({b.s_scale})*c1*k^2*E + c2")
     add("general solution per branch:")
-    for gform in general:
-        add(f"  [{gform.branch.label()}]")
-        add(
-            f"    u = {gform.branch.a0_int} + ({gform.num_scale})*c1*k^2*E"
-            f" / (({gform.den_scale})*c1*k^2*E + c2)"
-        )
+    for b in solution.branches:
+        add(f"  [{b.label()}]")
+        add(f"    u = {b.a0_int} + ({b.alpha * b.s1_scale})*c1*k^2*E"
+            f" / (({b.s_scale})*c1*k^2*E + c2)")
     return "\n".join(lines) + "\n"
 
 

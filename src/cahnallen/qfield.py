@@ -222,9 +222,6 @@ class Radical2(Frozen):
         # a/d is float(Fraction(a, d)): int true division rounds correctly
         return self._a / self._d + self._b / self._d * SQRT2
 
-    def is_rational(self) -> bool:
-        return not self._b
-
     def sqrt(self) -> "Radical2 | None":
         """Exact square root within Q(sqrt(2)), or None if there is none.
 

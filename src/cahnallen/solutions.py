@@ -42,10 +42,6 @@ class SingularEvaluation(Exception):
     """A point inside a singular zone was evaluated."""
 
 
-class DegenerateConstant(Exception):
-    """The constant specialization denominator vanishes."""
-
-
 class InvalidReduction(Exception):
     """The a/b -> shift reduction needs positive constants."""
 
@@ -234,7 +230,7 @@ def _derived_core(branch: ClosureBranch, k: float, q: float | None,
 
 def _constant_ratio(branch: ClosureBranch, k: float, c1: float, c2: float) -> float:
     """c2 over the exponential coefficient of S: the pole/shift control ratio."""
-    p_hat = float(Radical2.of(3) / branch.denom_scale)  # 2 for every branch
+    p_hat = float(branch.s_scale)  # 2 for every branch
     return c2 / (p_hat * c1 * k * k)
 
 
@@ -421,9 +417,6 @@ def catalog_by_id(k: float) -> dict[str, SolutionSpec]:
     return {e.entry_id: e for e in enumerate_catalog(k)}
 
 
-FAMILY_CODES = tuple(f"eq{n}" for n in range(19, 31))
-
-
 def specialize_constants(general: SolutionSpec, choice: str) -> SolutionSpec:
     """Bind c2 = +-(coefficient of the exponential in S) * c1.
 
@@ -437,11 +430,9 @@ def specialize_constants(general: SolutionSpec, choice: str) -> SolutionSpec:
     if choice not in ("plus", "minus"):
         raise ValueError("choice must be 'plus' or 'minus'")
     branch = branch_for(general.a0, general.s1, general.sw)
-    if not branch.denom_scale:
-        raise DegenerateConstant("closed-form denominator vanishes")
     maker = make_kink if choice == "plus" else make_singular
     spec = maker(general.a0, general.s1, general.sw, general.k)
-    p_hat = float(Radical2.of(3) / branch.denom_scale)
+    p_hat = float(branch.s_scale)
     c2_bound = (1.0 if choice == "plus" else -1.0) * p_hat * general.c1 \
         * general.k ** 2
     return replace(spec, c1=general.c1, c2=c2_bound)

@@ -225,14 +225,6 @@ class SymExpr(Frozen):
             return SymExpr.zero()
         return SymExpr(tuple(t.scaled(f) for t in self.terms))
 
-    def constant_value(self) -> Radical2:
-        """The value of a constant expression (no atoms of any kind)."""
-        if self.is_zero():
-            return Radical2()
-        if len(self.terms) == 1 and self.terms[0].signature() == (0, (), (), ()):
-            return self.terms[0].coeff
-        raise ValueError("expression is not a constant")
-
     def __str__(self) -> str:
         return to_text(self)
 

@@ -48,10 +48,6 @@ def _mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return X, T
 
 
-def standard_grid() -> GridSpec:
-    return GridSpec()
-
-
 class ResidualReport(NamedTuple):
     entry_id: str
     max_abs: float
@@ -61,10 +57,6 @@ class ResidualReport(NamedTuple):
     n_points: int
     n_excluded: int
     grid: GridSpec | None = None
-
-    @property
-    def verdict(self) -> str:
-        return "valid" if self.max_abs < self.threshold else "invalid"
 
     @property
     def is_valid(self) -> bool:
@@ -101,16 +93,20 @@ def _report(entry_id, resid, xs, ts, mask, threshold, grid=None) -> ResidualRepo
     )
 
 
+def _residual(spec, xi):
+    """w*u' - k^2*u'' + u^3 - u at the wave coordinates xi: the ODE residual,
+    and the PDE residual u_t - u_xx + u^3 - u at the matching (x, t)."""
+    u, du, d2 = spec.profile(xi)
+    return spec.w * du - spec.k * spec.k * d2 + u * u * u - u
+
+
 def pde_residual(spec, grid: GridSpec | None = None,
                  threshold: float = PDE_THRESHOLD) -> ResidualReport:
     """Pointwise u_t - u_xx + u^3 - u on the grid, singular zones excluded."""
-    grid = grid or standard_grid()
+    grid = grid or GridSpec()
     X, T = grid.mesh()
     mask, xi = _regular_part(spec, spec.k * X + spec.w * T)
-    u, du, d2 = spec.profile(xi)
-    u_t = spec.w * du
-    u_xx = spec.k * spec.k * d2
-    resid = u_t - u_xx + u * u * u - u
+    resid = _residual(spec, xi)
     return _report(spec.entry_id, resid, X, T, mask, threshold, grid)
 
 
@@ -119,8 +115,7 @@ def ode_residual(spec, xi_points=STANDARD_XI_POINTS,
     """Pointwise w*u' - k^2*u'' + u^3 - u along the wave coordinate."""
     xi = np.asarray(xi_points, dtype=float).reshape(-1, 1)
     mask, xi_safe = _regular_part(spec, xi)
-    u, du, d2 = spec.profile(xi_safe)
-    resid = spec.w * du - spec.k * spec.k * d2 + u * u * u - u
+    resid = _residual(spec, xi_safe)
     zeros = np.zeros_like(xi)
     return _report(spec.entry_id, resid, xi, zeros, mask, threshold)
 
@@ -288,7 +283,7 @@ def classify_branches(catalog: list[SolutionSpec],
     every valid a-b exponential entry with positive constants, the canonical
     reduction is built and compared pointwise on the grid.
     """
-    grid = grid or standard_grid()
+    grid = grid or GridSpec()
     rows: list[AuditRow] = []
     family_valid: dict[str, bool] = {}
     for spec in catalog:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -36,6 +37,29 @@ def test_derive_numeric_frame(capsys):
     assert "4.2426406871192857" in out  # 3*sqrt2/2 * 2
 
 
+def test_derive_numeric_output_matches_golden_file(capsys):
+    # the trace, the numeric frame and every check line
+    code, out, err = run(["derive", "--k", "1.37"], capsys)
+    golden = pathlib.Path(__file__).parent / "data" / "derive_k1.37.txt"
+    assert (code, err) == (0, "")
+    assert out == golden.read_text()
+    assert out.count("\ncheck ok: ") == 14
+
+
+def test_broken_closed_form_chain_fails_derive(monkeypatch, capsys):
+    from cahnallen.closure import ClosureBranch
+    from cahnallen.qfield import Radical2
+
+    monkeypatch.setattr(ClosureBranch, "s_scale",
+                        property(lambda branch: Radical2.of(3)))
+    code, out, err = run(["derive"], capsys)
+    assert code == 1
+    assert ("check FAILED: closed forms chain under differentiation\n"
+            in out)
+    assert out.count("check FAILED") == 1
+    assert err == ""
+
+
 # --- entry resolution ----------------------------------------------------------
 
 
@@ -52,7 +76,8 @@ def test_unknown_entry_is_usage_error(tmp_path, capsys):
     code, _, err = run(["eval", "--entry", "nope", "--t", "0",
                         "--out-dir", str(tmp_path)], capsys)
     assert code == 2
-    assert "unknown catalog entry" in err
+    assert err == ("error: unknown catalog entry 'nope';"
+                   " run the catalog command for ids\n")
 
 
 # --- eval / plot data -----------------------------------------------------------
@@ -266,32 +291,43 @@ def test_non_finite_input_is_usage_error(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no CSV, no manifest
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--entry", "eq20+", "--t", "0", "--x=nan,10,201"],
-    ["simulate", "--entry", "eq20+", "--grid=-20,inf,201"],
-    ["verify", "--threshold", "nan"],
-    ["verify", "--grid=-10,10,41,0,nan,3"],
-], ids=["eval-x", "simulate-grid", "verify-threshold", "verify-grid"])
-def test_non_finite_option_is_rejected_by_the_parser(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, reason", [
+    (["eval", "--entry", "eq20+", "--t", "0", "--x=nan,10,201"],
+     "is not a finite number"),
+    (["simulate", "--entry", "eq20+", "--grid=-20,inf,201"],
+     "is not a finite number"),
+    (["verify", "--threshold", "nan"], "is not a finite number"),
+    (["verify", "--grid=-10,10,41,0,nan,3"], "is not a finite number"),
+    # a threshold at or below zero would fail every entry
+    (["verify", "--threshold", "0"], "'0' is not a positive number"),
+    (["verify", "--threshold=-1"], "'-1' is not a positive number"),
+], ids=["eval-x", "simulate-grid", "verify-threshold", "verify-grid",
+        "verify-threshold-zero", "verify-threshold-negative"])
+def test_non_finite_option_is_rejected_by_the_parser(argv, reason, tmp_path,
+                                                     capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out-dir", str(tmp_path)])
     assert exc.value.code == 2
-    assert "is not a finite number" in capsys.readouterr().err
+    assert reason in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (["convergence", "--entry", "eq20+", "--grid=1,0,10"], "empty grid interval"),
+    (["convergence", "--entry", "eq20+", "--grid=1,0,10"],
+     "--grid: empty grid interval"),
     (["simulate", "--entry", "eq20+", "--grid=-20,20,4"],
-     "grid needs at least 8 points"),
-    (["verify", "--grid=-10,10,1,0,1,3"], "grid needs nx >= 2 and nt >= 1"),
-], ids=["convergence-empty", "simulate-short", "verify-short"])
+     "--grid: grid needs at least 8 points"),
+    (["verify", "--grid=-10,10,1,0,1,3"],
+     "--grid: grid needs nx >= 2 and nt >= 1"),
+    (["eval", "--entry", "eq20+", "--t", "0", "--x=-10,10,0"],
+     "--x: grid needs at least 1 point"),
+], ids=["convergence-empty", "simulate-short", "verify-short", "eval-empty"])
 def test_grid_reason_reaches_the_usage_error(argv, reason, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out-dir", str(tmp_path)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument --grid: {reason}" in err
+    assert f"argument {reason}" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 

@@ -18,7 +18,6 @@ from cahnallen.verify import (
     fd_crosscheck,
     ode_residual,
     pde_residual,
-    standard_grid,
 )
 
 
@@ -40,7 +39,7 @@ def test_equilibria_have_exactly_zero_residual():
 def test_kink_pde_residual_is_rounding_noise(table1):
     report = pde_residual(table1["eq20+"])
     assert report.max_abs < 1e-10
-    assert report.verdict == "valid"
+    assert report.is_valid
     assert report.mean_abs <= report.max_abs
     assert report.n_points == 201 * 11
 
@@ -61,7 +60,7 @@ def test_perturbed_solution_is_rejected(table1):
     bumped = PerturbedSolution(table1["eq20+"], eps=0.01)
     report = pde_residual(bumped)
     assert report.max_abs > 1e-3
-    assert report.verdict == "invalid"
+    assert not report.is_valid
     assert ode_residual(bumped).max_abs > 1e-3
 
 
@@ -200,7 +199,7 @@ def test_custom_grid_and_threshold(table1):
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(nx=1)
-    assert standard_grid().nx == 201
+    assert GridSpec().nx == 201
 
 
 # --- the cheaper kernels against the plain formulations -------------------------
