@@ -118,6 +118,16 @@ def _positive(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """A point count; argparse would report only the name of the type
+    function for int()'s ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer") from None
+
+
 def _parse_grid2(text: str) -> GridSpec:
     from .verify import GridSpec
 
@@ -127,14 +137,14 @@ def _parse_grid2(text: str) -> GridSpec:
             "grid must be xmin,xmax,nx,tmin,tmax,nt")
     xmin, xmax, nx, tmin, tmax, nt = parts
     return _checked(GridSpec, (_finite(xmin), _finite(xmax)),
-                    (_finite(tmin), _finite(tmax)), int(nx), int(nt))
+                    (_finite(tmin), _finite(tmax)), _integer(nx), _integer(nt))
 
 
 def _parse_grid1(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be xmin,xmax,n")
-    return _finite(parts[0]), _finite(parts[1]), int(parts[2])
+    return _finite(parts[0]), _finite(parts[1]), _integer(parts[2])
 
 
 def _parse_profile_grid(text: str) -> tuple[float, float, int]:
@@ -434,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0,
                    help="final time (default 1.0)")
     p.add_argument("--dt", type=float, default=None,
-                   help="time step (default 0.4*h^2/2)")
+                   help="time step (default and rk4 limit 2/(4/h^2 + 2))")
     p.add_argument("--k", type=float, default=None,
                    help="wave number (default 1.0 or the id suffix)")
     p.add_argument("--out-dir", default=".", help="output directory")

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -227,6 +228,22 @@ def test_simulate_imex(tmp_path, capsys):
     assert metrics[-1, 1] < 1e-3
 
 
+def test_simulate_default_step_is_stable_on_coarse_grids(tmp_path, capsys):
+    # h = 5.7 and 3.6: a default step that ignores the reaction's
+    # stiffness blows up or stalls the front here; on the 8-point grid
+    # fewer than 3 crossings are recorded, so it measures no speed
+    code, _, err = run(["simulate", "--entry", "eq20+", "--grid=-20,20,8",
+                        "--T", "100", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0 and "Traceback" not in err
+    code, out, err = run(["simulate", "--entry", "eq20+", "--grid=-20,20,12",
+                          "--T", "30", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0 and "Traceback" not in err
+    measured, expected = (float(v) for v in re.search(
+        r"measured front speed: (\S+) \(frame ratio -w/k = (\S+)\)",
+        out).groups())
+    assert measured == pytest.approx(expected, rel=0.01)
+
+
 def test_convergence_command(tmp_path, capsys):
     code, out, _ = run(["convergence", "--entry", "eq20+", "--levels", "3",
                         "--T", "0.25", "--grid=-20,20,101",
@@ -321,7 +338,11 @@ def test_non_finite_option_is_rejected_by_the_parser(argv, reason, tmp_path,
      "--grid: grid needs nx >= 2 and nt >= 1"),
     (["eval", "--entry", "eq20+", "--t", "0", "--x=-10,10,0"],
      "--x: grid needs at least 1 point"),
-], ids=["convergence-empty", "simulate-short", "verify-short", "eval-empty"])
+    (["eval", "--entry", "eq20+", "--t", "0", "--x=-10,10,abc"],
+     "--x: 'abc' is not an integer"),
+    (["verify", "--grid=-10,10,4.5,0,1,3"], "--grid: '4.5' is not an integer"),
+], ids=["convergence-empty", "simulate-short", "verify-short", "eval-empty",
+        "eval-count", "verify-count"])
 def test_grid_reason_reaches_the_usage_error(argv, reason, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out-dir", str(tmp_path)])

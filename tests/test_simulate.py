@@ -19,6 +19,7 @@ from cahnallen.simulate import (
     _schedule,
     convergence_study,
     discrete_energy,
+    explicit_dt_limit,
     front_position,
     integrate,
     measure_speed,
@@ -56,11 +57,13 @@ def test_grid_spacing():
 
 def test_explicit_step_limit():
     grid = Grid1D(-20.0, 20.0, 801)
-    limit = 0.4 * grid.h**2 / 2.0
-    cfg = SimConfig(dt=limit * 2.0, T=0.1)
+    limit = explicit_dt_limit(grid.h)
+    assert SimConfig().resolved_dt(grid.h) == limit
+    integrate_dummy = make_general(0, 1, 1, 1.0, c1=0.0, c2=1.0)
     with pytest.raises(ConfigError):
-        integrate_dummy = make_general(0, 1, 1, 1.0, c1=0.0, c2=1.0)
-        integrate(integrate_dummy, grid, cfg)
+        integrate(integrate_dummy, grid, SimConfig(dt=limit * 2.0, T=0.1))
+    res = integrate(integrate_dummy, grid, SimConfig(dt=limit, T=0.1))
+    assert res.times[-1] == pytest.approx(0.1)
 
 
 def test_config_validation():
@@ -227,6 +230,48 @@ def test_split_scheme_is_second_order_on_periodic_grids():
     errors = [np.max(np.abs(final(dt) - reference)) for dt in (0.2, 0.1, 0.05)]
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert min(orders) >= 1.8, (errors, orders)
+
+
+# --- the RK4 step limit ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [101, 201, 801])
+def test_rk4_step_scales_the_stiffest_mode_by_its_stability_function(n):
+    # the highest Dirichlet sine mode at amplitude 1e-10, where the cubic
+    # term is 1e-20 of the linear ones, and its eigenvalue under the flow
+    # linearised at u = 0
+    grid = Grid1D(-20.0, 20.0, n)
+    mode = 1e-10 * np.sin(np.pi * (n - 2) * np.arange(n) / (n - 1))
+    mode[[0, -1]] = 0.0
+    lam = 1.0 - 4.0 / grid.h**2 * math.sin(
+        math.pi * (n - 2) / (2 * (n - 1)))**2
+    zero = [0.0, 0.0]
+    factors = []
+    # the default step, and one 1 % beyond RK4's real stability interval
+    # [-2.7853, 0]
+    for dt in (SimConfig().resolved_dt(grid.h), 1.01 * 2.7853 / abs(lam)):
+        z = dt * lam
+        want = 1.0 + z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
+        got = _Rk4(grid).step(mode, dt, (zero, zero, zero), zero)
+        assert np.max(np.abs(got - want * mode)) <= 1e-12 * 1e-10
+        factors.append(float(np.dot(got, mode) / np.dot(mode, mode)))
+    default, beyond = factors
+    assert abs(default) <= 1.0 / 3.0 + 1e-12
+    assert abs(beyond) > 1.0
+
+
+@pytest.mark.parametrize("n, T", [(801, 1.0), (101, 0.5)],
+                         ids=["default-grid", "coarsest-convergence-grid"])
+def test_default_step_buys_only_spatial_accuracy(kink, n, T):
+    # a run at a quarter of the default step moves the final field by at
+    # most 1e-3 of the default run's error against the exact kink
+    grid = Grid1D(-20.0, 20.0, n)
+    default = integrate(kink, grid, SimConfig(T=T, snapshot_times=(T,)))
+    quarter = integrate(kink, grid, SimConfig(
+        dt=explicit_dt_limit(grid.h) / 4.0, T=T, snapshot_times=(T,)))
+    temporal = np.max(np.abs(default.snapshots[-1] - quarter.snapshots[-1]))
+    assert temporal <= 1e-3 * default.linf_errors[-1], (
+        temporal, default.linf_errors[-1])
 
 
 # --- the buffered RK4 step against the plain formulas ----------------------------
