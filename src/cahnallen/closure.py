@@ -9,6 +9,13 @@ That consistency requirement is a quadratic in the speed w over Q(sqrt(2))
 and is solved exactly; every surviving branch is certified by structural
 back-substitution into all four grade equations with k left symbolic.
 
+The solve and the back-substitution do not rewrite expressions: one helper
+evaluates the terms of a grade equation in Q(sqrt(2)) with scalar values
+for its bound atoms and sums the exact coefficients keyed by the powers
+left over (of k or w, of the S-derivatives, and of any unbound atom).  The
+closure reads coefficient lists in w from it, and back-substitution asks
+that every coefficient, keyed by its power of k, be a structural zero.
+
 S is integrated in closed form only at the very end: each branch yields
 S'' = c1*exp(nu*xi), then S' and S by division with the same rate, and the
 general solution u = A0 + A1*S'/S follows; the two scales of that closed form
@@ -18,9 +25,9 @@ are exact properties of the branch.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
-from .qfield import Radical2
+from .qfield import ONE, ZERO, Radical2
 from .reduction import TravelingWaveODE, balance_degree
 from .symexpr import (
     Monomial,
@@ -28,8 +35,6 @@ from .symexpr import (
     collect_grades,
     diff_xi,
     recombine_grades,
-    substitute,
-    substitute_s,
     substitute_u,
 )
 
@@ -165,20 +170,82 @@ def _poly_roots(coeffs: list[Radical2]) -> tuple[list[Radical2], int]:
     raise ValueError(f"cannot solve degree {deg} exactly")
 
 
-def _coeffs(e: SymExpr, atom: str) -> list[Radical2]:
-    """Dense coefficient list of an expression that is a polynomial in one
-    scalar atom; the zero polynomial gives [0]."""
-    out = [Radical2()]
-    for t in e.terms:
-        if t.u_powers or t.deriv_powers or t.s_grade:
+def _evaluate(eq: SymExpr, scalars: Mapping[str, tuple[Radical2, int]],
+              s_ratios: Mapping[int, tuple[Radical2, int]] | None = None,
+              ) -> dict[tuple, Radical2]:
+    """The terms of an expression with its bound atoms evaluated exactly.
+
+    scalars[name] = (v, p) binds the atom to v * x**p for one symbolic x;
+    s_ratios[j] = (v, p) binds S^(j) to v * x**p * S'.  Returns the summed
+    Q(sqrt(2)) coefficients keyed by the powers left over, (power of x,
+    grade, S-derivative powers, u powers, unbound atoms); zero coefficients
+    are dropped, so the expression vanishes identically in x and in every
+    unbound atom exactly when the result is empty.
+    """
+    s_ratios = s_ratios or {}
+    out: dict[tuple, Radical2] = {}
+    for t in eq.terms:
+        c, xp, kept = t.coeff, 0, []
+        for name, e in t.sym_powers:
+            bound = scalars.get(name)
+            if bound is None:
+                kept.append((name, e))
+            else:
+                c = c * bound[0] ** e
+                xp += bound[1] * e
+        sig, s1 = [], 0
+        for order, e in t.deriv_powers:
+            bound = s_ratios.get(order)
+            if bound is None:
+                sig.append((order, e))
+            else:
+                c = c * bound[0] ** e
+                xp += bound[1] * e
+                s1 += e
+        if s1:  # the bound S-derivatives become powers of S'
+            sig = dict(sig)
+            sig[1] = sig.get(1, 0) + s1
+            sig = sorted(sig.items())
+        key = (xp, t.s_grade, tuple(sig), t.u_powers, tuple(kept))
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+def _coeff_lists(e: SymExpr, scalars: Mapping[str, tuple[Radical2, int]]
+                 ) -> dict[tuple, list[Radical2]]:
+    """Dense coefficient lists in x, one per S-derivative signature.
+
+    Every scalar atom of e must be bound and e must carry no u atoms and no
+    power of S**-1.  A signature whose terms cancel is absent, so the zero
+    polynomial gives {}.
+    """
+    out: dict[tuple, list[Radical2]] = {}
+    for (p, grade, sig, u, kept), c in _evaluate(e, scalars).items():
+        if grade or u or kept:
             raise ValueError("expression is not a scalar polynomial")
-        power = 0
-        for name, exp in t.sym_powers:
-            if name != atom:
-                raise ValueError(f"unexpected atom {name!r}")
-            power = exp
-        out.extend([Radical2()] * (power + 1 - len(out)))
-        out[power] = out[power] + t.coeff
+        coeffs = out.setdefault(sig, [])
+        coeffs.extend([ZERO] * (p + 1 - len(coeffs)))
+        coeffs[p] = c
+    return out
+
+
+def _poly_mul(a: list[Radical2], b: list[Radical2]) -> list[Radical2]:
+    """Coefficient list of the product of two polynomials."""
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _poly_sum(*polys: list[Radical2]) -> list[Radical2]:
+    """Coefficient list of a sum of polynomials, trailing zeros stripped."""
+    out = [ZERO] * max(map(len, polys))
+    for p in polys:
+        for i, x in enumerate(p):
+            out[i] = out[i] + x
+    while len(out) > 1 and not out[-1]:
+        out.pop()
     return out
 
 
@@ -214,15 +281,6 @@ def form_coefficient_system(ode: TravelingWaveODE, ansatz: Ansatz) -> Coefficien
     return CoefficientSystem(collect_grades(subbed), subbed)
 
 
-def _coeffs_by_s_signature(e: SymExpr) -> dict[tuple, SymExpr]:
-    """Split a grade equation by its S-derivative signature."""
-    parts: dict[tuple, list[Monomial]] = {}
-    for t in e.terms:
-        flat = Monomial(t.coeff, t.sym_powers, t.u_powers, (), 0)
-        parts.setdefault(t.deriv_powers, []).append(flat)
-    return {sig: SymExpr.from_terms(ms) for sig, ms in parts.items()}
-
-
 _S1 = ((1, 1),)
 _S2 = ((2, 1),)
 _S3 = ((3, 1),)
@@ -233,33 +291,23 @@ _S1S2 = ((1, 1), (2, 1))
 def backsubstitute(system: CoefficientSystem, branch: ClosureBranch) -> bool:
     """Structural zero check of all grade equations, with k symbolic.
 
-    Replaces A0, A1, w by the branch values and the S-derivatives by their
-    closure ratios S' : S'' : S''' = 3*k**2 : (rho - beta)*k : denom_scale
-    (each times a common factor that is uniform inside a grade because every
-    grade has a single total S-derivative degree).
+    Each grade equation is evaluated term by term in Q(sqrt(2)) with
+    A0 = a0, A1 = alpha*k, w = rho*k and the S-derivatives replaced by their
+    closure ratios S' : S'' : S''' = 3*k**2 : (rho - beta)*k : denom_scale,
+    each times a common factor that cancels because terms stay apart by
+    their power of S'.  The coefficients are keyed by their power of k, their
+    power of S' and any atom left unbound, so the check is an exact
+    polynomial identity in k: every coefficient must be a structural zero,
+    with no float and no tolerance.
     """
-    k = SymExpr.atom("k")
     rho = branch.w_over_k
     beta = 3 * branch.a0 * branch.alpha
-    bindings = {
-        "A0": SymExpr.const(branch.a0),
-        "A1": k.scaled(branch.alpha),
-        "w": k.scaled(rho),
-    }
-    s1 = SymExpr.s_deriv(1)
-    ratios = {
-        1: (k**2).scaled(3) * s1,
-        2: k.scaled(rho - beta) * s1,
-        3: SymExpr.const(branch.denom_scale) * s1,
-    }
-    for grade, eq in system.equations.items():
-        degrees = {t.s_degree() for t in eq.terms}
-        if len(degrees) > 1:
-            return False
-        bound = substitute(eq, bindings)
-        if not substitute_s(bound, ratios).is_zero():
-            return False
-    return True
+    scalars = {"A0": (branch.a0, 0), "A1": (branch.alpha, 1), "w": (rho, 1),
+               "k": (ONE, 1)}
+    s_ratios = {1: (Radical2.of(3), 2), 2: (rho - beta, 1),
+                3: (branch.denom_scale, 0)}
+    return not any(_evaluate(eq, scalars, s_ratios)
+                   for eq in system.equations.values())
 
 
 def solve_closure(system: CoefficientSystem) -> ClosureSolution:
@@ -276,18 +324,20 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
     if grades != (0, 1, 2, 3):
         raise ClosureUnsupported(f"expected grades (0, 1, 2, 3), got {grades}")
 
-    a0_roots_nz, a0_zero = _poly_roots(_coeffs(system.equations[0], "A0"))
+    g0 = _coeff_lists(system.equations[0], {"A0": (ONE, 1)})
+    if set(g0) != {()}:
+        raise ClosureUnsupported("grade-0 equation is not a polynomial in A0")
+    a0_roots_nz, a0_zero = _poly_roots(g0[()])
     a0_values = ([Radical2()] if a0_zero else []) + a0_roots_nz
 
-    g3 = _coeffs_by_s_signature(system.equations[3])
+    # homogeneous in (A1, k), so its roots in A1/k are its roots at k = 1
+    g3 = _coeff_lists(system.equations[3], {"A1": (ONE, 1), "k": (ONE, 0)})
     if set(g3) != {((1, 3),)}:
         raise ClosureUnsupported("grade-3 equation is not a pure (S')^3 condition")
-    top = g3[((1, 3),)]
-    if len({sum(p for _, p in t.sym_powers) for t in top.terms}) > 1:
+    if len({sum(p for _, p in t.sym_powers)
+            for t in system.equations[3].terms}) > 1:
         raise ValueError("polynomial is not homogeneous")
-    # homogeneous in (A1, k), so its roots in A1/k are its roots at k = 1
-    alpha_roots, alpha_zero = _poly_roots(
-        _coeffs(substitute(top, {"k": 1}), "A1"))
+    alpha_roots, alpha_zero = _poly_roots(g3[((1, 3),)])
     del alpha_zero  # A1 = 0 collapses the ansatz; only nonzero roots proceed
     if not alpha_roots:
         raise ClosureUnsupported(
@@ -298,31 +348,31 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
     branches: list[ClosureBranch] = []
     degenerate: list[DegenerateRoot] = []
     backsubstituted = True
+    zero = [ZERO]
     for a0 in a0_values:
         for s1 in signs:
             alpha = Radical2.sqrt2(s1)
-            # scalar extraction at k = 1 (every equation is homogeneous in k;
+            # polynomials in w at k = 1 (every equation is homogeneous in k;
             # the surviving branches are re-certified with k symbolic below)
-            bind = {"A0": SymExpr.const(a0), "A1": SymExpr.const(alpha),
-                    "k": SymExpr.const(1)}
-            g2 = _coeffs_by_s_signature(substitute(system.equations[2], bind))
-            g1 = _coeffs_by_s_signature(substitute(system.equations[1], bind))
-            zero = SymExpr.zero()
-            num, den = -g2.get(_S1S1, zero), g2.get(_S1S2, zero)
+            scalars = {"A0": (a0, 0), "A1": (alpha, 0), "k": (ONE, 0),
+                       "w": (ONE, 1)}
+            g2 = _coeff_lists(system.equations[2], scalars)
+            g1 = _coeff_lists(system.equations[1], scalars)
+            num = [-c for c in g2.get(_S1S1, zero)]
+            den = g2.get(_S1S2, zero)
             e3, e2, e1 = (g1.get(sig, zero) for sig in (_S3, _S2, _S1))
             # grade 1 with S'' = lam*S' and S''' = mu*lam*S', under mu = lam:
-            consistency = _coeffs(
-                e3 * num * num + e2 * num * den + e1 * den * den, "w")
+            consistency = _poly_sum(_poly_mul(_poly_mul(e3, num), num),
+                                    _poly_mul(_poly_mul(e2, num), den),
+                                    _poly_mul(_poly_mul(e1, den), den))
             if len(consistency) != 3:
                 raise ClosureUnsupported("speed consistency is not quadratic")
-            lam_num, lam_den, c_s3, c_s2, c_s1 = (
-                _coeffs(p, "w") for p in (num, den, e3, e2, e1))
             roots, zero_mult = _poly_roots(consistency)
             all_roots = ([Radical2()] * zero_mult) + roots
             beta = 3 * a0 * alpha
             for rho in all_roots:
-                den_at = _horner(lam_den, rho)
-                lam = _horner(lam_num, rho) / den_at if den_at else None
+                den_at = _horner(den, rho)
+                lam = _horner(num, rho) / den_at if den_at else None
                 dscale = (3 * (3 * a0 * a0 - 1)) + rho * (rho - beta)
                 if not rho:
                     degenerate.append(DegenerateRoot(
@@ -336,8 +386,8 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
                     degenerate.append(DegenerateRoot(
                         a0, s1, rho, "closed-form denominator vanishes"))
                     continue
-                mu_num = -(_horner(c_s2, rho) * lam + _horner(c_s1, rho))
-                mu = mu_num / (_horner(c_s3, rho) * lam)
+                mu_num = -(_horner(e2, rho) * lam + _horner(e1, rho))
+                mu = mu_num / (_horner(e3, rho) * lam)
                 if lam != mu:
                     raise AssertionError("consistency root with lambda != mu")
                 branch = ClosureBranch(a0, s1, rho, lam, mu, dscale)
@@ -514,8 +564,15 @@ def _render_trace(ode, ansatz, system, solution) -> str:
 
 def _mu_ratio_exprs(system: CoefficientSystem) -> tuple[SymExpr, SymExpr]:
     """The S'''/S'' ratio as a cancelled ratio of polynomials in k, w, A0, A1."""
-    g2 = _coeffs_by_s_signature(system.equations[2])
-    g1 = _coeffs_by_s_signature(system.equations[1])
+
+    def by_s_signature(e: SymExpr) -> dict[tuple, SymExpr]:
+        parts: dict[tuple, list[Monomial]] = {}
+        for (_, _, sig, _, kept), c in _evaluate(e, {}).items():
+            parts.setdefault(sig, []).append(Monomial(c, kept))
+        return {sig: SymExpr.from_terms(ms) for sig, ms in parts.items()}
+
+    g2 = by_s_signature(system.equations[2])
+    g1 = by_s_signature(system.equations[1])
     lam_num = -g2[_S1S1]
     lam_den = g2[_S1S2]
     num = -(g1[_S2] * lam_num + g1[_S1] * lam_den)

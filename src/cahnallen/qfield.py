@@ -197,12 +197,18 @@ class Radical2(Frozen):
     def __pow__(self, n: int) -> "Radical2":
         if n < 0:
             return self.inverse() ** (-n)
-        out = ONE
+        if not n:
+            return ONE
         base = self
-        while n > 0:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        n >>= 1
+        while n:  # square only while bits remain
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
         return out
 

@@ -88,10 +88,6 @@ class Monomial(Frozen):
             self.s_grade,
         )
 
-    def s_degree(self) -> int:
-        """Total power of S-derivative atoms in the monomial."""
-        return sum(e for _, e in self.deriv_powers)
-
 
 _set_coeff = Monomial.coeff.__set__
 _set_sym = Monomial.sym_powers.__set__
@@ -343,18 +339,6 @@ def substitute_u(e: SymExpr, replacements: Mapping[int, SymExpr]) -> SymExpr:
                 raise KeyError(f"no replacement for u^({order})")
         return Monomial(t.coeff, t.sym_powers, (), t.deriv_powers,
                         t.s_grade), t.u_powers
-
-    return _rewrite(e, split, replacements)
-
-
-def substitute_s(e: SymExpr, replacements: Mapping[int, SymExpr]) -> SymExpr:
-    """Replace S-derivative atoms S^(j) by expressions (orders not listed stay)."""
-
-    def split(t: Monomial) -> tuple[Monomial, list]:
-        kept = tuple(p for p in t.deriv_powers if p[0] not in replacements)
-        replaced = [p for p in t.deriv_powers if p[0] in replacements]
-        return Monomial(t.coeff, t.sym_powers, t.u_powers, kept,
-                        t.s_grade), replaced
 
     return _rewrite(e, split, replacements)
 

@@ -139,6 +139,49 @@ def test_eval_takes_short_and_reversed_x_grids(x, tmp_path, capsys):
     assert len(rows) == 1 + int(x.rsplit(",", 1)[1])
 
 
+class _FixedProfile:
+    """A stand-in entry whose profile takes given values on given rows."""
+
+    entry_id = "fixed"
+
+    def __init__(self, us, mask):
+        self.us, self.mask = np.array(us), np.array(mask)
+
+    def xi(self, xs, t):
+        return xs
+
+    def regular_mask(self, xi):
+        return self.mask
+
+    def eval(self, xs, ts):
+        return self.us[self.mask]
+
+
+def _per_row_csv(spec, xs, t):
+    mask = spec.regular_mask(spec.xi(xs, t))
+    us = spec.eval(xs[mask], np.full(int(np.sum(mask)), t))
+    return "\n".join(["x,u", *(f"{x:.17g},{u:.17g}" for x, u in
+                               zip(xs[mask].tolist(), us.tolist()))]) + "\n"
+
+
+@pytest.mark.parametrize("case", ["edge-values", "singular", "all-omitted"])
+def test_emit_plot_data_matches_per_row_format(case, tmp_path):
+    from cahnallen.cli import emit_plot_data
+
+    if case == "singular":
+        spec, times, grid = resolve_entry("eq21+", None), [0.0, 0.5], (-10, 10, 201)
+    else:
+        us = [-0.0, 5e-324, 1e300, -1e300, 1 / 3, 0.1, -2.5e-17]
+        mask = [case == "edge-values"] * len(us)
+        spec, times, grid = _FixedProfile(us, mask), [0.25], (-0.0, 1, len(us))
+    paths, notes = emit_plot_data(spec, times, grid, str(tmp_path), "r")
+    xs = np.linspace(*grid)
+    assert len(paths) == len(times)
+    for path, t in zip(paths, times):
+        assert pathlib.Path(path).read_text() == _per_row_csv(spec, xs, t)
+    assert bool(notes) == (case != "edge-values")
+
+
 def test_eval_is_byte_deterministic(tmp_path, capsys):
     for sub in ("a", "b"):
         os.makedirs(tmp_path / sub)

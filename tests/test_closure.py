@@ -5,18 +5,19 @@ from fractions import Fraction
 import pytest
 
 from cahnallen.closure import (
+    ClosureBranch,
     ClosureUnsupported,
     CoefficientSystem,
-    _coeffs,
+    _coeff_lists,
     backsubstitute,
     build_ansatz_derivatives,
     form_coefficient_system,
     run_derivation,
     solve_closure,
 )
-from cahnallen.qfield import Radical2
+from cahnallen.qfield import ONE, Radical2
 from cahnallen.reduction import EvolutionEquation, WaveFrame, reduce_to_ode
-from cahnallen.symexpr import SymExpr, diff_xi, substitute
+from cahnallen.symexpr import Monomial, SymExpr, diff_xi, substitute
 
 K = SymExpr.atom("k")
 W = SymExpr.atom("w")
@@ -54,8 +55,6 @@ def test_ansatz_shape():
 
 def test_second_derivative_contains_cross_term():
     ansatz = build_ansatz_derivatives(1)
-    from cahnallen.symexpr import Monomial
-
     cross = Monomial.make(-3, sym={"A1": 1}, deriv={1: 1, 2: 1}, s_grade=2)
     assert cross in ansatz.u2.terms
 
@@ -172,8 +171,6 @@ def test_backsubstitution_is_structural_zero(system, solution):
 
 
 def test_backsubstitution_rejects_wrong_branches(system, solution):
-    from cahnallen.closure import ClosureBranch
-
     good = solution.branches[0]
     wrong_speed = ClosureBranch(good.a0, good.s1, Radical2.of(1),
                                 good.lam_times_k, good.mu_times_k,
@@ -210,18 +207,154 @@ def test_non_homogeneous_top_condition_is_rejected(system):
 
 
 def test_coeffs_keeps_interior_zeros():
-    assert _coeffs(A0**3 - A0, "A0") == [Radical2.of(c) for c in (0, -1, 0, 1)]
+    assert _coeff_lists(A0**3 - A0, {"A0": (ONE, 1)}) == {
+        (): [Radical2.of(c) for c in (0, -1, 0, 1)]}
 
 
 def test_coeffs_of_zero_polynomial():
-    assert _coeffs(SymExpr.zero(), "w") == [Radical2()]
+    assert _coeff_lists(SymExpr.zero(), {"w": (ONE, 1)}) == {}
 
 
-@pytest.mark.parametrize("expr", [W * A0 + W, W**2 + S1, W * SINV],
-                         ids=["foreign-atom", "s-derivative", "grade"])
+def test_coeff_lists_split_by_s_signature():
+    lists = _coeff_lists(W**2 + S1 - S1 * W.scaled(3) + S2 * A0,
+                         {"w": (ONE, 1), "A0": (Radical2.sqrt2(), 0)})
+    assert lists == {
+        (): [Radical2(), Radical2(), ONE],
+        ((1, 1),): [ONE, Radical2.of(-3)],
+        ((2, 1),): [Radical2.sqrt2()],
+    }
+
+
+@pytest.mark.parametrize("expr", [W * A0 + W, W * SymExpr.u_deriv(0), W * SINV],
+                         ids=["foreign-atom", "u-atom", "grade"])
 def test_coeffs_rejects_non_scalar_polynomials(expr):
     with pytest.raises(ValueError):
-        _coeffs(expr, "w")
+        _coeff_lists(expr, {"w": (ONE, 1)})
+
+
+# --- the symbolic route as oracle -------------------------------------------
+#
+# The SymExpr route to the same checks: bind the scalar atoms with
+# `substitute`, replace the S-derivatives term by term, and ask for a
+# structural zero.
+
+
+def substitute_s(e, ratios):
+    """Replace S-derivative atoms S^(j) by ratios[j] (orders not listed stay)."""
+    out = SymExpr.zero()
+    for t in e.terms:
+        kept = tuple(p for p in t.deriv_powers if p[0] not in ratios)
+        term = SymExpr.from_terms(
+            [Monomial(t.coeff, t.sym_powers, t.u_powers, kept, t.s_grade)])
+        for order, exp in t.deriv_powers:
+            if order in ratios:
+                term = term * ratios[order] ** exp
+        out = out + term
+    return out
+
+
+def test_substitute_s_rewrites_orders():
+    e = A1 * S3 + A1 * S2 * S1
+    out = substitute_s(e, {3: K * S1, 2: S1.scaled(2)})
+    assert out == A1 * K * S1 + (A1 * S1**2).scaled(2)
+
+
+def _oracle_backsubstitute(system, branch):
+    rho = branch.w_over_k
+    beta = 3 * branch.a0 * branch.alpha
+    bindings = {"A0": SymExpr.const(branch.a0), "A1": K.scaled(branch.alpha),
+                "w": K.scaled(rho)}
+    ratios = {1: (K**2).scaled(3) * S1, 2: K.scaled(rho - beta) * S1,
+              3: SymExpr.const(branch.denom_scale) * S1}
+    return all(substitute_s(substitute(eq, bindings), ratios).is_zero()
+               for eq in system.equations.values())
+
+
+def _moved(branch):
+    """The branch with a0, w_over_k or denom_scale moved by +-1 or +-sqrt2."""
+    for delta in (ONE, -ONE, Radical2.sqrt2(), Radical2.sqrt2(-1)):
+        yield branch._replace(a0=branch.a0 + delta)
+        yield branch._replace(w_over_k=branch.w_over_k + delta)
+        yield branch._replace(denom_scale=branch.denom_scale + delta)
+
+
+def test_backsubstitute_matches_symbolic_oracle(system, solution):
+    def key(b):
+        return b.a0, b.s1, b.w_over_k, b.denom_scale
+
+    valid = {key(b) for b in solution.branches}
+    for good in solution.branches:
+        assert backsubstitute(system, good) and _oracle_backsubstitute(
+            system, good)
+        for moved in _moved(good):
+            verdict = backsubstitute(system, moved)
+            assert verdict == _oracle_backsubstitute(system, moved)
+            # a moved a0 can land on another valid branch
+            assert verdict == (key(moved) in valid)
+
+
+def test_w_coefficient_lists_match_symbolic_oracle(system):
+    for a0 in (0, 1, -1):
+        for sign in (1, -1):
+            alpha = Radical2.sqrt2(sign)
+            scalars = {"A0": (Radical2.of(a0), 0), "A1": (alpha, 0),
+                       "k": (ONE, 0), "w": (ONE, 1)}
+            bind = {"A0": a0, "A1": alpha, "k": 1}
+            for g in (1, 2):
+                lists = _coeff_lists(system.equations[g], scalars)
+                rebuilt = SymExpr.zero()
+                for sig, coeffs in lists.items():
+                    assert coeffs[-1]
+                    s = SymExpr.from_terms([Monomial.make(1, deriv=dict(sig))])
+                    for p, c in enumerate(coeffs):
+                        rebuilt = rebuilt + (W**p * s).scaled(c)
+                assert rebuilt == substitute(system.equations[g], bind)
+            g3 = _coeff_lists(system.equations[3],
+                              {"A1": (ONE, 1), "k": (ONE, 0)})
+            assert g3 == {((1, 3),): [Radical2.of(c) for c in (0, -2, 0, 1)]}
+
+
+def test_backsubstitute_keeps_k_symbolic(system, solution):
+    # each variant agrees with the true equation at k = 1 only
+    for g, variant in [
+        (2, -W * A1 * S1**2 + (K**3 * A1 * S1 * S2).scaled(3)
+         + (A0 * A1**2 * S1**2).scaled(3)),
+        (3, A1 * (A1**2 - K.scaled(2)) * S1**3),
+    ]:
+        assert substitute(variant, {"k": 1}) == substitute(
+            system.equations[g], {"k": 1})
+        equations = dict(system.equations)
+        equations[g] = variant
+        tampered = CoefficientSystem(equations, system.substituted)
+        for b in solution.branches:
+            assert not _oracle_backsubstitute(tampered, b)
+            assert not backsubstitute(tampered, b)
+
+
+def test_backsubstitute_rejects_unbound_atom(system, solution):
+    equations = dict(system.equations)
+    equations[1] = equations[1] + SymExpr.atom("c1") * A1 * S1
+    tampered = CoefficientSystem(equations, system.substituted)
+    for b in solution.branches:
+        assert not _oracle_backsubstitute(tampered, b)
+        assert not backsubstitute(tampered, b)
+
+
+def test_backsubstitute_rejects_perturbed_coefficient(system, solution):
+    for g, eq in system.equations.items():
+        for i, t in enumerate(eq.terms):
+            for delta in (ONE, Radical2.sqrt2()):
+                terms = list(eq.terms)
+                terms[i] = Monomial(t.coeff + delta, t.sym_powers, t.u_powers,
+                                    t.deriv_powers, t.s_grade)
+                equations = dict(system.equations)
+                equations[g] = SymExpr.from_terms(terms)
+                tampered = CoefficientSystem(equations, system.substituted)
+                verdicts = [backsubstitute(tampered, b)
+                            for b in solution.branches]
+                assert verdicts == [_oracle_backsubstitute(tampered, b)
+                                    for b in solution.branches]
+                assert not all(verdicts)
 
 
 # --- closed forms -----------------------------------------------------------

@@ -96,6 +96,43 @@ def test_pow_and_division():
     assert (Radical2.of(3) / Radical2.sqrt2()) == Radical2.sqrt2(Fraction(3, 2))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.just(Radical2()), radicals), st.integers(-5, 9))
+def test_pow_matches_repeated_product_with_fewest_multiplications(x, n):
+    if n < 0 and not x:
+        with pytest.raises(ZeroDivisionError):
+            x**n
+        return
+    base = x if n >= 0 else x.inverse()
+    repeated = Radical2.of(1)
+    for _ in range(abs(n)):
+        repeated = repeated * base
+    products = []
+    real_mul = Radical2.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Radical2, "__mul__", counted)
+        power = x**n
+    assert power == repeated
+    # one product per set bit after the first, one squaring per bit after
+    # the first: x**1 costs none, x**2 and x**3 one and two
+    m = abs(n)
+    assert len(products) == (bin(m).count("1") + m.bit_length() - 2
+                             if m else 0)
+
+
+def test_pow_of_zero():
+    zero = Radical2()
+    assert zero**0 == 1 and zero**1 == 0 and zero**4 == 0
+    for n in (-1, -2, -5):
+        with pytest.raises(ZeroDivisionError):
+            zero**n
+
+
 def test_text_form():
     assert str(Radical2.of(0)) == "0"
     assert str(Radical2.of(Fraction(-3, 2))) == "-3/2"

@@ -15,7 +15,6 @@ from cahnallen.symexpr import (
     diff_xi,
     recombine_grades,
     substitute,
-    substitute_s,
     substitute_u,
     to_text,
 )
@@ -199,12 +198,6 @@ def test_substitute_is_multiplicative(a, b):
     assert lhs == rhs
 
 
-def test_substitute_s_rewrites_orders():
-    e = A1 * S3 + A1 * S2 * S1
-    out = substitute_s(e, {3: K * S1, 2: S1.scaled(2)})
-    assert out == A1 * K * S1 + (A1 * S1**2).scaled(2)
-
-
 # --- one-pass rewriting against the per-term sum ------------------------------
 #
 # The oracles below are the term-by-term definitions: each monomial, stripped
@@ -235,14 +228,6 @@ def _oracle_substitute_u(e, replacements):
     def split(t):
         return (Monomial(t.coeff, t.sym_powers, (), t.deriv_powers, t.s_grade),
                 t.u_powers)
-    return _per_term_sum(e, split, replacements)
-
-
-def _oracle_substitute_s(e, replacements):
-    def split(t):
-        kept = tuple(p for p in t.deriv_powers if p[0] not in replacements)
-        return (Monomial(t.coeff, t.sym_powers, t.u_powers, kept, t.s_grade),
-                [p for p in t.deriv_powers if p[0] in replacements])
     return _per_term_sum(e, split, replacements)
 
 
@@ -278,19 +263,6 @@ def test_one_pass_substitute_matches_per_term_sum():
     for e in exprs:
         for b in bindings:
             assert substitute(e, b) == _oracle_substitute(e, b)
-
-
-def test_one_pass_substitute_s_matches_per_term_sum():
-    _, _, system = _derivation_exprs()
-    ratio_sets = [
-        {1: (K**2).scaled(3) * S1, 2: K.scaled(SQRT2) * S1,
-         3: SymExpr.const(Radical2(Fraction(5), Fraction(2))) * S1},
-        {3: K * S2 + W * S1, 1: S2 - S1},
-        {2: SymExpr.const(7)},
-    ]
-    for e in [*system.equations.values(), system.substituted]:
-        for ratios in ratio_sets:
-            assert substitute_s(e, ratios) == _oracle_substitute_s(e, ratios)
 
 
 def test_derivation_grades_recombine_in_one_pass():
