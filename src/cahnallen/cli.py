@@ -67,6 +67,17 @@ def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
     _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
+def _write_floats(path: str, header: list[str], rows) -> None:
+    """A CSV of float rows; one %-format over the whole block gives the
+    bytes of a per-row format(v, ".17g")."""
+    import numpy as np
+
+    cells = np.asarray(rows, dtype=float).ravel().tolist()
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    _atomic_write(path, ",".join(header) + "\n"
+                  + row * (len(cells) // len(header)) % tuple(cells))
+
+
 def _write_manifest(out_dir: str, command: str, parameters: dict,
                     outputs: list[str], notes: list[str]) -> str:
     manifest = {
@@ -189,9 +200,7 @@ def emit_plot_data(spec: SolutionSpec, t_list: list[float],
                 f" zone of {spec.entry_id}")
         us = spec.eval(xs[mask], np.full(int(np.sum(mask)), t))
         path = os.path.join(out_dir, f"{run_id}_t{index}.csv")
-        # one %-format over the block: the bytes of a per-row f"{v:.17g}"
-        rows = np.column_stack([xs[mask], us]).ravel().tolist()
-        _atomic_write(path, "x,u\n" + ("%.17g,%.17g\n" * len(us)) % tuple(rows))
+        _write_floats(path, ["x", "u"], np.column_stack([xs[mask], us]))
         outputs.append(path)
     return outputs, notes
 
@@ -319,6 +328,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_simulate(args) -> int:
     check_times(args.T, args.dt)  # before numpy loads and the derivation runs
+    import numpy as np
+
     from .simulate import Grid1D, SimConfig, integrate
 
     spec = resolve_entry(args.entry, args.k)
@@ -328,23 +339,18 @@ def _cmd_simulate(args) -> int:
     result = integrate(spec, grid, config)
     run_id = f"sim_{spec.entry_id}_{args.scheme}"
     outputs = []
-    xs = grid.xs().tolist()
+    xs = grid.xs()
     for index, u in enumerate(result.snapshots):
         path = os.path.join(args.out_dir, f"{run_id}_t{index}.csv")
-        _write_csv(path, ["x", "u"],
-                   [f"{x:.17g},{v:.17g}" for x, v in zip(xs, u.tolist())])
+        _write_floats(path, ["x", "u"], np.column_stack([xs, u]))
         outputs.append(path)
     tpath = os.path.join(args.out_dir, f"{run_id}_trajectory.csv")
-    _write_csv(tpath, ["t", "x_front"],
-               [f"{float(t):.17g},{float(x):.17g}"
-                for t, x in result.front_trajectory])
+    _write_floats(tpath, ["t", "x_front"], result.front_trajectory)
     outputs.append(tpath)
     mpath = os.path.join(args.out_dir, f"{run_id}_metrics.csv")
-    _write_csv(mpath, ["t", "linf_error", "l2_error", "energy"],
-               [f"{t:.17g},{e1:.17g},{e2:.17g},{en:.17g}"
-                for t, e1, e2, en in zip(
-                    result.times, result.linf_errors, result.l2_errors,
-                    result.energy_series)])
+    _write_floats(mpath, ["t", "linf_error", "l2_error", "energy"],
+                  np.column_stack([result.times, result.linf_errors,
+                                   result.l2_errors, result.energy_series]))
     outputs.append(mpath)
     speed = result.measured_speed
     _write_manifest(args.out_dir, "simulate",
@@ -476,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         if out_dir is not None and not os.path.isdir(out_dir):
             raise ValueError(f"output directory {out_dir!r} does not exist")
         return args.func(args)
-    except ValueError as exc:
+    except ValueError as exc:  # every library error is one: a usage error
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -25,6 +25,7 @@ are exact properties of the branch.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .qfield import ONE, ZERO, Radical2
@@ -39,7 +40,7 @@ from .symexpr import (
 )
 
 
-class ClosureUnsupported(Exception):
+class ClosureUnsupported(ValueError):
     """The closure solver only treats the degree-1 ansatz."""
 
 
@@ -446,8 +447,11 @@ class DerivationReport(NamedTuple):
         return all(ok for _, ok in self.checks)
 
 
-def _expected_grade_forms() -> dict[int, SymExpr]:
-    """Independently constructed target forms for the four grade equations.
+@lru_cache(maxsize=1)
+def _expected_grade_forms() -> tuple[SymExpr, ...]:
+    """Independently constructed target forms for the four grade equations,
+    indexed by grade; built once per process (the tuple and its forms are
+    immutable, so every derivation can share them).
 
     Grade 2 carries 3*k**2 on the S'*S'' term: expanding -k**2*u'' against
     u = A0 + A1*S'/S gives +3*k**2*A1*S''*S'/S**2 and no k**3 ever arises.
@@ -456,12 +460,12 @@ def _expected_grade_forms() -> dict[int, SymExpr]:
     a0, a1 = SymExpr.atom("A0"), SymExpr.atom("A1")
     s1, s2, s3 = SymExpr.s_deriv(1), SymExpr.s_deriv(2), SymExpr.s_deriv(3)
     three = SymExpr.const(3)
-    return {
-        0: a0**3 - a0,
-        1: -(k**2) * a1 * s3 + three * a0**2 * a1 * s1 + w * a1 * s2 - a1 * s1,
-        2: -w * a1 * s1**2 + three * k**2 * a1 * s1 * s2 + three * a0 * a1**2 * s1**2,
-        3: a1 * (a1**2 - SymExpr.const(2) * k**2) * s1**3,
-    }
+    return (
+        a0**3 - a0,
+        -(k**2) * a1 * s3 + three * a0**2 * a1 * s1 + w * a1 * s2 - a1 * s1,
+        -w * a1 * s1**2 + three * k**2 * a1 * s1 * s2 + three * a0 * a1**2 * s1**2,
+        a1 * (a1**2 - SymExpr.const(2) * k**2) * s1**3,
+    )
 
 
 def run_derivation(ode: TravelingWaveODE) -> DerivationReport:

@@ -11,7 +11,7 @@ one common denominator, kept in canonical form: ``d > 0`` and
 one representation, so equality and hashing compare the triple.  Each
 operation works on the integers directly and restores the invariant with a
 single ``math.gcd``; the rational parts r = a/d and s = b/d are available as
-``fractions.Fraction`` (``Rational``) for callers that need them.
+``fractions.Fraction`` values for callers that need them.
 
 ``Frozen`` is the base of the package's immutable ``__slots__`` value
 types, ``Radical2`` among them.  Such a class builds no code when it is
@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -172,15 +170,6 @@ class Radical2(Frozen):
 
     __rmul__ = __mul__
 
-    def conj(self) -> "Radical2":
-        """Field conjugate r - s*sqrt(2)."""
-        return _raw(self._a, -self._b, self._d)
-
-    def norm(self) -> Fraction:
-        """Rational norm r**2 - 2*s**2 (the product with the conjugate)."""
-        a, b, d = self._a, self._b, self._d
-        return Fraction(a * a - 2 * b * b, d * d)
-
     def inverse(self) -> "Radical2":
         a, b, d = self._a, self._b, self._d
         n = a * a - 2 * b * b  # zero only for zero, sqrt(2) being irrational
@@ -246,7 +235,7 @@ class Radical2(Frozen):
             if y is not None:
                 candidates.append(Radical2(0, y))
         else:
-            disc = rational_sqrt(self.norm())
+            disc = rational_sqrt(r * r - 2 * s * s)  # root of the norm
             if disc is not None:
                 for sign in (1, -1):
                     y2 = (r + sign * disc) / 4
@@ -291,4 +280,3 @@ _set_d = Radical2._d.__set__
 
 ZERO = Radical2()
 ONE = Radical2.of(1)
-SQRT2_EXACT = Radical2.sqrt2()

@@ -20,7 +20,7 @@ from .symexpr import SymExpr
 MIN_TIME_STEP = 1e-14
 
 
-class NonIntegerBalance(Exception):
+class NonIntegerBalance(ValueError):
     """The balance equation has no positive integer solution."""
 
 

@@ -35,15 +35,15 @@ def explicit_dt_limit(h: float) -> float:
     return 2.0 / (4.0 / (h * h) + 2.0)
 
 
-class UnstableStep(Exception):
+class UnstableStep(ValueError):
     pass
 
 
-class NoCrossing(Exception):
+class NoCrossing(ValueError):
     pass
 
 
-class InsufficientData(Exception):
+class InsufficientData(ValueError):
     pass
 
 
@@ -143,13 +143,8 @@ def front_position(field_values: np.ndarray, grid: Grid1D, level: float) -> floa
     return min(candidates)
 
 
-def measure_speed(result_or_trajectory) -> float:
-    """Least-squares slope of x_front versus t.
-
-    Accepts a SimResult or a bare list of (t, x_front) pairs.
-    """
-    trajectory = getattr(result_or_trajectory, "front_trajectory",
-                         result_or_trajectory)
+def measure_speed(trajectory: list[tuple[float, float]]) -> float:
+    """Least-squares slope of x_front versus t over (t, x_front) pairs."""
     if len(trajectory) < 3:
         raise InsufficientData("speed fit needs at least 3 trajectory points")
     ts = np.array([t for t, _ in trajectory])

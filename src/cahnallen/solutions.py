@@ -38,11 +38,11 @@ from .reduction import (EvolutionEquation, WaveFrame, check_wave_number,
 SINGULAR_HALF_WIDTH = 0.1
 
 
-class SingularEvaluation(Exception):
+class SingularEvaluation(ValueError):
     """A point inside a singular zone was evaluated."""
 
 
-class InvalidReduction(Exception):
+class InvalidReduction(ValueError):
     """The a/b -> shift reduction needs positive constants."""
 
 
@@ -127,11 +127,6 @@ class SolutionSpec:
         if self.qsign > 0 or self.amp == 0.0:
             return ()
         return (SingularZone(-self.shift / self.nu),)
-
-    def equilibria(self) -> tuple[float, float]:
-        """Profile limits as xi -> -inf and xi -> +inf (nu > 0 orientation)."""
-        lo, hi = self.u0, self.u0 + self.amp
-        return (lo, hi) if self.nu > 0 else (hi, lo)
 
     def front_level(self) -> float:
         return self.u0 + self.amp / 2.0
@@ -415,27 +410,6 @@ def enumerate_catalog(k: float) -> list[SolutionSpec]:
 
 def catalog_by_id(k: float) -> dict[str, SolutionSpec]:
     return {e.entry_id: e for e in enumerate_catalog(k)}
-
-
-def specialize_constants(general: SolutionSpec, choice: str) -> SolutionSpec:
-    """Bind c2 = +-(coefficient of the exponential in S) * c1.
-
-    The plus choice removes the pole and yields the kink; the minus choice
-    places the pole at xi = 0 and yields the singular profile.
-    """
-    if general.family is not Family.GENERAL_EXP_RATIO:
-        raise ValueError("specialize_constants needs a general exp-ratio spec")
-    if not general.c1:
-        raise ValueError("specialization needs c1 != 0")
-    if choice not in ("plus", "minus"):
-        raise ValueError("choice must be 'plus' or 'minus'")
-    branch = branch_for(general.a0, general.s1, general.sw)
-    maker = make_kink if choice == "plus" else make_singular
-    spec = maker(general.a0, general.s1, general.sw, general.k)
-    p_hat = float(branch.s_scale)
-    c2_bound = (1.0 if choice == "plus" else -1.0) * p_hat * general.c1 \
-        * general.k ** 2
-    return replace(spec, c1=general.c1, c2=c2_bound)
 
 
 def reduce_ab_to_canonical(spec: SolutionSpec) -> SolutionSpec:

@@ -124,10 +124,6 @@ class SymExpr(Frozen):
         _set_terms(self, terms)
 
     @classmethod
-    def zero(cls) -> "SymExpr":
-        return cls()
-
-    @classmethod
     def const(cls, value: ScalarLike) -> "SymExpr":
         return cls.from_terms([Monomial.make(value)])
 
@@ -218,7 +214,7 @@ class SymExpr(Frozen):
     def scaled(self, factor: ScalarLike) -> "SymExpr":
         f = Radical2.of(factor)
         if not f:
-            return SymExpr.zero()
+            return SymExpr()
         return SymExpr(tuple(t.scaled(f) for t in self.terms))
 
     def __str__(self) -> str:

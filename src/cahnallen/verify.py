@@ -208,34 +208,6 @@ def fd_crosscheck(spec, grid: GridSpec | None = None,
 # --- audit ------------------------------------------------------------------
 
 
-class PerturbedSolution:
-    """A catalog entry shifted by a constant; used to test that the
-    classification actually has power against non-solutions."""
-
-    def __init__(self, spec: SolutionSpec, eps: float = 0.01):
-        self.base = spec
-        self.eps = eps
-        self.entry_id = f"{spec.entry_id}+eps"
-        self.k = spec.k
-        self.w = spec.w
-
-    def singular_zones(self):
-        return self.base.singular_zones()
-
-    def regular_mask(self, xi):
-        return self.base.regular_mask(xi)
-
-    def profile(self, xi):
-        u, du, d2 = self.base.profile(xi)
-        return u + self.eps, du, d2
-
-    def eval(self, x, t):
-        return self.base.eval(x, t) + self.eps
-
-    def partials(self, x, t):
-        return self.base.partials(x, t)
-
-
 class AuditRow(NamedTuple):
     entry_id: str
     family_code: str
@@ -265,12 +237,6 @@ class AuditTable(NamedTuple):
 
     def all_families_covered(self) -> bool:
         return all(self.family_valid.values())
-
-    def row(self, entry_id: str) -> AuditRow:
-        for r in self.rows:
-            if r.entry_id == entry_id:
-                return r
-        raise KeyError(entry_id)
 
 
 def classify_branches(catalog: list[SolutionSpec],

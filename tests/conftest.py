@@ -5,6 +5,28 @@ from cahnallen.reduction import EvolutionEquation, WaveFrame, reduce_to_ode
 from cahnallen.solutions import catalog_by_id, enumerate_catalog
 
 
+class PerturbedSolution:
+    """A catalog entry shifted by a constant: a negative control that shows
+    the residual audit has power against non-solutions."""
+
+    def __init__(self, spec, eps: float = 0.01):
+        self.base = spec
+        self.eps = eps
+        self.entry_id = f"{spec.entry_id}+eps"
+        self.k = spec.k
+        self.w = spec.w
+
+    def singular_zones(self):
+        return self.base.singular_zones()
+
+    def regular_mask(self, xi):
+        return self.base.regular_mask(xi)
+
+    def profile(self, xi):
+        u, du, d2 = self.base.profile(xi)
+        return u + self.eps, du, d2
+
+
 @pytest.fixture(scope="session")
 def report():
     return run_derivation(reduce_to_ode(EvolutionEquation(3), WaveFrame()))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import PerturbedSolution
 
 from cahnallen.closure import (
     build_ansatz_derivatives,
@@ -25,7 +26,6 @@ from cahnallen.solutions import enumerate_catalog, reduce_ab_to_canonical
 from cahnallen.symexpr import SymExpr, diff_xi
 from cahnallen.verify import (
     GridSpec,
-    PerturbedSolution,
     classify_branches,
     fd_crosscheck,
     ode_residual,

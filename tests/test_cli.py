@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
+import importlib
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from cahnallen.cli import main, resolve_entry
+import cahnallen
+from cahnallen.cli import _write_floats, main, resolve_entry
 
 
 def run(args, capsys):
@@ -180,6 +183,18 @@ def test_emit_plot_data_matches_per_row_format(case, tmp_path):
     for path, t in zip(paths, times):
         assert pathlib.Path(path).read_text() == _per_row_csv(spec, xs, t)
     assert bool(notes) == (case != "edge-values")
+
+
+@pytest.mark.parametrize("rows", [
+    [(-0.0, 5e-324, 1e300, 0.1), (1 / 3, -1e300, -2.5e-17, 2.0)],
+    [],
+], ids=["edge-values", "no-rows"])
+def test_write_floats_matches_per_row_format(rows, tmp_path):
+    # rows as simulate passes its trajectory: a list of tuples
+    path = tmp_path / "f.csv"
+    _write_floats(str(path), ["a", "b", "c", "d"], rows)
+    assert path.read_text() == "a,b,c,d\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
 
 
 def test_eval_is_byte_deterministic(tmp_path, capsys):
@@ -487,6 +502,19 @@ def test_bad_time_is_reported_before_numpy_loads(argv, reason, tmp_path):
     assert proc.stderr == f"error: {reason}\n"
     assert proc.stdout == "False\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_library_error_is_a_usage_error():
+    # cli.main maps ValueError to exit 2, so no library error escapes as a
+    # traceback
+    errors = []
+    for info in pkgutil.iter_modules(cahnallen.__path__):
+        module = importlib.import_module(f"cahnallen.{info.name}")
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == module.__name__]
+    assert errors
+    assert [e.__name__ for e in errors if not issubclass(e, ValueError)] == []
 
 
 def test_unknown_subcommand_exit_code():

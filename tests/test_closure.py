@@ -212,7 +212,7 @@ def test_coeffs_keeps_interior_zeros():
 
 
 def test_coeffs_of_zero_polynomial():
-    assert _coeff_lists(SymExpr.zero(), {"w": (ONE, 1)}) == {}
+    assert _coeff_lists(SymExpr(), {"w": (ONE, 1)}) == {}
 
 
 def test_coeff_lists_split_by_s_signature():
@@ -241,7 +241,7 @@ def test_coeffs_rejects_non_scalar_polynomials(expr):
 
 def substitute_s(e, ratios):
     """Replace S-derivative atoms S^(j) by ratios[j] (orders not listed stay)."""
-    out = SymExpr.zero()
+    out = SymExpr()
     for t in e.terms:
         kept = tuple(p for p in t.deriv_powers if p[0] not in ratios)
         term = SymExpr.from_terms(
@@ -302,7 +302,7 @@ def test_w_coefficient_lists_match_symbolic_oracle(system):
             bind = {"A0": a0, "A1": alpha, "k": 1}
             for g in (1, 2):
                 lists = _coeff_lists(system.equations[g], scalars)
-                rebuilt = SymExpr.zero()
+                rebuilt = SymExpr()
                 for sig, coeffs in lists.items():
                     assert coeffs[-1]
                     s = SymExpr.from_terms([Monomial.make(1, deriv=dict(sig))])

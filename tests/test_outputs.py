@@ -1,0 +1,130 @@
+"""Same arguments, same bytes: every output of a fixed command matrix
+against the digests in tests/data/outputs.sha256.
+
+The exact-layer commands (`derive`, `catalog`) must match on every machine.
+numpy picks its transcendental kernels by CPU dispatch, so the numeric
+outputs may differ in their last bits elsewhere; their digests are kept per
+numpy version and dispatch set, and compared only where both match.
+
+A change that alters outputs on purpose rewrites the file with
+
+    PYTHONPATH=src python tests/test_outputs.py
+
+which replaces the exact digests and those of this machine's numeric scope
+and keeps the numeric digests recorded on other machines.
+"""
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from cahnallen import cli
+
+DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "outputs.sha256"
+HEADER = "# scope output sha256; see tests/test_outputs.py\n"
+EXACT = "exact"
+KS = ("0.5", "1", "1.37", "2.5")
+
+# case name -> argv; derive and catalog cases hold exact-layer outputs
+MATRIX = {
+    "derive-symbolic": ["derive"],
+    **{f"derive-k{k}": ["derive", "--k", k] for k in KS},
+    **{f"catalog-k{k}": ["catalog", "--k", k] for k in KS},
+    **{f"verify-k{k}": ["verify", "--k", k] for k in KS},
+    "eval-eq20+": ["eval", "--entry", "eq20+", "--t", "0,1"],
+    "eval-eq21+": ["eval", "--entry", "eq21+", "--t", "0,1"],
+    "simulate-rk4": ["simulate", "--entry", "eq20+", "--scheme", "rk4",
+                     "--grid=-20,20,201", "--T", "0.1"],
+    "simulate-imex": ["simulate", "--entry", "eq20+", "--scheme", "imex",
+                      "--grid=-20,20,201", "--T", "0.1", "--dt", "0.01"],
+    "convergence": ["convergence", "--entry", "eq20+"],
+}
+
+
+def numeric_scope() -> str:
+    """numpy's version and the dispatched CPU features this machine runs."""
+    import numpy
+    from numpy._core import _multiarray_umath as umath
+
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    tag = hashlib.sha256(",".join(found).encode()).hexdigest()[:12]
+    return f"numpy-{numpy.__version__}-{tag}"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_matrix(root: pathlib.Path) -> dict[tuple[str, str], str]:
+    """{(scope, output name): sha256} of every file and of each stdout,
+    with the out-dir replaced by a fixed token and the exit code appended."""
+    numeric = numeric_scope()
+    out = {}
+    for case, argv in MATRIX.items():
+        scope = EXACT if case.startswith(("derive", "catalog")) else numeric
+        case_dir = root / case
+        case_dir.mkdir()
+        if argv[0] != "derive":
+            argv = [*argv, "--out-dir", str(case_dir)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        text = stdout.getvalue().replace(str(case_dir), "<out>")
+        out[scope, f"{case}/stdout"] = _sha(f"{text}[exit {code}]\n".encode())
+        for path in sorted(case_dir.iterdir()):
+            out[scope, f"{case}/{path.name}"] = _sha(path.read_bytes())
+    return out
+
+
+def read_digests() -> dict[tuple[str, str], str]:
+    recorded = {}
+    for line in DIGESTS.read_text().splitlines():
+        if line and not line.startswith("#"):
+            scope, name, digest = line.split()
+            recorded[scope, name] = digest
+    return recorded
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory):
+    return run_matrix(tmp_path_factory.mktemp("matrix"))
+
+
+def _changed(produced, recorded, scope) -> list[str]:
+    names = {n for s, n in produced if s == scope} | \
+        {n for s, n in recorded if s == scope}
+    return sorted(n for n in names
+                  if produced.get((scope, n)) != recorded.get((scope, n)))
+
+
+def test_exact_outputs_match_their_digests(produced):
+    assert _changed(produced, read_digests(), EXACT) == []
+
+
+def test_numeric_outputs_match_their_digests(produced):
+    recorded, scope = read_digests(), numeric_scope()
+    if not any(s == scope for s, _ in recorded):
+        pytest.skip(f"no digests recorded for {scope}")
+    assert _changed(produced, recorded, scope) == []
+
+
+def main() -> int:
+    kept = {key: d for key, d in read_digests().items()
+            if key[0] not in (EXACT, numeric_scope())} \
+        if DIGESTS.exists() else {}
+    with tempfile.TemporaryDirectory() as root:
+        kept.update(run_matrix(pathlib.Path(root)))
+    DIGESTS.write_text(HEADER + "".join(
+        f"{scope} {name} {digest}\n"
+        for (scope, name), digest in sorted(kept.items())))
+    sys.stdout.write(f"wrote {len(kept)} digests to {DIGESTS}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

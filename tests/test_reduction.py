@@ -36,7 +36,7 @@ def test_zero_profile_satisfies_ode():
     bound = substitute(ode.expression, {})  # scalar atoms stay
     from cahnallen.symexpr import substitute_u
 
-    zero = SymExpr.zero()
+    zero = SymExpr()
     assert substitute_u(bound, {0: zero, 1: zero, 2: zero}).is_zero()
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +11,15 @@ from cahnallen.solutions import (
     Family,
     InvalidReduction,
     SingularEvaluation,
+    branch_for,
     enumerate_catalog,
     logistic_pair,
     make_ab,
     make_canonical,
     make_general,
+    make_kink,
+    make_singular,
     reduce_ab_to_canonical,
-    specialize_constants,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -126,8 +129,8 @@ def test_regular_mask_excludes_exactly_the_singular_zone(table1):
 def test_case_two_kink_connects_zero_and_a0(table1):
     for eid, lo, hi in (("eq23+", 0.0, 1.0), ("eq23-", -1.0, 0.0)):
         spec = table1[eid]
-        left, right = spec.equilibria()
-        assert {round(left, 12), round(right, 12)} == {lo, hi}
+        ends = {spec.u0, spec.u0 + spec.amp}  # the limits of u0 + amp*S
+        assert {round(u, 12) for u in ends} == {lo, hi}
 
 
 # --- partials ---------------------------------------------------------------
@@ -185,9 +188,14 @@ def test_partials_match_central_differences(table1):
 # --- constant specialization -------------------------------------------------
 
 
+# c2 = +-(coefficient of the exponential in S)*c1*k^2: the plus choice
+# removes the pole and gives the kink, the minus choice places the pole at
+# xi = 0 and gives the singular profile
+
+
 def test_specialize_plus_agrees_with_general(table1):
-    general = make_general(0, 1, 1, 1.0, c1=1.0, c2=1.0)
-    kink = specialize_constants(general, "plus")
+    p_hat = float(branch_for(0, 1, 1).s_scale)
+    kink = replace(make_kink(0, 1, 1, 1.0), c1=1.0, c2=p_hat)
     assert kink.family is Family.TANH_KINK
     assert kink.c2_choice == "+"
     bound = make_general(0, 1, 1, 1.0, c1=1.0, c2=kink.c2)
@@ -196,21 +204,13 @@ def test_specialize_plus_agrees_with_general(table1):
 
 
 def test_specialize_minus_gives_singular(table1):
-    general = make_general(0, 1, 1, 1.0, c1=1.0, c2=1.0)
-    sing = specialize_constants(general, "minus")
+    p_hat = float(branch_for(0, 1, 1).s_scale)
+    sing = replace(make_singular(0, 1, 1, 1.0), c1=1.0, c2=-p_hat)
     assert sing.family is Family.COTH_SINGULAR
-    assert sing.c2 == -2.0  # -(3/denominator_scale)*c1*k^2
+    assert sing.c2 == -2.0
     bound = make_general(0, 1, 1, 1.0, c1=1.0, c2=sing.c2)
     for xi in (-3.0, -1.0, 2.0):
         assert bound.eval(xi, 0.0) == pytest.approx(sing.eval(xi, 0.0), abs=1e-14)
-
-
-def test_specialize_requires_general_family(table1):
-    with pytest.raises(ValueError):
-        specialize_constants(table1["eq20+"], "plus")
-    const = make_general(0, 1, 1, 1.0, c1=0.0, c2=1.0)
-    with pytest.raises(ValueError):
-        specialize_constants(const, "plus")
 
 
 def test_speed_constraint_keeps_denominator_positive(catalog1):
@@ -288,8 +288,7 @@ def test_kink_boundary_values(catalog1):
         far_right = spec.eval(50.0 / spec.nu / spec.k, 0.0)
         assert min(abs(far_left - q) for q in equilibria) < 1e-10
         assert min(abs(far_right - q) for q in equilibria) < 1e-10
-        lo, hi = spec.equilibria()
-        assert {lo, hi} <= equilibria
+        assert {spec.u0, spec.u0 + spec.amp} <= equilibria
 
 
 def test_kink_profiles_are_strictly_monotone(catalog1):

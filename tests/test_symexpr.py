@@ -73,7 +73,7 @@ def test_cube_of_ansatz_contains_multinomial_terms():
     base = A0 + A1 * S1 * SINV
     cube = base**3
     # oracle: binomial expansion (x + y)^3 with exact coefficients
-    expected = SymExpr.zero()
+    expected = SymExpr()
     for j in range(4):
         coeff = math.comb(3, j)
         term = (A0 ** (3 - j)) * ((A1 * S1 * SINV) ** j)
@@ -206,7 +206,7 @@ def test_substitute_is_multiplicative(a, b):
 
 
 def _per_term_sum(e, split, values):
-    out = SymExpr.zero()
+    out = SymExpr()
     for t in e.terms:
         base, replaced = split(t)
         factor = SymExpr.const(1)
@@ -270,7 +270,7 @@ def test_derivation_grades_recombine_in_one_pass():
     for e in (system.substituted, ansatz.u2, ansatz.u1 * ansatz.u2):
         parts = collect_grades(e)
         assert recombine_grades(parts) == e
-        pairwise = SymExpr.zero()
+        pairwise = SymExpr()
         for g, p in parts.items():
             pairwise = pairwise + p * SymExpr.s_inverse(g)
         assert pairwise == e
@@ -280,7 +280,7 @@ def test_derivation_grades_recombine_in_one_pass():
 
 
 def test_collect_grades_of_zero():
-    assert collect_grades(SymExpr.zero()) == {}
+    assert collect_grades(SymExpr()) == {}
 
 
 def test_collect_grades_direct_construction():
@@ -309,7 +309,7 @@ def test_grade_parts_carry_no_inverse_powers():
 def test_text_rendering():
     e = (A1 * S1 * S2 * SINV**2).scaled(-3) + K**2
     assert to_text(e) == "k^2 - 3*A1*S'*S''*S^-2"
-    assert to_text(SymExpr.zero()) == "0"
+    assert to_text(SymExpr()) == "0"
     assert to_text(K.scaled(Radical2.sqrt2(Fraction(3, 2)))) == "3*sqrt2/2*k"
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import PerturbedSolution
 
 from cahnallen.solutions import (Family, enumerate_catalog, make_canonical,
                                  make_general, reduce_ab_to_canonical)
@@ -12,7 +13,6 @@ from cahnallen.verify import (
     ODE_THRESHOLD,
     PDE_THRESHOLD,
     GridSpec,
-    PerturbedSolution,
     _lsq_slope,
     classify_branches,
     fd_crosscheck,
