@@ -67,6 +67,17 @@ def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
     _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
+def _write_json(path: str, data) -> None:
+    """Strict JSON: a NaN or an infinity raises rather than being written."""
+    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
+
+
+def _json_number(v: float) -> float | None:
+    """v, or None (JSON null) when it is not finite."""
+    return v if math.isfinite(v) else None
+
+
 def _write_floats(path: str, header: list[str], rows) -> None:
     """A CSV of float rows; one %-format over the whole block gives the
     bytes of a per-row format(v, ".17g")."""
@@ -88,7 +99,7 @@ def _write_manifest(out_dir: str, command: str, parameters: dict,
         "notes": notes,
     }
     path = os.path.join(out_dir, f"{command}_manifest.json")
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(path, manifest)
     return path
 
 
@@ -237,7 +248,8 @@ def _cmd_catalog(args) -> int:
         rows.append([
             spec.entry_id, spec.family_code, spec.family.value, spec.reading,
             spec.a0, spec.s1, spec.sw, float(spec.k),
-            json.dumps(spec.params(), sort_keys=True).replace(",", ";"),
+            json.dumps(spec.params(), sort_keys=True,
+                       allow_nan=False).replace(",", ";"),
             "valid" if ode.is_valid else "invalid",
         ])
     path = os.path.join(args.out_dir, "catalog.csv")
@@ -277,7 +289,8 @@ def _cmd_verify(args) -> int:
                 "entry_id": r.entry_id, "family_code": r.family_code,
                 "family": r.family, "reading": r.reading, "a0": r.a0,
                 "s1": r.s1, "sw": r.sw, "params": r.params,
-                "pde_max_abs": r.pde_max_abs, "ode_max_abs": r.ode_max_abs,
+                "pde_max_abs": _json_number(r.pde_max_abs),
+                "ode_max_abs": _json_number(r.ode_max_abs),
                 "verdict": "valid" if r.valid else "invalid",
             }
             for r in audit.rows
@@ -293,7 +306,7 @@ def _cmd_verify(args) -> int:
         "family_valid": audit.family_valid,
     }
     path = os.path.join(args.out_dir, "audit.json")
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, payload)
     _write_manifest(args.out_dir, "verify",
                     {"k": args.k, "threshold": args.threshold,
                      "corrupt": args.corrupt or ""}, [path], [])

@@ -23,15 +23,13 @@ marks the mixed choice sign(A1) != sign(A0).  Reading variants carry
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .closure import ClosureBranch, run_derivation
-from .qfield import Radical2
 from .reduction import (EvolutionEquation, WaveFrame, check_wave_number,
                         reduce_to_ode)
 
@@ -63,14 +61,6 @@ class Family(str, Enum):
     COTH_SINGULAR = "coth_singular"
     AB_EXP_FORM = "ab_exp_form"
     CANONICAL_TANH = "canonical_tanh"
-
-
-class SingularZone(NamedTuple):
-    center: float
-    half_width: float = SINGULAR_HALF_WIDTH
-
-    def contains(self, xi) -> np.ndarray:
-        return np.abs(np.asarray(xi, dtype=float) - self.center) < self.half_width
 
 
 @lru_cache(maxsize=1)
@@ -106,7 +96,6 @@ class SolutionSpec:
     a: float | None = None
     b: float | None = None
     c: float | None = None
-    c2_choice: str = ""
     # lowered numeric core
     u0: float = 0.0
     amp: float = 0.0
@@ -114,37 +103,33 @@ class SolutionSpec:
     shift: float = 0.0
     qsign: int = 1
     w: float = 0.0
-    # exact provenance (derived entries only)
-    nu_hat: Radical2 | None = None
-    amp_exact: Radical2 | None = None
 
     # -- geometry ------------------------------------------------------
 
     def xi(self, x, t):
         return self.k * np.asarray(x, dtype=float) + self.w * np.asarray(t, dtype=float)
 
-    def singular_zones(self) -> tuple[SingularZone, ...]:
-        if self.qsign > 0 or self.amp == 0.0:
-            return ()
-        return (SingularZone(-self.shift / self.nu),)
+    @property
+    def pole(self) -> float | None:
+        """The wave coordinate of the singular entries' pole, else None."""
+        return None if self.qsign > 0 else -self.shift / self.nu
 
     def front_level(self) -> float:
         return self.u0 + self.amp / 2.0
 
     def regular_mask(self, xi) -> np.ndarray:
-        """True where xi lies outside every singular zone."""
-        mask = np.ones(np.shape(xi), dtype=bool)
-        for zone in self.singular_zones():
-            mask &= ~zone.contains(xi)
-        return mask
+        """True where xi lies outside the singular zone."""
+        pole = self.pole
+        if pole is None:
+            return np.ones(np.shape(xi), dtype=bool)
+        return ~(np.abs(np.asarray(xi, dtype=float) - pole) < SINGULAR_HALF_WIDTH)
 
     def _check_regular(self, xi) -> None:
-        zones = self.singular_zones()
-        if zones and not self.regular_mask(xi).all():
-            zone = zones[0]
+        pole = self.pole
+        if pole is not None and not self.regular_mask(xi).all():
             raise SingularEvaluation(
                 f"{self.entry_id}: point inside singular zone at"
-                f" xi = {zone.center:g} (half width {zone.half_width:g})"
+                f" xi = {pole:g} (half width {SINGULAR_HALF_WIDTH:g})"
             )
 
     # -- evaluation ----------------------------------------------------
@@ -164,9 +149,6 @@ class SolutionSpec:
         """(u, du/dxi, d2u/dxi2) along the wave coordinate."""
         xi = np.asarray(xi, dtype=float)
         self._check_regular(xi)
-        if self.amp == 0.0:
-            z = np.zeros_like(xi)
-            return self.u0 + z, z, z.copy()
         s, h = self._core(xi)
         sp = s * h
         du = self.amp * self.nu * sp
@@ -199,122 +181,38 @@ class SolutionSpec:
         return out
 
 
-def _derived_core(branch: ClosureBranch, k: float, q: float | None,
-                  shift: float | None = None) -> dict:
-    """Numeric core of a derived entry: q is the c2/(2*c1*k^2)-style ratio."""
-    nu_hat = branch.nu_times_k
-    amp_exact = branch.alpha * nu_hat
-    if shift is None:
-        if q is None or q == 0.0:
-            raise ValueError("need a nonzero constant ratio")
-        shift = -math.log(abs(q))
-        qsign = 1 if q > 0 else -1
+def derived_entry(entry_id: str, family_code: str, family: Family, a0: int,
+                  s1: int, sw: int, k: float, **params: float) -> SolutionSpec:
+    """The entry of closure branch (a0, s1, sw) at wave number k, with the
+    free constants its family names (params) lowered to the core.
+
+    The canonical form's c is the shift, -2c.  Every other family fixes the
+    ratio q of the additive constant to the exponential's coefficient in S:
+    c2/(s_scale*c1*k^2) (general), 1 (tanh kink), -1 (coth) or a/b (a-b
+    form); the shift is -ln|q| and the sign of q picks S.
+    """
+    branch = branch_for(a0, s1, sw)
+    if family is Family.CANONICAL_TANH:
+        shift, qsign = -2.0 * params["c"], 1
     else:
-        qsign = 1
-    return dict(
-        u0=float(branch.a0_int),
-        amp=float(amp_exact),
-        nu=float(nu_hat) / k,
-        shift=shift,
-        qsign=qsign,
+        if family is Family.GENERAL_EXP_RATIO:
+            num, den = params["c2"], float(branch.s_scale) * params["c1"] * k * k
+        elif family is Family.AB_EXP_FORM:
+            num, den = params["a"], params["b"]
+        else:
+            num, den = (1.0 if family is Family.TANH_KINK else -1.0), 1.0
+        q = num / den if den else 0.0
+        if not (q and math.isfinite(q)):
+            raise ValueError(
+                f"{entry_id} at k = {k:g}: the constant ratio"
+                f" {num:g}/{den:g} is not a finite nonzero number")
+        shift, qsign = -math.log(abs(q)), (1 if q > 0 else -1)
+    rate = branch.nu_times_k
+    return SolutionSpec(
+        entry_id, family_code, family, "derived", a0, s1, sw, k, **params,
+        u0=float(branch.a0_int), amp=float(branch.alpha * rate),
+        nu=float(rate) / k, shift=shift, qsign=qsign,
         w=float(branch.w_over_k) * k,
-        nu_hat=nu_hat,
-        amp_exact=amp_exact,
-    )
-
-
-def _constant_ratio(branch: ClosureBranch, k: float, c1: float, c2: float) -> float:
-    """c2 over the exponential coefficient of S: the pole/shift control ratio."""
-    p_hat = float(branch.s_scale)  # 2 for every branch
-    return c2 / (p_hat * c1 * k * k)
-
-
-def _case1_ids(code: str) -> list[tuple[str, int, int]]:
-    """(entry_id, eps, sw) for the a0 = 0 families."""
-    out = []
-    for sw, suffix in ((1, ""), (-1, "r")):
-        for eps, sgn in ((1, "+"), (-1, "-")):
-            out.append((f"{code}{sgn}{suffix}", eps, sw))
-    return out
-
-
-def _case2_ids(code: str, variant: str = "") -> list[tuple[str, int, int]]:
-    """(entry_id, a0, s1) for the a0 = +-1 families."""
-    out = []
-    for a0, sgn in ((1, "+"), (-1, "-")):
-        for s1_same, suffix in ((True, ""), (False, "m")):
-            s1 = a0 if s1_same else -a0
-            out.append((f"{code}{sgn}{suffix}{variant}", a0, s1))
-    return out
-
-
-def make_general(a0: int, s1: int, sw: int, k: float, c1: float, c2: float,
-                 entry_id: str = "", family_code: str = "") -> SolutionSpec:
-    """General exponential-ratio solution with free constants c1 (may be 0), c2."""
-    branch = branch_for(a0, s1, sw)
-    if c1 == 0.0 or c2 == 0.0:
-        # either constant collapses the ratio to an equilibrium:
-        # c1 = 0 leaves u = a0; c2 = 0 leaves u = a0 + A1*rate
-        level = float(a0) if c1 == 0.0 else float(a0) + float(
-            branch.alpha * branch.nu_times_k)
-        core = dict(u0=level, amp=0.0, nu=0.0, shift=0.0, qsign=1,
-                    w=float(branch.w_over_k) * k, nu_hat=branch.nu_times_k,
-                    amp_exact=Radical2())
-    else:
-        core = _derived_core(branch, k, _constant_ratio(branch, k, c1, c2))
-    return SolutionSpec(
-        entry_id or f"general({a0:+d},{s1:+d},{sw:+d})",
-        family_code or ("eq19" if a0 == 0 else "eq22"),
-        Family.GENERAL_EXP_RATIO, "derived", a0, s1, sw, k,
-        c1=c1, c2=c2, **core,
-    )
-
-
-def make_kink(a0: int, s1: int, sw: int, k: float, entry_id: str = "",
-              family_code: str = "") -> SolutionSpec:
-    branch = branch_for(a0, s1, sw)
-    return SolutionSpec(
-        entry_id or f"kink({a0:+d},{s1:+d},{sw:+d})",
-        family_code or ("eq20" if a0 == 0 else "eq23"),
-        Family.TANH_KINK, "derived", a0, s1, sw, k,
-        c1=1.0, c2_choice="+", **_derived_core(branch, k, 1.0),
-    )
-
-
-def make_singular(a0: int, s1: int, sw: int, k: float, entry_id: str = "",
-                  family_code: str = "") -> SolutionSpec:
-    branch = branch_for(a0, s1, sw)
-    return SolutionSpec(
-        entry_id or f"singular({a0:+d},{s1:+d},{sw:+d})",
-        family_code or ("eq21" if a0 == 0 else "eq24"),
-        Family.COTH_SINGULAR, "derived", a0, s1, sw, k,
-        c1=1.0, c2_choice="-", **_derived_core(branch, k, -1.0),
-    )
-
-
-def make_ab(a0: int, s1: int, sw: int, k: float, a: float, b: float,
-            entry_id: str = "", family_code: str = "") -> SolutionSpec:
-    if b == 0.0:
-        raise ValueError("b must be nonzero")
-    branch = branch_for(a0, s1, sw)
-    code = {0: "eq25", 1: "eq27", -1: "eq29"}[a0]
-    return SolutionSpec(
-        entry_id or f"ab({a0:+d},{s1:+d},{sw:+d})",
-        family_code or code,
-        Family.AB_EXP_FORM, "derived", a0, s1, sw, k,
-        a=a, b=b, **_derived_core(branch, k, a / b),
-    )
-
-
-def make_canonical(a0: int, s1: int, sw: int, k: float, c: float,
-                   entry_id: str = "", family_code: str = "") -> SolutionSpec:
-    branch = branch_for(a0, s1, sw)
-    code = {0: "eq26", 1: "eq28", -1: "eq30"}[a0]
-    return SolutionSpec(
-        entry_id or f"canonical({a0:+d},{s1:+d},{sw:+d})",
-        family_code or code,
-        Family.CANONICAL_TANH, "derived", a0, s1, sw, k,
-        c=c, **_derived_core(branch, k, None, shift=-2.0 * c),
     )
 
 
@@ -328,29 +226,30 @@ def _printed_entry(entry_id: str, family_code: str, family: Family,
     )
 
 
+# (id suffix, a0, s1, sw) of the sign variants, for a0 = 0 and a0 = +-1
+A0_ZERO = (("+", 0, 1, 1), ("-", 0, -1, 1), ("+r", 0, -1, -1), ("-r", 0, 1, -1))
+A0_UNIT = (("+", 1, 1, 1), ("+m", 1, -1, -1), ("-", -1, -1, 1), ("-m", -1, 1, -1))
+
+
 def enumerate_catalog(k: float) -> list[SolutionSpec]:
     """Every sign/reading variant of the catalog, with stable ids."""
     check_wave_number(k)
     entries: list[SolutionSpec] = []
 
-    for eid, eps, sw in _case1_ids("eq19"):
-        entries.append(make_general(0, eps * sw, sw, k, 1.0, 1.0, eid, "eq19"))
-    for eid, eps, sw in _case1_ids("eq20"):
-        entries.append(make_kink(0, eps * sw, sw, k, eid, "eq20"))
-    for eid, eps, sw in _case1_ids("eq21"):
-        entries.append(make_singular(0, eps * sw, sw, k, eid, "eq21"))
+    def derived(code, family, variants, tail="", **params):
+        for suffix, a0, s1, sw in variants:
+            entries.append(derived_entry(f"{code}{suffix}{tail}", code, family,
+                                         a0, s1, sw, k, **params))
 
-    for eid, a0, s1 in _case2_ids("eq22"):
-        entries.append(make_general(a0, s1, a0 * s1, k, 1.0, 1.0, eid, "eq22"))
-    for eid, a0, s1 in _case2_ids("eq23"):
-        entries.append(make_kink(a0, s1, a0 * s1, k, eid, "eq23"))
-    for eid, a0, s1 in _case2_ids("eq24", "coth"):
-        entries.append(make_singular(a0, s1, a0 * s1, k, eid, "eq24"))
+    derived("eq19", Family.GENERAL_EXP_RATIO, A0_ZERO, c1=1.0, c2=1.0)
+    derived("eq20", Family.TANH_KINK, A0_ZERO, c1=1.0)
+    derived("eq21", Family.COTH_SINGULAR, A0_ZERO, c1=1.0)
+    derived("eq22", Family.GENERAL_EXP_RATIO, A0_UNIT, c1=1.0, c2=1.0)
+    derived("eq23", Family.TANH_KINK, A0_UNIT, c1=1.0)
+    derived("eq24", Family.COTH_SINGULAR, A0_UNIT, "coth", c1=1.0)
     # the tanh reading of the minus-constant choice, at the derived scaling,
     # reproduces the plus-constant kink; kept so the audit can say so
-    for a0, sgn in ((1, "+"), (-1, "-")):
-        spec = make_kink(a0, a0, 1, k, f"eq24{sgn}tanh", "eq24")
-        entries.append(replace(spec, c2_choice="-"))
+    derived("eq24", Family.TANH_KINK, (A0_UNIT[0], A0_UNIT[2]), "tanh", c1=1.0)
 
     # printed readings of the shifted-kink pair: amplitude -1 on the whole
     # brace and the exponential rate as tanh argument (no half scaling)
@@ -366,16 +265,13 @@ def enumerate_catalog(k: float) -> list[SolutionSpec]:
                 w=float(branch.w_over_k) * k, c1=1.0,
             ))
 
-    for eid, eps, sw in _case1_ids("eq25"):
-        entries.append(make_ab(0, eps * sw, sw, k, 1.0, 1.0, eid, "eq25"))
-    for eid, eps, sw in _case1_ids("eq26"):
-        entries.append(make_canonical(0, eps * sw, sw, k, 0.0, eid, "eq26"))
-
+    derived("eq25", Family.AB_EXP_FORM, A0_ZERO, a=1.0, b=1.0)
+    derived("eq26", Family.CANONICAL_TANH, A0_ZERO, c=0.0)
     for s1, sgn in ((1, "+"), (-1, "-")):
-        entries.append(make_ab(1, s1, s1, k, 1.0, 1.0, f"eq27{sgn}", "eq27"))
-        entries.append(make_canonical(1, s1, s1, k, 0.0, f"eq28{sgn}", "eq28"))
-        entries.append(make_ab(-1, s1, -s1, k, 1.0, 1.0, f"eq29{sgn}", "eq29"))
-        entries.append(make_canonical(-1, s1, -s1, k, 0.0, f"eq30{sgn}", "eq30"))
+        for a0, ab_code, canonical_code in ((1, "eq27", "eq28"), (-1, "eq29", "eq30")):
+            variant = ((sgn, a0, s1, a0 * s1),)
+            derived(ab_code, Family.AB_EXP_FORM, variant, a=1.0, b=1.0)
+            derived(canonical_code, Family.CANONICAL_TANH, variant, c=0.0)
 
     # printed double-scale canonical readings: tanh(sigma*x/sqrt2 + 3t/2 + c)
     w_of = {sigma: float(branch_for(0, sigma, sigma).w_over_k) * k for sigma in (1, -1)}
@@ -422,8 +318,8 @@ def reduce_ab_to_canonical(spec: SolutionSpec) -> SolutionSpec:
     if spec.a is None or spec.b is None or spec.a <= 0 or spec.b <= 0:
         raise InvalidReduction("reduction needs a > 0 and b > 0")
     c = 0.5 * math.log(spec.a / spec.b)
-    code = {0: "eq26", 1: "eq28", -1: "eq30"}[spec.a0]
-    return make_canonical(
-        spec.a0, spec.s1, spec.sw, spec.k, c,
-        entry_id=f"{spec.entry_id}->canonical", family_code=code,
-    )
+    # the paper numbers each canonical form right after its a-b form
+    code = f"eq{int(spec.family_code[2:]) + 1}"
+    return derived_entry(f"{spec.entry_id}->canonical", code,
+                         Family.CANONICAL_TANH, spec.a0, spec.s1, spec.sw,
+                         spec.k, c=c)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cahnallen.closure import run_derivation
@@ -16,8 +18,9 @@ class PerturbedSolution:
         self.k = spec.k
         self.w = spec.w
 
-    def singular_zones(self):
-        return self.base.singular_zones()
+    @property
+    def pole(self):
+        return self.base.pole
 
     def regular_mask(self, xi):
         return self.base.regular_mask(xi)
@@ -25,6 +28,13 @@ class PerturbedSolution:
     def profile(self, xi):
         u, du, d2 = self.base.profile(xi)
         return u + self.eps, du, d2
+
+
+def constant_solution(level: float):
+    """u = level everywhere: the eq20+ kink with zero amplitude, so every
+    partial is zero (an equilibrium when level is 0 or +-1)."""
+    return replace(catalog_by_id(1.0)["eq20+"], entry_id=f"constant({level:g})",
+                   u0=level, amp=0.0)
 
 
 @pytest.fixture(scope="session")

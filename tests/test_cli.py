@@ -254,6 +254,38 @@ def test_verify_custom_grid(tmp_path, capsys):
     assert audit["grid"]["nx"] == 41
 
 
+def _strict_json(path):
+    """The parsed file; NaN and infinities are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} in {path.name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("k", ["1e103", "1e150"])
+def test_huge_wave_number_writes_strict_json(k, tmp_path, capsys):
+    # next to the singular entries' pole the residual overflows: it is judged
+    # invalid and written as null, and no numpy warning escapes (the suite
+    # turns RuntimeWarning into an error)
+    code, _, err = run(["catalog", "--k", k, "--out-dir", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    _strict_json(tmp_path / "catalog_manifest.json")
+    code, _, _ = run(["verify", "--k", k, "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    rows = _strict_json(tmp_path / "audit.json")["rows"]
+    unknown = [r for r in rows if r["ode_max_abs"] is None]
+    assert len(unknown) == 8
+    assert all(r["verdict"] == "invalid" for r in unknown)
+    _strict_json(tmp_path / "verify_manifest.json")
+
+
+def test_wave_number_too_large_for_the_constant_ratio(tmp_path, capsys):
+    # k*k is finite but 2*k*k is not, so the general entries' ratio is 1/inf
+    code, _, err = run(["catalog", "--k", "1e154", "--out-dir", str(tmp_path)],
+                       capsys)
+    assert code == 2
+    assert "k = 1e+154" in err and "constant ratio 1/inf" in err
+
+
 # --- simulate / convergence -----------------------------------------------------------
 
 

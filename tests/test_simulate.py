@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import constant_solution
 
 from cahnallen.simulate import (
     ConfigError,
@@ -25,7 +26,6 @@ from cahnallen.simulate import (
     measure_speed,
     simulate_field,
 )
-from cahnallen.solutions import make_general
 
 SPEED = 3.0 / math.sqrt(2.0)
 
@@ -59,7 +59,7 @@ def test_explicit_step_limit():
     grid = Grid1D(-20.0, 20.0, 801)
     limit = explicit_dt_limit(grid.h)
     assert SimConfig().resolved_dt(grid.h) == limit
-    integrate_dummy = make_general(0, 1, 1, 1.0, c1=0.0, c2=1.0)
+    integrate_dummy = constant_solution(0.0)
     with pytest.raises(ConfigError):
         integrate(integrate_dummy, grid, SimConfig(dt=limit * 2.0, T=0.1))
     res = integrate(integrate_dummy, grid, SimConfig(dt=limit, T=0.1))
@@ -95,7 +95,7 @@ def test_integrate_rejects_periodic_boundaries(kink):
 
 
 def test_equilibrium_one_is_preserved():
-    const = make_general(1, 1, 1, 1.0, c1=0.0, c2=1.0)
+    const = constant_solution(1.0)
     grid = Grid1D(-10.0, 10.0, 64)
     res = simulate_field(np.ones(64), grid,
                          SimConfig(T=1.0, boundary="periodic"))
@@ -701,7 +701,7 @@ def test_convergence_study_order_two(kink):
 
 
 def test_convergence_study_constant_data():
-    const = make_general(0, 1, 1, 1.0, c1=0.0, c2=1.0)
+    const = constant_solution(0.0)
     grids = [Grid1D(-20.0, 20.0, n) for n in (101, 201, 401)]
     rows = convergence_study(const, grids, SimConfig(T=0.25))
     for r in rows:

@@ -2,28 +2,32 @@
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import constant_solution
 
 from cahnallen.solutions import (
+    SINGULAR_HALF_WIDTH,
     Family,
     InvalidReduction,
     SingularEvaluation,
     branch_for,
+    derived_entry,
     enumerate_catalog,
     logistic_pair,
-    make_ab,
-    make_canonical,
-    make_general,
-    make_kink,
-    make_singular,
     reduce_ab_to_canonical,
 )
 
 SQRT2 = math.sqrt(2.0)
 SPEED = 3.0 / SQRT2  # |w|/k on every branch
+
+
+def ab_entry(a0, s1, sw, k, a, b):
+    """An a-b form entry with its catalog family code (eq25, eq27, eq29)."""
+    code = {0: "eq25", 1: "eq27", -1: "eq29"}[a0]
+    return derived_entry(f"{code}(a={a:g},b={b:g})", code, Family.AB_EXP_FORM,
+                         a0, s1, sw, k, a=a, b=b)
 
 
 # --- the logistic core -------------------------------------------------------
@@ -97,7 +101,7 @@ def test_canonical_midpoint_value(table1):
 
 def test_ab_equal_constants_midpoint(table1):
     assert table1["eq25+"].eval(0.0, 0.0) == 0.5
-    e = make_ab(0, 1, 1, 1.0, a=2.0, b=2.0)
+    e = ab_entry(0, 1, 1, 1.0, a=2.0, b=2.0)
     assert e.eval(0.0, 0.0) == 0.5
 
 
@@ -119,9 +123,10 @@ def test_coth_eval_refuses_singular_zone(table1):
 
 def test_regular_mask_excludes_exactly_the_singular_zone(table1):
     xi = np.linspace(-1.0, 1.0, 201)
-    zone = table1["eq21+"].singular_zones()[0]
+    pole = table1["eq21+"].pole
     mask = table1["eq21+"].regular_mask(xi)
-    assert np.array_equal(mask, np.abs(xi - zone.center) >= zone.half_width)
+    assert np.array_equal(mask, np.abs(xi - pole) >= SINGULAR_HALF_WIDTH)
+    assert table1["eq20+"].pole is None
     assert table1["eq20+"].regular_mask(xi.reshape(3, 67)).all()
     assert table1["eq20+"].regular_mask(xi).shape == xi.shape
 
@@ -148,28 +153,15 @@ def test_frame_identity(catalog1):
     ts = np.linspace(0.0, 1.0, 5)
     X, T = np.meshgrid(xs, ts, indexing="ij")
     for spec in catalog1:
-        xi = spec.xi(X, T)
-        mask = np.ones(xi.shape, dtype=bool)
-        for zone in spec.singular_zones():
-            mask &= ~zone.contains(xi)
+        mask = spec.regular_mask(spec.xi(X, T))
         u_t, u_x, _ = spec.partials(X[mask], T[mask])
         assert np.max(np.abs(spec.k * u_t - spec.w * u_x)) < 1e-12
 
 
 def test_constant_solution_has_zero_partials():
-    const = make_general(1, 1, 1, 1.0, c1=0.0, c2=1.0)
+    const = constant_solution(1.0)
     assert const.eval(2.0, 0.3) == 1.0
     assert const.partials(2.0, 0.3) == (0.0, 0.0, 0.0)
-
-
-def test_vanishing_second_constant_gives_far_equilibrium():
-    # with no additive constant the ratio saturates at the opposite plateau
-    flat = make_general(0, 1, 1, 1.0, c1=1.0, c2=0.0)
-    assert flat.eval(-4.0, 0.2) == 1.0
-    assert flat.partials(-4.0, 0.2) == (0.0, 0.0, 0.0)
-    from cahnallen.verify import pde_residual
-
-    assert pde_residual(flat).max_abs == 0.0
 
 
 def test_partials_match_central_differences(table1):
@@ -185,7 +177,7 @@ def test_partials_match_central_differences(table1):
         assert u_xx == pytest.approx(fd_xx, abs=1e-6)
 
 
-# --- constant specialization -------------------------------------------------
+# --- the free constants -------------------------------------------------------
 
 
 # c2 = +-(coefficient of the exponential in S)*c1*k^2: the plus choice
@@ -193,24 +185,39 @@ def test_partials_match_central_differences(table1):
 # xi = 0 and gives the singular profile
 
 
+def _general(c2):
+    return derived_entry("eq19+", "eq19", Family.GENERAL_EXP_RATIO, 0, 1, 1,
+                         1.0, c1=1.0, c2=c2)
+
+
 def test_specialize_plus_agrees_with_general(table1):
     p_hat = float(branch_for(0, 1, 1).s_scale)
-    kink = replace(make_kink(0, 1, 1, 1.0), c1=1.0, c2=p_hat)
+    kink = table1["eq20+"]
     assert kink.family is Family.TANH_KINK
-    assert kink.c2_choice == "+"
-    bound = make_general(0, 1, 1, 1.0, c1=1.0, c2=kink.c2)
+    bound = _general(p_hat)
     for xi in (-3.0, -1.0, 2.0):
         assert abs(bound.eval(xi, 0.0) - kink.eval(xi, 0.0)) == 0.0
 
 
 def test_specialize_minus_gives_singular(table1):
     p_hat = float(branch_for(0, 1, 1).s_scale)
-    sing = replace(make_singular(0, 1, 1, 1.0), c1=1.0, c2=-p_hat)
+    sing = table1["eq21+"]
     assert sing.family is Family.COTH_SINGULAR
-    assert sing.c2 == -2.0
-    bound = make_general(0, 1, 1, 1.0, c1=1.0, c2=sing.c2)
+    assert p_hat == 2.0
+    bound = _general(-p_hat)
     for xi in (-3.0, -1.0, 2.0):
         assert bound.eval(xi, 0.0) == pytest.approx(sing.eval(xi, 0.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("family, params", [
+    (Family.GENERAL_EXP_RATIO, dict(c1=1.0, c2=0.0)),
+    (Family.GENERAL_EXP_RATIO, dict(c1=0.0, c2=1.0)),
+    (Family.AB_EXP_FORM, dict(a=1.0, b=0.0)),
+])
+def test_constants_without_a_finite_ratio_are_refused(family, params):
+    # the equilibrium limits c2 = 0 and c1 = 0, and b = 0, leave no shift
+    with pytest.raises(ValueError, match="constant ratio"):
+        derived_entry("eq19+", "eq19", family, 0, 1, 1, 1.0, **params)
 
 
 def test_speed_constraint_keeps_denominator_positive(catalog1):
@@ -229,16 +236,16 @@ def test_reduce_equal_constants_gives_zero_shift(table1):
 
 
 def test_reduce_log_ratio():
-    ab = make_ab(0, 1, 1, 1.0, a=math.e**2, b=1.0)
+    ab = ab_entry(0, 1, 1, 1.0, a=math.e**2, b=1.0)
     canon = reduce_ab_to_canonical(ab)
     assert canon.c == pytest.approx(1.0, abs=1e-15)
 
 
 def test_reduce_requires_positive_constants():
     with pytest.raises(InvalidReduction):
-        reduce_ab_to_canonical(make_ab(0, 1, 1, 1.0, a=-1.0, b=1.0))
+        reduce_ab_to_canonical(ab_entry(0, 1, 1, 1.0, a=-1.0, b=1.0))
     with pytest.raises(InvalidReduction):
-        reduce_ab_to_canonical(make_ab(0, 1, 1, 1.0, a=1.0, b=-2.0))
+        reduce_ab_to_canonical(ab_entry(0, 1, 1, 1.0, a=1.0, b=-2.0))
 
 
 def test_reduce_pointwise_equality_on_grid(table1):
@@ -264,7 +271,7 @@ def test_catalog_ab_entries_match_catalog_canonical_entries(table1):
 
 
 def test_reduction_with_general_constants():
-    ab = make_ab(1, -1, -1, 2.0, a=0.7, b=3.1)
+    ab = ab_entry(1, -1, -1, 2.0, a=0.7, b=3.1)
     canon = reduce_ab_to_canonical(ab)
     xs = np.linspace(-5.0, 5.0, 21)
     u1 = ab.eval(xs, np.full_like(xs, 0.25))
@@ -319,26 +326,10 @@ def test_overall_sign_flip_negates(table1):
     assert np.max(np.abs(sing_pos + sing_neg)) == 0.0
 
 
-def test_exact_scalars_recorded_on_derived_entries(catalog1):
-    for spec in catalog1:
-        if spec.reading != "derived":
-            continue
-        assert spec.nu_hat is not None
-        assert float(spec.nu_hat) / spec.k == pytest.approx(spec.nu, rel=1e-15)
-        if spec.amp_exact is not None and spec.amp != 0.0:
-            assert float(spec.amp_exact) in (-1.0, 1.0)
-
-
-def test_tanh_and_coth_record_their_constant_choice(table1):
-    assert table1["eq20+"].c2_choice == "+"
-    assert table1["eq21+"].c2_choice == "-"
-    assert table1["eq24+coth"].c2_choice == "-"
-    assert table1["eq24+tanh"].c2_choice == "-"
-
-
-def test_canonical_shift_default():
-    spec = make_canonical(0, 1, 1, 1.0, c=0.7)
-    shifted = make_canonical(0, 1, 1, 1.0, c=0.0)
+def test_canonical_shift_default(table1):
+    spec = derived_entry("eq26+", "eq26", Family.CANONICAL_TANH, 0, 1, 1, 1.0,
+                         c=0.7)
+    shifted = table1["eq26+"]
     # a shift in c translates the profile: u_c(xi) = u_0(xi - 2c/nu)
     xi = 1.3
     assert spec.eval(xi, 0.0) == pytest.approx(

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import PerturbedSolution
+from conftest import PerturbedSolution, constant_solution
 
-from cahnallen.solutions import (Family, enumerate_catalog, make_canonical,
-                                 make_general, reduce_ab_to_canonical)
+from cahnallen.solutions import (SINGULAR_HALF_WIDTH, Family, derived_entry,
+                                 enumerate_catalog, reduce_ab_to_canonical)
 from cahnallen.verify import (
     _STENCILS,
     ODE_THRESHOLD,
@@ -30,8 +30,8 @@ def audit(catalog1):
 
 
 def test_equilibria_have_exactly_zero_residual():
-    for a0, s1 in ((0, 1), (1, 1), (-1, 1)):
-        const = make_general(a0, s1, a0 * s1 if a0 else 1, 1.0, c1=0.0, c2=1.0)
+    for level in (0.0, 1.0, -1.0):
+        const = constant_solution(level)
         assert pde_residual(const).max_abs == 0.0
         assert ode_residual(const).max_abs == 0.0
 
@@ -96,7 +96,7 @@ def test_fourth_order_mismatch_is_tiny_at_small_steps(table1):
 
 
 def test_constant_profile_has_exactly_zero_differences():
-    const = make_general(0, 1, 1, 1.0, c1=0.0, c2=1.0)
+    const = constant_solution(0.0)
     table = fd_crosscheck(const, stencil_order=2)
     for diffs in table.max_diff.values():
         assert all(d == 0.0 for d in diffs)
@@ -176,7 +176,8 @@ def test_equivalence_pairs_confirmed(audit):
 
 def test_translation_invariance_of_verdict():
     for c in (0.0, 0.7, -2.3):
-        spec = make_canonical(0, 1, 1, 1.0, c=c)
+        spec = derived_entry("eq26+", "eq26", Family.CANONICAL_TANH,
+                             0, 1, 1, 1.0, c=c)
         assert pde_residual(spec).is_valid
         assert ode_residual(spec).is_valid
 
@@ -214,8 +215,8 @@ def _fd_oracle(spec, h_list=(1e-2, 5e-3, 2.5e-3), stencil_order=2):
     xi = spec.k * X + spec.w * T
     margin = max(h_list) * arms * (abs(spec.k) + abs(spec.w)) + 1e-9
     mask = np.ones(xi.shape, dtype=bool)
-    for zone in spec.singular_zones():
-        mask &= np.abs(xi - zone.center) > zone.half_width + margin
+    if spec.pole is not None:
+        mask &= np.abs(xi - spec.pole) > SINGULAR_HALF_WIDTH + margin
     xs, ts = X[mask], T[mask]
     diffs = {"u_t": [], "u_x": [], "u_xx": []}
     u_t, u_x, u_xx = spec.partials(xs, ts)
@@ -239,8 +240,7 @@ def _fd_oracle(spec, h_list=(1e-2, 5e-3, 2.5e-3), stencil_order=2):
     ("constant", dict(stencil_order=2)),
 ])
 def test_batched_crosscheck_is_bit_identical(table1, entry, kwargs):
-    spec = (make_general(0, 1, 1, 1.0, c1=0.0, c2=1.0) if entry == "constant"
-            else table1[entry])
+    spec = constant_solution(0.0) if entry == "constant" else table1[entry]
     table = fd_crosscheck(spec, **kwargs)
     max_diff, orders = _fd_oracle(spec, **kwargs)
     assert table.max_diff == max_diff
@@ -256,9 +256,9 @@ def _verdict_oracle(catalog):
 
     def residual_ok(spec, xi, threshold):
         mask = np.ones(xi.shape, dtype=bool)
-        for zone in spec.singular_zones():
-            mask &= ~zone.contains(xi)
-        center = spec.singular_zones()[0].center if spec.singular_zones() else 0.0
+        if spec.pole is not None:
+            mask &= ~(np.abs(xi - spec.pole) < SINGULAR_HALF_WIDTH)
+        center = 0.0 if spec.pole is None else spec.pole
         u, du, d2 = spec.profile(np.where(mask, xi, center + 1.0))
         resid = spec.w * du - spec.k * spec.k * d2 + u**3 - u
         return float(np.max(np.abs(resid[mask]))) < threshold
