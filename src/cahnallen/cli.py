@@ -173,6 +173,8 @@ def _parse_profile_grid(text: str) -> tuple[float, float, int]:
     xmin, xmax, n = _parse_grid1(text)
     if n < 1:
         raise argparse.ArgumentTypeError("grid needs at least 1 point")
+    if not math.isfinite(xmax - xmin):
+        raise argparse.ArgumentTypeError("grid span is not a finite number")
     return xmin, xmax, n
 
 

@@ -24,8 +24,10 @@ are exact properties of the branch.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping, NamedTuple
 
 from .qfield import ONE, ZERO, Radical2
@@ -45,7 +47,6 @@ class ClosureUnsupported(ValueError):
 
 
 class Ansatz(NamedTuple):
-    n: int
     u: SymExpr
     u1: SymExpr
     u2: SymExpr
@@ -113,9 +114,7 @@ class ClosureBranch(NamedTuple):
         return 3 / self.denom_scale
 
     def label(self) -> str:
-        sgn = "+" if self.s1 > 0 else "-"
-        a0 = f"{self.a0_int:+d}" if self.a0_int else "0"
-        return f"a0={a0} A1={sgn}sqrt2*k w=({self.w_over_k})*k"
+        return _label(self.a0, self.s1, self.w_over_k)
 
 
 class DegenerateRoot(NamedTuple):
@@ -125,11 +124,13 @@ class DegenerateRoot(NamedTuple):
     reason: str
 
     def label(self) -> str:
-        sgn = "+" if self.s1 > 0 else "-"
-        return (
-            f"a0={int(self.a0.r):+d} A1={sgn}sqrt2*k w=({self.w_over_k})*k"
-            f" : {self.reason}"
-        )
+        return f"{_label(self.a0, self.s1, self.w_over_k)} : {self.reason}"
+
+
+def _label(a0: Radical2, s1: int, w_over_k: Radical2) -> str:
+    """The a0=... A1=... w=(...)*k name of a branch or a discarded root."""
+    a0_text = f"{int(a0.r):+d}" if a0 else "0"
+    return f"a0={a0_text} A1={'+' if s1 > 0 else '-'}sqrt2*k w=({w_over_k})*k"
 
 
 class ClosureSolution(NamedTuple):
@@ -271,7 +272,7 @@ def build_ansatz_derivatives(n: int) -> Ansatz:
         u = u + SymExpr.atom(f"A{i}") * ratio**i
     u1 = diff_xi(u)
     u2 = diff_xi(u1)
-    return Ansatz(n, u, u1, u2)
+    return Ansatz(u, u1, u2)
 
 
 def form_coefficient_system(ode: TravelingWaveODE, ansatz: Ansatz) -> CoefficientSystem:
@@ -402,31 +403,15 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
 
 
 def _cancel_common(num: SymExpr, den: SymExpr) -> tuple[SymExpr, SymExpr]:
-    """Divide a ratio of polynomials by their shared monomial content."""
-
-    def content(e: SymExpr) -> dict[str, int]:
-        out: dict[str, int] | None = None
-        for t in e.terms:
-            powers = dict(t.sym_powers)
-            if out is None:
-                out = powers
-            else:
-                out = {a: min(p, powers.get(a, 0)) for a, p in out.items()}
-        return {a: p for a, p in (out or {}).items() if p}
-
-    shared = {
-        a: min(p, content(den).get(a, 0)) for a, p in content(num).items()
-    }
-    shared = {a: p for a, p in shared.items() if p}
+    """Divide a ratio of polynomials by their shared monomial content: the
+    multiset intersection of the scalar powers of all their terms."""
+    shared = reduce(operator.and_, (Counter(dict(t.sym_powers))
+                                    for t in num.terms + den.terms))
 
     def divide(e: SymExpr) -> SymExpr:
-        terms = []
-        for t in e.terms:
-            powers = dict(t.sym_powers)
-            for a, p in shared.items():
-                powers[a] -= p
-            terms.append(Monomial.make(t.coeff, sym=powers))
-        return SymExpr.from_terms(terms)
+        return SymExpr.from_terms(
+            Monomial.make(t.coeff, sym=Counter(dict(t.sym_powers)) - shared)
+            for t in e.terms)
 
     num2, den2 = divide(num), divide(den)
     if den2.terms and float(den2.terms[0].coeff) < 0:
@@ -435,8 +420,6 @@ def _cancel_common(num: SymExpr, den: SymExpr) -> tuple[SymExpr, SymExpr]:
 
 
 class DerivationReport(NamedTuple):
-    ode: TravelingWaveODE
-    n: int
     ansatz: Ansatz
     system: CoefficientSystem
     solution: ClosureSolution
@@ -521,8 +504,7 @@ def run_derivation(ode: TravelingWaveODE) -> DerivationReport:
     ))
 
     trace = _render_trace(ode, ansatz, system, solution)
-    return DerivationReport(
-        ode, n, ansatz, system, solution, tuple(checks), trace)
+    return DerivationReport(ansatz, system, solution, tuple(checks), trace)
 
 
 def _render_trace(ode, ansatz, system, solution) -> str:

@@ -55,6 +55,8 @@ class Grid1D(Frozen):
             raise ValueError("grid needs at least 8 points")
         if x_max <= x_min:
             raise ValueError("empty grid interval")
+        if not math.isfinite(x_max - x_min):
+            raise ValueError("grid span is not a finite number")
         super().__init__(x_min, x_max, n)
 
     @property
@@ -98,9 +100,7 @@ class SimConfig(Frozen):
 class SimResult:
     """What a run records, filled in while it marches."""
 
-    def __init__(self, grid: Grid1D, config: SimConfig) -> None:
-        self.grid = grid
-        self.config = config
+    def __init__(self) -> None:
         self.times: list[float] = []
         self.snapshots: list[np.ndarray] = []
         self.linf_errors: list[float] = []
@@ -406,7 +406,7 @@ def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
     edges = (repeat((None, None)) if periodic else
              _boundary_data(spec, xs[[0, -1]], starts, steps, stepper.stages))
 
-    result = SimResult(grid, config)
+    result = SimResult()
 
     def record(t: float, u: np.ndarray) -> None:
         result.times.append(t)

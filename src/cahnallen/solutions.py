@@ -10,7 +10,8 @@ from the exact closure branches: u0 = A0, amp = A1*nu is +-1 exactly, nu is
 the branch exponential rate, and shift encodes the integration constants
 (c2/c1 ratio, a/b ratio, or the canonical shift c).  Printed-variant entries
 reproduce ambiguous published sign/scale readings literally so the verifier
-can classify them; they use the same core with their own constants.
+can classify them; each is a row of branch data: u0, amp and a multiple of
+the rate of one closure branch, whose speed it takes, with shift 0.
 
 Entry ids are stable catalog codes: family code (eq19..eq30), one sign
 character, then an optional variant suffix.  For the a0 = 0 families the
@@ -107,7 +108,15 @@ class SolutionSpec:
     # -- geometry ------------------------------------------------------
 
     def xi(self, x, t):
-        return self.k * np.asarray(x, dtype=float) + self.w * np.asarray(t, dtype=float)
+        """The wave coordinate k*x + w*t; a ValueError where it overflows."""
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return self.k * x + self.w * t
+        except FloatingPointError:
+            raise ValueError(f"{self.entry_id}: the wave coordinate k*x + w*t"
+                             f" overflows at k = {self.k:g}, w = {self.w:g}"
+                             ) from None
 
     @property
     def pole(self) -> float | None:
@@ -188,20 +197,22 @@ def derived_entry(entry_id: str, family_code: str, family: Family, a0: int,
 
     The canonical form's c is the shift, -2c.  Every other family fixes the
     ratio q of the additive constant to the exponential's coefficient in S:
-    c2/(s_scale*c1*k^2) (general), 1 (tanh kink), -1 (coth) or a/b (a-b
+    c2/(s_scale*c1)/k^2 (general), 1 (tanh kink), -1 (coth) or a/b (a-b
     form); the shift is -ln|q| and the sign of q picks S.
     """
     branch = branch_for(a0, s1, sw)
     if family is Family.CANONICAL_TANH:
         shift, qsign = -2.0 * params["c"], 1
     else:
+        scale = 1.0
         if family is Family.GENERAL_EXP_RATIO:
-            num, den = params["c2"], float(branch.s_scale) * params["c1"] * k * k
+            num, den = params["c2"], float(branch.s_scale) * params["c1"]
+            scale = k * k  # divides last: the ratio is finite wherever k*k is
         elif family is Family.AB_EXP_FORM:
             num, den = params["a"], params["b"]
         else:
             num, den = (1.0 if family is Family.TANH_KINK else -1.0), 1.0
-        q = num / den if den else 0.0
+        q = num / den / scale if den else 0.0
         if not (q and math.isfinite(q)):
             raise ValueError(
                 f"{entry_id} at k = {k:g}: the constant ratio"
@@ -213,16 +224,6 @@ def derived_entry(entry_id: str, family_code: str, family: Family, a0: int,
         u0=float(branch.a0_int), amp=float(branch.alpha * rate),
         nu=float(rate) / k, shift=shift, qsign=qsign,
         w=float(branch.w_over_k) * k,
-    )
-
-
-def _printed_entry(entry_id: str, family_code: str, family: Family,
-                   a0: int, s1: int, sw: int, k: float, *, u0: float,
-                   amp: float, nu: float, shift: float, w: float,
-                   **params) -> SolutionSpec:
-    return SolutionSpec(
-        entry_id, family_code, family, "printed", a0, s1, sw, k,
-        u0=u0, amp=amp, nu=nu, shift=shift, qsign=1, w=w, **params,
     )
 
 
@@ -241,6 +242,16 @@ def enumerate_catalog(k: float) -> list[SolutionSpec]:
             entries.append(derived_entry(f"{code}{suffix}{tail}", code, family,
                                          a0, s1, sw, k, **params))
 
+    def printed(family, params, *rows):
+        # a row: (id stem, (a0, s1, sw), key of the branch whose rate and
+        # speed it takes, u0, amp, multiple of that rate); shift 0, logistic S
+        for stem, (a0, s1, sw), key, u0, amp, multiple in rows:
+            branch = branch_for(*key)
+            entries.append(SolutionSpec(
+                f"{stem}printed", stem[:4], family, "printed", a0, s1, sw, k,
+                u0=u0, amp=amp, nu=multiple * (float(branch.nu_times_k) / k),
+                shift=0.0, qsign=1, w=float(branch.w_over_k) * k, **params))
+
     derived("eq19", Family.GENERAL_EXP_RATIO, A0_ZERO, c1=1.0, c2=1.0)
     derived("eq20", Family.TANH_KINK, A0_ZERO, c1=1.0)
     derived("eq21", Family.COTH_SINGULAR, A0_ZERO, c1=1.0)
@@ -253,17 +264,12 @@ def enumerate_catalog(k: float) -> list[SolutionSpec]:
 
     # printed readings of the shifted-kink pair: amplitude -1 on the whole
     # brace and the exponential rate as tanh argument (no half scaling)
-    for code in ("eq23", "eq24"):
-        for a0, sgn in ((1, "+"), (-1, "-")):
-            branch = branch_for(a0, a0, 1)
-            nu = float(branch.nu_times_k) / k
-            entries.append(_printed_entry(
-                f"{code}{sgn}printed", code,
-                Family.TANH_KINK if code == "eq23" else Family.COTH_SINGULAR,
-                a0, a0, 1, k,
-                u0=float(a0), amp=-2.0, nu=2.0 * nu, shift=0.0,
-                w=float(branch.w_over_k) * k, c1=1.0,
-            ))
+    printed(Family.TANH_KINK, {"c1": 1.0},
+            ("eq23+", (1, 1, 1), (1, 1, 1), 1.0, -2.0, 2.0),
+            ("eq23-", (-1, -1, 1), (-1, -1, 1), -1.0, -2.0, 2.0))
+    printed(Family.COTH_SINGULAR, {"c1": 1.0},
+            ("eq24+", (1, 1, 1), (1, 1, 1), 1.0, -2.0, 2.0),
+            ("eq24-", (-1, -1, 1), (-1, -1, 1), -1.0, -2.0, 2.0))
 
     derived("eq25", Family.AB_EXP_FORM, A0_ZERO, a=1.0, b=1.0)
     derived("eq26", Family.CANONICAL_TANH, A0_ZERO, c=0.0)
@@ -273,33 +279,19 @@ def enumerate_catalog(k: float) -> list[SolutionSpec]:
             derived(ab_code, Family.AB_EXP_FORM, variant, a=1.0, b=1.0)
             derived(canonical_code, Family.CANONICAL_TANH, variant, c=0.0)
 
-    # printed double-scale canonical readings: tanh(sigma*x/sqrt2 + 3t/2 + c)
-    w_of = {sigma: float(branch_for(0, sigma, sigma).w_over_k) * k for sigma in (1, -1)}
-    nu_of = {sigma: float(branch_for(0, sigma, sigma).nu_times_k) / k for sigma in (1, -1)}
-    for eps, sigma, sgn in ((1, 1, "+"), (-1, -1, "-")):
-        entries.append(_printed_entry(
-            f"eq26{sgn}printed", "eq26", Family.CANONICAL_TANH,
-            0, eps * sigma, sigma, k,
-            u0=0.0, amp=float(eps), nu=2.0 * nu_of[sigma], shift=0.0,
-            w=w_of[sigma], c=0.0,
-        ))
-    for code, u0, amp_sign, a0 in (("eq28", 0.0, 1.0, 1), ("eq30", 0.0, -1.0, -1)):
-        for sigma, sgn in ((1, "+"), (-1, "-")):
-            entries.append(_printed_entry(
-                f"{code}{sgn}printed", code, Family.CANONICAL_TANH,
-                a0, sigma, sigma, k,
-                u0=u0, amp=amp_sign, nu=2.0 * nu_of[sigma], shift=0.0,
-                w=w_of[sigma], c=0.0,
-            ))
+    # printed double-scale canonical readings tanh(sigma*x/sqrt2 + 3t/2 + c),
+    # at the rate and speed of the a0 = 0 branch (0, sigma, sigma)
+    printed(Family.CANONICAL_TANH, {"c": 0.0},
+            ("eq26+", (0, 1, 1), (0, 1, 1), 0.0, 1.0, 2.0),
+            ("eq26-", (0, 1, -1), (0, -1, -1), 0.0, -1.0, 2.0),
+            ("eq28+", (1, 1, 1), (0, 1, 1), 0.0, 1.0, 2.0),
+            ("eq28-", (1, -1, -1), (0, -1, -1), 0.0, 1.0, 2.0),
+            ("eq30+", (-1, 1, 1), (0, 1, 1), 0.0, -1.0, 2.0),
+            ("eq30-", (-1, -1, -1), (0, -1, -1), 0.0, -1.0, 2.0))
     # printed leading "-1 -" reading of the a0 = -1 exponential form
-    for s1, sgn in ((1, "+"), (-1, "-")):
-        branch = branch_for(-1, s1, -s1)
-        entries.append(_printed_entry(
-            f"eq29{sgn}printed", "eq29", Family.AB_EXP_FORM,
-            -1, s1, -s1, k,
-            u0=-1.0, amp=-1.0, nu=float(branch.nu_times_k) / k, shift=0.0,
-            w=float(branch.w_over_k) * k, a=1.0, b=1.0,
-        ))
+    printed(Family.AB_EXP_FORM, {"a": 1.0, "b": 1.0},
+            ("eq29+", (-1, 1, -1), (-1, 1, -1), -1.0, -1.0, 1.0),
+            ("eq29-", (-1, -1, 1), (-1, -1, 1), -1.0, -1.0, 1.0))
 
     return entries
 

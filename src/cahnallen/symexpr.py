@@ -239,44 +239,22 @@ def diff_xi(e: SymExpr) -> SymExpr:
     out: list[Monomial] = []
     for t in e.terms:
         for j, exp in t.deriv_powers:
-            d = dict(t.deriv_powers)
-            d[j] = exp - 1
-            d[j + 1] = d.get(j + 1, 0) + 1
-            out.append(
-                Monomial(
-                    t.coeff * exp,
-                    t.sym_powers,
-                    t.u_powers,
-                    _canon_powers(d),
-                    t.s_grade,
-                )
-            )
+            out.append(Monomial(t.coeff * exp, t.sym_powers, t.u_powers,
+                                _raise_order(t.deriv_powers, j), t.s_grade))
         for j, exp in t.u_powers:
-            d = dict(t.u_powers)
-            d[j] = exp - 1
-            d[j + 1] = d.get(j + 1, 0) + 1
-            out.append(
-                Monomial(
-                    t.coeff * exp,
-                    t.sym_powers,
-                    _canon_powers(d),
-                    t.deriv_powers,
-                    t.s_grade,
-                )
-            )
+            out.append(Monomial(t.coeff * exp, t.sym_powers,
+                                _raise_order(t.u_powers, j), t.deriv_powers,
+                                t.s_grade))
         if t.s_grade:
-            d = dict(t.deriv_powers)
-            d[1] = d.get(1, 0) + 1
-            out.append(
-                Monomial(
-                    t.coeff * (-t.s_grade),
-                    t.sym_powers,
-                    t.u_powers,
-                    _canon_powers(d),
-                    t.s_grade + 1,
-                )
-            )
+            with_s1 = _merge_powers(t.deriv_powers, ((1, 1),))
+            out.append(Monomial(t.coeff * (-t.s_grade), t.sym_powers,
+                                t.u_powers, with_s1, t.s_grade + 1))
     return SymExpr.from_terms(out)
+
+
+def _raise_order(powers: tuple, j: int) -> tuple:
+    """The powers with one factor of order j raised to order j + 1."""
+    return _merge_powers(powers, ((j, -1), (j + 1, 1)))
 
 
 def _rewrite(e: SymExpr, split, values: Mapping) -> SymExpr:

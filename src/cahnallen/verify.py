@@ -33,6 +33,8 @@ class GridSpec(Frozen):
                  nx: int = 201, nt: int = 11) -> None:
         if nx < 2 or nt < 1:
             raise ValueError("grid needs nx >= 2 and nt >= 1")
+        if not all(math.isfinite(hi - lo) for lo, hi in (x_range, t_range)):
+            raise ValueError("grid span is not a finite number")
         super().__init__(x_range, t_range, nx, nt)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +59,6 @@ class ResidualReport(NamedTuple):
     threshold: float
     n_points: int
     n_excluded: int
-    grid: GridSpec | None = None
 
     @property
     def is_valid(self) -> bool:
@@ -74,7 +75,7 @@ def _regular_part(spec, xi: np.ndarray):
     return mask, np.where(mask, xi, pole + 1.0)
 
 
-def _report(entry_id, resid, xs, ts, mask, threshold, grid=None) -> ResidualReport:
+def _report(entry_id, resid, xs, ts, mask, threshold) -> ResidualReport:
     """Max, mean and location of |resid| over the points the mask keeps
     (every point when mask is None)."""
     vals = np.abs(resid)
@@ -90,7 +91,7 @@ def _report(entry_id, resid, xs, ts, mask, threshold, grid=None) -> ResidualRepo
     return ResidualReport(
         entry_id, float(vals.flat[at]), float(total) / n_points,
         (float(xs[i, j]), float(ts[i, j])),
-        threshold, n_points, vals.size - n_points, grid,
+        threshold, n_points, vals.size - n_points,
     )
 
 
@@ -110,9 +111,9 @@ def pde_residual(spec, grid: GridSpec | None = None,
     """Pointwise u_t - u_xx + u^3 - u on the grid, singular zones excluded."""
     grid = grid or GridSpec()
     X, T = grid.mesh()
-    mask, xi = _regular_part(spec, spec.k * X + spec.w * T)
+    mask, xi = _regular_part(spec, spec.xi(X, T))
     resid = _residual(spec, xi)
-    return _report(spec.entry_id, resid, X, T, mask, threshold, grid)
+    return _report(spec.entry_id, resid, X, T, mask, threshold)
 
 
 def ode_residual(spec, xi_points=STANDARD_XI_POINTS,
@@ -141,7 +142,6 @@ _STENCILS = {
 
 
 class ConvergenceTable(NamedTuple):
-    h_values: tuple[float, ...]
     max_diff: dict[str, tuple[float, ...]]
     observed_order: dict[str, float]
 
@@ -174,7 +174,7 @@ def fd_crosscheck(spec, grid: GridSpec | None = None,
     stencil = _STENCILS[stencil_order]
     arms = max(abs(o) for o, _ in stencil["d1"] + stencil["d2"])
     X, T = grid.mesh()
-    xi = spec.k * X + spec.w * T
+    xi = spec.xi(X, T)
     margin = max(h_list) * arms * (abs(spec.k) + abs(spec.w)) + 1e-9
     mask = np.ones(xi.shape, dtype=bool)
     if spec.pole is not None:
@@ -204,10 +204,7 @@ def fd_crosscheck(spec, grid: GridSpec | None = None,
         for name, ds in diffs.items()
     }
     return ConvergenceTable(
-        tuple(h_list),
-        {name: tuple(ds) for name, ds in diffs.items()},
-        orders,
-    )
+        {name: tuple(ds) for name, ds in diffs.items()}, orders)
 
 
 # --- audit ------------------------------------------------------------------

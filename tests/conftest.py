@@ -22,6 +22,9 @@ class PerturbedSolution:
     def pole(self):
         return self.base.pole
 
+    def xi(self, x, t):
+        return self.base.xi(x, t)
+
     def regular_mask(self, xi):
         return self.base.regular_mask(xi)
 

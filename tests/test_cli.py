@@ -278,12 +278,13 @@ def test_huge_wave_number_writes_strict_json(k, tmp_path, capsys):
     _strict_json(tmp_path / "verify_manifest.json")
 
 
-def test_wave_number_too_large_for_the_constant_ratio(tmp_path, capsys):
-    # k*k is finite but 2*k*k is not, so the general entries' ratio is 1/inf
-    code, _, err = run(["catalog", "--k", "1e154", "--out-dir", str(tmp_path)],
-                       capsys)
-    assert code == 2
-    assert "k = 1e+154" in err and "constant ratio 1/inf" in err
+def test_wave_number_at_the_top_of_the_range_builds_the_catalog(tmp_path,
+                                                                capsys):
+    # k*k is finite but 2*k*k is not; the general entries divide by k*k last
+    code, out, err = run(["catalog", "--k", "1.3e154", "--out-dir",
+                          str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("wrote 54 entries")
 
 
 # --- simulate / convergence -----------------------------------------------------------
@@ -389,7 +390,9 @@ def test_bad_time_step_is_usage_error(capsys):
     ["eval", "--entry", "eq20+", "--t", "nan"],
     ["simulate", "--entry", "eq20+", "--grid=-20,20,201", "--dt", "nan"],
     ["simulate", "--entry", "eq20+", "--T", "nan"],
-], ids=["catalog-k", "eval-t", "simulate-dt", "simulate-T"])
+    # k*x is +inf and w*t is -inf: the wave coordinate overflows
+    ["eval", "--entry", "eq20+", "--k", "2", "--x=1e308,1e308,1", "--t=-1e308"],
+], ids=["catalog-k", "eval-t", "simulate-dt", "simulate-T", "eval-xi"])
 def test_non_finite_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
     assert code == 2
@@ -431,8 +434,17 @@ def test_non_finite_option_is_rejected_by_the_parser(argv, reason, tmp_path,
     (["eval", "--entry", "eq20+", "--t", "0", "--x=-10,10,abc"],
      "--x: 'abc' is not an integer"),
     (["verify", "--grid=-10,10,4.5,0,1,3"], "--grid: '4.5' is not an integer"),
+    (["eval", "--entry", "eq20+", "--t", "0", "--x=-1e308,1e308,3"],
+     "--x: grid span is not a finite number"),
+    (["verify", "--grid=-1e308,1e308,3,0,1,2"],
+     "--grid: grid span is not a finite number"),
+    (["verify", "--grid=-10,10,3,-1e308,1e308,2"],
+     "--grid: grid span is not a finite number"),
+    (["simulate", "--entry", "eq20+", "--grid=-1e308,1e308,9", "--T", "0.1"],
+     "--grid: grid span is not a finite number"),
 ], ids=["convergence-empty", "simulate-short", "verify-short", "eval-empty",
-        "eval-count", "verify-count"])
+        "eval-count", "verify-count", "eval-span", "verify-x-span",
+        "verify-t-span", "simulate-span"])
 def test_grid_reason_reaches_the_usage_error(argv, reason, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out-dir", str(tmp_path)])

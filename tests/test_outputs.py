@@ -62,8 +62,9 @@ def _sha(data: bytes) -> str:
 
 
 def run_matrix(root: pathlib.Path) -> dict[tuple[str, str], str]:
-    """{(scope, output name): sha256} of every file and of each stdout,
-    with the out-dir replaced by a fixed token and the exit code appended."""
+    """{(scope, output name): sha256} of every file, of each stdout with the
+    exit code appended, and of each stderr; the out-dir is replaced by a fixed
+    token in both streams."""
     numeric = numeric_scope()
     out = {}
     for case, argv in MATRIX.items():
@@ -72,11 +73,14 @@ def run_matrix(root: pathlib.Path) -> dict[tuple[str, str], str]:
         case_dir.mkdir()
         if argv[0] != "derive":
             argv = [*argv, "--out-dir", str(case_dir)]
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
         text = stdout.getvalue().replace(str(case_dir), "<out>")
         out[scope, f"{case}/stdout"] = _sha(f"{text}[exit {code}]\n".encode())
+        errors = stderr.getvalue().replace(str(case_dir), "<out>")
+        out[scope, f"{case}/stderr"] = _sha(errors.encode())
         for path in sorted(case_dir.iterdir()):
             out[scope, f"{case}/{path.name}"] = _sha(path.read_bytes())
     return out

@@ -158,6 +158,13 @@ def test_frame_identity(catalog1):
         assert np.max(np.abs(spec.k * u_t - spec.w * u_x)) < 1e-12
 
 
+def test_overflowing_wave_coordinate_is_refused(table1):
+    # w*t overflows at the second point; no numpy warning escapes (the suite
+    # turns RuntimeWarning into an error)
+    with pytest.raises(ValueError, match=r"coordinate k\*x \+ w\*t overflows"):
+        table1["eq20+"].xi(np.array([0.0, 1e308]), 1e308)
+
+
 def test_constant_solution_has_zero_partials():
     const = constant_solution(1.0)
     assert const.eval(2.0, 0.3) == 1.0
