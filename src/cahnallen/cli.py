@@ -9,8 +9,11 @@ byte-identical across runs; JSON is used only for the run manifest and the
 audit table.  Every run writes a manifest listing its parameters and output
 files.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
 
-The numeric modules (solutions, verify, simulate) import numpy, so each
-handler imports what it uses: `derive` runs on the standard library alone.
+`derive`, `catalog` and `eval` run on the standard library alone: the
+catalog's validity column is the exact structural zero of each entry's
+k-free ODE coefficients (solutions.ode_coefficients), and eval writes its
+profiles with a scalar `math` loop.  Each handler imports the modules it
+uses, so only verify, simulate and convergence load numpy.
 """
 
 from __future__ import annotations
@@ -79,14 +82,13 @@ def _json_number(v: float) -> float | None:
 
 
 def _write_floats(path: str, header: list[str], rows) -> None:
-    """A CSV of float rows; one %-format over the whole block gives the
-    bytes of a per-row format(v, ".17g")."""
-    import numpy as np
-
-    cells = np.asarray(rows, dtype=float).ravel().tolist()
+    """A CSV of float rows (sequences of floats, one cell per header name);
+    one %-format over the whole block gives the bytes of a per-row
+    format(v, ".17g")."""
+    cells = tuple([v for row in rows for v in row])
     row = ",".join(["%.17g"] * len(header)) + "\n"
     _atomic_write(path, ",".join(header) + "\n"
-                  + row * (len(cells) // len(header)) % tuple(cells))
+                  + row * (len(cells) // len(header)) % cells)
 
 
 def _write_manifest(out_dir: str, command: str, parameters: dict,
@@ -193,27 +195,74 @@ def _checked(grid_type, *args):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """numpy.linspace(start, stop, n), bit for bit, as a list."""
+    delta = stop - start
+    if n < 2:  # no step: numpy's 0*delta + start
+        return [0.0 * delta + start] * n
+    div = n - 1
+    step = delta / div
+    if step:
+        xs = [i * step + start for i in range(n)]
+    else:  # a step that underflows: scale each index by delta instead
+        xs = [i / div * delta + start for i in range(n)]
+    xs[-1] = stop
+    return xs
+
+
+def _profile_rows(spec: SolutionSpec, xs: list[float],
+                  t: float) -> tuple[list[tuple[float, float]], int]:
+    """The (x, u) rows of u0 + amp*S(nu*(k*x + w*t) + shift) outside the
+    singular zone, and the number of rows omitted inside it.
+
+    The scalar twin of SolutionSpec.eval, with math in place of numpy:
+    the same formulas in the same order, so the two differ only where
+    libm's exp and numpy's differ in the last bit.  A wave coordinate that
+    overflows is the same ValueError.
+    """
+    from .solutions import SINGULAR_HALF_WIDTH
+
+    k, w, nu, shift = spec.k, spec.w, spec.nu, spec.shift
+    u0, amp, pole, kink = spec.u0, spec.amp, spec.pole, spec.qsign > 0
+    wt, exp, expm1, inf = w * t, math.exp, math.expm1, math.inf
+    rows: list[tuple[float, float]] = []
+    append = rows.append
+    omitted = 0
+    for x in xs:
+        xi = k * x + wt
+        if not -inf < xi < inf:
+            raise spec._overflow()
+        if pole is not None and abs(xi - pole) < SINGULAR_HALF_WIDTH:
+            omitted += 1
+            continue
+        theta = nu * xi + shift
+        if kink:  # logistic_pair's S: e^min(theta, 0) / (1 + e^-|theta|)
+            append((x, u0 + amp * (exp(theta if theta < 0.0 else 0.0)
+                                   / (1.0 + exp(-abs(theta))))))
+            continue
+        try:
+            s = 1.0 / -expm1(-theta)
+        except OverflowError:  # numpy's expm1 gives +inf: S is 1/-inf
+            s = -0.0
+        append((x, u0 + amp * s))
+    return rows, omitted
+
+
 def emit_plot_data(spec: SolutionSpec, t_list: list[float],
                    x_grid: tuple[float, float, int], out_dir: str,
                    run_id: str) -> tuple[list[str], list[str]]:
     """One x,u CSV per requested time; singular zones become omitted rows."""
-    import numpy as np
-
-    xmin, xmax, n = x_grid
-    xs = np.linspace(xmin, xmax, n)
+    xs = _linspace(*x_grid)
     outputs: list[str] = []
     notes: list[str] = []
     for index, t in enumerate(t_list):
-        xi = spec.xi(xs, t)
-        mask = spec.regular_mask(xi)
-        omitted = int(np.sum(~mask))
+        rows, omitted = _profile_rows(spec, xs, t)
         if omitted:
             notes.append(
                 f"t={_fmt(t)}: omitted {omitted} rows inside the singular"
                 f" zone of {spec.entry_id}")
-        us = spec.eval(xs[mask], np.full(int(np.sum(mask)), t))
         path = os.path.join(out_dir, f"{run_id}_t{index}.csv")
-        _write_floats(path, ["x", "u"], np.column_stack([xs[mask], us]))
+        _write_floats(path, ["x", "u"], rows)
         outputs.append(path)
     return outputs, notes
 
@@ -240,19 +289,17 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    from .solutions import enumerate_catalog
-    from .verify import ode_residual
+    from .solutions import enumerate_catalog, ode_coefficients
 
     entries = enumerate_catalog(args.k)
     rows = []
     for spec in entries:
-        ode = ode_residual(spec)
         rows.append([
             spec.entry_id, spec.family_code, spec.family.value, spec.reading,
             spec.a0, spec.s1, spec.sw, float(spec.k),
             json.dumps(spec.params(), sort_keys=True,
                        allow_nan=False).replace(",", ";"),
-            "valid" if ode.is_valid else "invalid",
+            "invalid" if any(ode_coefficients(spec)) else "valid",
         ])
     path = os.path.join(args.out_dir, "catalog.csv")
     _write_csv(path, ["entry_id", "family_code", "family", "reading", "a0",
@@ -357,7 +404,7 @@ def _cmd_simulate(args) -> int:
     xs = grid.xs()
     for index, u in enumerate(result.snapshots):
         path = os.path.join(args.out_dir, f"{run_id}_t{index}.csv")
-        _write_floats(path, ["x", "u"], np.column_stack([xs, u]))
+        _write_floats(path, ["x", "u"], np.column_stack([xs, u]).tolist())
         outputs.append(path)
     tpath = os.path.join(args.out_dir, f"{run_id}_trajectory.csv")
     _write_floats(tpath, ["t", "x_front"], result.front_trajectory)
@@ -365,7 +412,8 @@ def _cmd_simulate(args) -> int:
     mpath = os.path.join(args.out_dir, f"{run_id}_metrics.csv")
     _write_floats(mpath, ["t", "linf_error", "l2_error", "energy"],
                   np.column_stack([result.times, result.linf_errors,
-                                   result.l2_errors, result.energy_series]))
+                                   result.l2_errors,
+                                   result.energy_series]).tolist())
     outputs.append(mpath)
     speed = result.measured_speed
     _write_manifest(args.out_dir, "simulate",

@@ -13,6 +13,16 @@ reproduce ambiguous published sign/scale readings literally so the verifier
 can classify them; each is a row of branch data: u0, amp and a multiple of
 the rate of one closure branch, whose speed it takes, with shift 0.
 
+Every entry also carries its core in Q(sqrt(2)) (ExactCore): u0, amp, the
+rate N = nu*k and the speed ratio W = w/k, none of which depends on k.  The
+ODE residual of the core is a cubic in S whose four coefficients
+(ode_coefficients) are then k-free too, so whether an entry solves the ODE
+is decided by structural zero, not by a tolerance.
+
+Building the catalog needs only the standard library; the array methods
+(xi, regular_mask, profile, eval, partials, logistic_pair) load numpy when
+they run.
+
 Entry ids are stable catalog codes: family code (eq19..eq30), one sign
 character, then an optional variant suffix.  For the a0 = 0 families the
 sign is the overall sign of the wave and "r" marks the reversed frame
@@ -27,10 +37,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
+from typing import NamedTuple
 
 from .closure import ClosureBranch, run_derivation
+from .qfield import Radical2
 from .reduction import (EvolutionEquation, WaveFrame, check_wave_number,
                         reduce_to_ode)
 
@@ -52,6 +62,8 @@ def logistic_pair(theta):
     exponent is <= 0, so nothing overflows, and the small half never comes
     from a cancellation.
     """
+    import numpy as np
+
     d = 1.0 + np.exp(-np.abs(theta))
     return np.exp(np.minimum(theta, 0.0)) / d, np.exp(np.minimum(-theta, 0.0)) / d
 
@@ -79,6 +91,16 @@ def branch_for(a0: int, s1: int, sw: int) -> ClosureBranch:
     return table[key]
 
 
+class ExactCore(NamedTuple):
+    """The k-free exact data of an entry: u = u0 + amp*S(theta) with
+    nu = N/k and w = W*k."""
+
+    u0: Radical2
+    amp: Radical2
+    N: Radical2
+    W: Radical2
+
+
 @dataclass(frozen=True)
 class SolutionSpec:
     """One concrete traveling-wave profile with analytic partials."""
@@ -91,6 +113,7 @@ class SolutionSpec:
     s1: int
     sw: int
     k: float
+    exact: ExactCore
     # family parameters (unused ones stay None)
     c1: float | None = None
     c2: float | None = None
@@ -109,14 +132,18 @@ class SolutionSpec:
 
     def xi(self, x, t):
         """The wave coordinate k*x + w*t; a ValueError where it overflows."""
+        import numpy as np
+
         x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
         try:
             with np.errstate(over="raise", invalid="raise"):
                 return self.k * x + self.w * t
         except FloatingPointError:
-            raise ValueError(f"{self.entry_id}: the wave coordinate k*x + w*t"
-                             f" overflows at k = {self.k:g}, w = {self.w:g}"
-                             ) from None
+            raise self._overflow() from None
+
+    def _overflow(self) -> ValueError:
+        return ValueError(f"{self.entry_id}: the wave coordinate k*x + w*t"
+                          f" overflows at k = {self.k:g}, w = {self.w:g}")
 
     @property
     def pole(self) -> float | None:
@@ -126,8 +153,10 @@ class SolutionSpec:
     def front_level(self) -> float:
         return self.u0 + self.amp / 2.0
 
-    def regular_mask(self, xi) -> np.ndarray:
+    def regular_mask(self, xi):
         """True where xi lies outside the singular zone."""
+        import numpy as np
+
         pole = self.pole
         if pole is None:
             return np.ones(np.shape(xi), dtype=bool)
@@ -145,6 +174,8 @@ class SolutionSpec:
 
     def _core(self, xi):
         """S and 1-S of the lowered core, evaluated stably."""
+        import numpy as np
+
         theta = self.nu * np.asarray(xi, dtype=float) + self.shift
         if self.qsign > 0:
             s, h = logistic_pair(theta)
@@ -156,6 +187,8 @@ class SolutionSpec:
 
     def profile(self, xi):
         """(u, du/dxi, d2u/dxi2) along the wave coordinate."""
+        import numpy as np
+
         xi = np.asarray(xi, dtype=float)
         self._check_regular(xi)
         s, h = self._core(xi)
@@ -166,12 +199,16 @@ class SolutionSpec:
 
     def eval(self, x, t):
         """Wave value at laboratory coordinates; scalar in, scalar out."""
+        import numpy as np
+
         xi = self.xi(x, t)
         u, _, _ = self.profile(xi)
         return float(u) if np.isscalar(x) and np.isscalar(t) else u
 
     def partials(self, x, t):
         """(u_t, u_x, u_xx) from the closed-form chain rule."""
+        import numpy as np
+
         xi = self.xi(x, t)
         _, du, d2 = self.profile(xi)
         u_t = self.w * du
@@ -188,6 +225,21 @@ class SolutionSpec:
             if value is not None:
                 out[name] = value
         return out
+
+
+def ode_coefficients(spec: SolutionSpec) -> tuple[Radical2, ...]:
+    """The coefficients of S^0..S^3 in the ODE residual w*u' - k^2*u'' +
+    u^3 - u of the entry's core.
+
+    With S' = S(1 - S), u = u0 + amp*S(nu*xi + shift), N = nu*k and
+    W = w/k, the residual is a cubic in S whose coefficients hold no k:
+    the entry solves the ODE, at every k, exactly when all four are zero.
+    """
+    u0, amp, n, w = spec.exact
+    return (u0 * u0 * u0 - u0,
+            amp * (w * n - n * n + 3 * u0 * u0 - 1),
+            amp * (3 * n * n - w * n + 3 * u0 * amp),
+            amp * (amp * amp - 2 * n * n))
 
 
 def derived_entry(entry_id: str, family_code: str, family: Family, a0: int,
@@ -219,9 +271,11 @@ def derived_entry(entry_id: str, family_code: str, family: Family, a0: int,
                 f" {num:g}/{den:g} is not a finite nonzero number")
         shift, qsign = -math.log(abs(q)), (1 if q > 0 else -1)
     rate = branch.nu_times_k
+    amp = branch.alpha * rate
     return SolutionSpec(
-        entry_id, family_code, family, "derived", a0, s1, sw, k, **params,
-        u0=float(branch.a0_int), amp=float(branch.alpha * rate),
+        entry_id, family_code, family, "derived", a0, s1, sw, k,
+        ExactCore(branch.a0, amp, rate, branch.w_over_k), **params,
+        u0=float(branch.a0_int), amp=float(amp),
         nu=float(rate) / k, shift=shift, qsign=qsign,
         w=float(branch.w_over_k) * k,
     )
@@ -247,10 +301,14 @@ def enumerate_catalog(k: float) -> list[SolutionSpec]:
         # speed it takes, u0, amp, multiple of that rate); shift 0, logistic S
         for stem, (a0, s1, sw), key, u0, amp, multiple in rows:
             branch = branch_for(*key)
+            rate = branch.nu_times_k
+            exact = ExactCore(Radical2.of(u0), Radical2.of(amp),
+                              rate * multiple, branch.w_over_k)
             entries.append(SolutionSpec(
                 f"{stem}printed", stem[:4], family, "printed", a0, s1, sw, k,
-                u0=u0, amp=amp, nu=multiple * (float(branch.nu_times_k) / k),
-                shift=0.0, qsign=1, w=float(branch.w_over_k) * k, **params))
+                exact, u0=float(u0), amp=float(amp),
+                nu=multiple * (float(rate) / k), shift=0.0, qsign=1,
+                w=float(branch.w_over_k) * k, **params))
 
     derived("eq19", Family.GENERAL_EXP_RATIO, A0_ZERO, c1=1.0, c2=1.0)
     derived("eq20", Family.TANH_KINK, A0_ZERO, c1=1.0)
@@ -265,11 +323,11 @@ def enumerate_catalog(k: float) -> list[SolutionSpec]:
     # printed readings of the shifted-kink pair: amplitude -1 on the whole
     # brace and the exponential rate as tanh argument (no half scaling)
     printed(Family.TANH_KINK, {"c1": 1.0},
-            ("eq23+", (1, 1, 1), (1, 1, 1), 1.0, -2.0, 2.0),
-            ("eq23-", (-1, -1, 1), (-1, -1, 1), -1.0, -2.0, 2.0))
+            ("eq23+", (1, 1, 1), (1, 1, 1), 1, -2, 2),
+            ("eq23-", (-1, -1, 1), (-1, -1, 1), -1, -2, 2))
     printed(Family.COTH_SINGULAR, {"c1": 1.0},
-            ("eq24+", (1, 1, 1), (1, 1, 1), 1.0, -2.0, 2.0),
-            ("eq24-", (-1, -1, 1), (-1, -1, 1), -1.0, -2.0, 2.0))
+            ("eq24+", (1, 1, 1), (1, 1, 1), 1, -2, 2),
+            ("eq24-", (-1, -1, 1), (-1, -1, 1), -1, -2, 2))
 
     derived("eq25", Family.AB_EXP_FORM, A0_ZERO, a=1.0, b=1.0)
     derived("eq26", Family.CANONICAL_TANH, A0_ZERO, c=0.0)
@@ -282,16 +340,16 @@ def enumerate_catalog(k: float) -> list[SolutionSpec]:
     # printed double-scale canonical readings tanh(sigma*x/sqrt2 + 3t/2 + c),
     # at the rate and speed of the a0 = 0 branch (0, sigma, sigma)
     printed(Family.CANONICAL_TANH, {"c": 0.0},
-            ("eq26+", (0, 1, 1), (0, 1, 1), 0.0, 1.0, 2.0),
-            ("eq26-", (0, 1, -1), (0, -1, -1), 0.0, -1.0, 2.0),
-            ("eq28+", (1, 1, 1), (0, 1, 1), 0.0, 1.0, 2.0),
-            ("eq28-", (1, -1, -1), (0, -1, -1), 0.0, 1.0, 2.0),
-            ("eq30+", (-1, 1, 1), (0, 1, 1), 0.0, -1.0, 2.0),
-            ("eq30-", (-1, -1, -1), (0, -1, -1), 0.0, -1.0, 2.0))
+            ("eq26+", (0, 1, 1), (0, 1, 1), 0, 1, 2),
+            ("eq26-", (0, 1, -1), (0, -1, -1), 0, -1, 2),
+            ("eq28+", (1, 1, 1), (0, 1, 1), 0, 1, 2),
+            ("eq28-", (1, -1, -1), (0, -1, -1), 0, 1, 2),
+            ("eq30+", (-1, 1, 1), (0, 1, 1), 0, -1, 2),
+            ("eq30-", (-1, -1, -1), (0, -1, -1), 0, -1, 2))
     # printed leading "-1 -" reading of the a0 = -1 exponential form
     printed(Family.AB_EXP_FORM, {"a": 1.0, "b": 1.0},
-            ("eq29+", (-1, 1, -1), (-1, 1, -1), -1.0, -1.0, 1.0),
-            ("eq29-", (-1, -1, 1), (-1, -1, 1), -1.0, -1.0, 1.0))
+            ("eq29+", (-1, 1, -1), (-1, 1, -1), -1, -1, 1),
+            ("eq29-", (-1, -1, 1), (-1, -1, 1), -1, -1, 1))
 
     return entries
 

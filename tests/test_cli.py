@@ -9,12 +9,19 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cahnallen
 from cahnallen.cli import _write_floats, main, resolve_entry
+from cahnallen.solutions import catalog_by_id
 
 
 def run(args, capsys):
@@ -142,47 +149,88 @@ def test_eval_takes_short_and_reversed_x_grids(x, tmp_path, capsys):
     assert len(rows) == 1 + int(x.rsplit(",", 1)[1])
 
 
-class _FixedProfile:
-    """A stand-in entry whose profile takes given values on given rows."""
-
-    entry_id = "fixed"
-
-    def __init__(self, us, mask):
-        self.us, self.mask = np.array(us), np.array(mask)
-
-    def xi(self, xs, t):
-        return xs
-
-    def regular_mask(self, xi):
-        return self.mask
-
-    def eval(self, xs, ts):
-        return self.us[self.mask]
+def _ulps(got, want, scale):
+    """|got - want| in units of the last place of scale."""
+    return np.abs(np.asarray(got) - np.asarray(want)) / np.spacing(scale)
 
 
-def _per_row_csv(spec, xs, t):
-    mask = spec.regular_mask(spec.xi(xs, t))
-    us = spec.eval(xs[mask], np.full(int(np.sum(mask)), t))
-    return "\n".join(["x,u", *(f"{x:.17g},{u:.17g}" for x, u in
-                               zip(xs[mask].tolist(), us.tolist()))]) + "\n"
+def _array_profile(spec, xs, t):
+    """x, u and |u0| + |amp*S| of the rows outside the singular zone, by
+    the array evaluator."""
+    xi = spec.xi(xs, t)
+    mask = spec.regular_mask(xi)
+    s, _ = spec._core(xi[mask])
+    scale = np.abs(spec.u0) + np.abs(spec.amp * s)
+    return xs[mask], spec.eval(xs[mask], np.full(int(np.sum(mask)), t)), scale
 
 
 @pytest.mark.parametrize("case", ["edge-values", "singular", "all-omitted"])
 def test_emit_plot_data_matches_per_row_format(case, tmp_path):
+    # each file is the per-row format(v, ".17g") of its rows; x is
+    # numpy.linspace bit for bit and u is the array evaluator's within 2 ulp
     from cahnallen.cli import emit_plot_data
 
-    if case == "singular":
-        spec, times, grid = resolve_entry("eq21+", None), [0.0, 0.5], (-10, 10, 201)
-    else:
-        us = [-0.0, 5e-324, 1e300, -1e300, 1 / 3, 0.1, -2.5e-17]
-        mask = [case == "edge-values"] * len(us)
-        spec, times, grid = _FixedProfile(us, mask), [0.25], (-0.0, 1, len(us))
+    spec, times, grid = {
+        # far tails: u runs from 0 through subnormals to -1
+        "edge-values": ("eq20-", [0.25], (-1100.0, 1100.0, 45)),
+        "singular": ("eq21+", [0.0, 0.5], (-10, 10, 201)),
+        "all-omitted": ("eq21+", [0.0], (-0.05, 0.05, 5)),
+    }[case]
+    spec = resolve_entry(spec, None)
     paths, notes = emit_plot_data(spec, times, grid, str(tmp_path), "r")
-    xs = np.linspace(*grid)
     assert len(paths) == len(times)
     for path, t in zip(paths, times):
-        assert pathlib.Path(path).read_text() == _per_row_csv(spec, xs, t)
+        xs, us, scale = _array_profile(spec, np.linspace(*grid), t)
+        text = pathlib.Path(path).read_text()
+        rows = [tuple(map(float, line.split(","))) for line in
+                text.splitlines()[1:]]
+        assert text == "\n".join(["x,u", *(f"{x:.17g},{u:.17g}"
+                                           for x, u in rows)]) + "\n"
+        got = np.array(rows).reshape(-1, 2)
+        assert got[:, 0].tobytes() == xs.tobytes()
+        assert np.all(_ulps(got[:, 1], us, scale) <= 2.0)
     assert bool(notes) == (case != "edge-values")
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.37, 2.5, 1e-3, 30.0, 1e150,
+                               1.3e154])
+def test_scalar_and_array_profiles_agree(k):
+    # the scalar profile writer and SolutionSpec.eval compute one closed
+    # form, each the other's oracle: the same rows, and u within 2 ulp of
+    # |u0| + |amp*S| (numpy's exp and libm's differ in the last bit)
+    from cahnallen.cli import _profile_rows
+    from cahnallen.solutions import enumerate_catalog
+
+    xs = np.linspace(-10.0, 10.0, 201)
+    worst = 0.0
+    for spec in enumerate_catalog(k):
+        for t in (0.0, 0.37, 1.0):
+            rows, omitted = _profile_rows(spec, xs.tolist(), t)
+            want_x, want_u, scale = _array_profile(spec, xs, t)
+            got = np.array(rows).reshape(-1, 2)
+            assert omitted == xs.size - want_x.size, spec.entry_id
+            assert got[:, 0].tobytes() == want_x.tobytes(), spec.entry_id
+            worst = max(worst, float(np.max(_ulps(got[:, 1], want_u, scale),
+                                            initial=0.0)))
+    assert worst <= 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+       st.integers(1, 40))
+def test_linspace_matches_numpy_bit_for_bit(start, stop, n):
+    from cahnallen.cli import _linspace
+
+    assert np.array(_linspace(start, stop, n)).tobytes() == \
+        np.linspace(start, stop, n).tobytes()
+
+
+@pytest.mark.parametrize("grid", [(0.0, 5e-324, 3), (-0.0, 0.0, 1),
+                                  (5e-324, -0.0, 4), (1.0, 1.0, 3)])
+def test_linspace_matches_numpy_on_tiny_steps(grid):
+    from cahnallen.cli import _linspace
+
+    assert np.array(_linspace(*grid)).tobytes() == np.linspace(*grid).tobytes()
 
 
 @pytest.mark.parametrize("rows", [
@@ -223,6 +271,19 @@ def test_catalog_table(tmp_path, capsys):
                for line in lines)
     assert any(line.startswith("eq26+printed,") and line.endswith(",invalid")
                for line in lines)
+
+
+@pytest.mark.parametrize("k", ["1e-3", "30", "1e6", "1.3e154"])
+def test_catalog_validity_is_exact_at_every_scale(k, tmp_path, capsys):
+    # a residual against an absolute tolerance judged 8 derived entries
+    # invalid at k = 30 and k = 1e6; the structural zero holds at every k
+    code, _, err = run(["catalog", "--k", k, "--out-dir", str(tmp_path)],
+                       capsys)
+    assert (code, err) == (0, "")
+    rows = (tmp_path / "catalog.csv").read_text().splitlines()[1:]
+    valid = [r.split(",")[0] for r in rows if r.endswith(",valid")]
+    assert len(rows) == 54 and len(valid) == 42
+    assert not any(entry.endswith("printed") for entry in valid)
 
 
 # --- verify ------------------------------------------------------------------------
@@ -507,19 +568,25 @@ def test_missing_output_directory_is_usage_error(tmp_path, capsys):
     assert not missing.exists()
 
 
-def test_derive_loads_no_scipy():
+@pytest.mark.parametrize("argv", [
+    ["derive"],
+    ["catalog"],
+    ["eval", "--entry", "eq20+", "--t", "0,1"],
+    ["eval", "--entry", "eq21+", "--t", "0,1"],
+], ids=["derive", "catalog", "eval-kink", "eval-singular"])
+def test_stdlib_command_loads_no_numpy(argv, tmp_path):
     import cahnallen
 
     src = os.path.dirname(os.path.dirname(cahnallen.__file__))
     probe = ("import sys, contextlib, io\n"
              "import cahnallen.cli as cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    assert cli.main(['derive']) == 0\n"
+             "    assert cli.main(sys.argv[1:]) == 0\n"
              "print(sorted(m for m in sys.modules"
              " if m.split('.')[0] in ('numpy', 'scipy')))\n")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src},
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -565,3 +632,60 @@ def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# --- fuzz ------------------------------------------------------------------------
+
+ENTRY_IDS = sorted(catalog_by_id(1.0))  # kinks and singular entries alike
+_big = st.floats(-1e308, 1e308)
+
+
+def _fuzz_wave_number():
+    return st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+def _check_parses(path):
+    """Every numeric cell of a written CSV is finite; JSON refuses NaN and
+    infinities."""
+    if path.suffix == ".json":
+        _strict_json(path)
+        return
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # an id, a family name, a verdict
+            assert math.isfinite(value), f"{cell} in {path.name}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(lambda k: ["catalog", "--k", repr(k)], _fuzz_wave_number()),
+    st.builds(lambda entry, k, ts, x0, x1, n: [
+        "eval", "--entry", entry, "--k", repr(k),
+        "--t=" + ",".join(map(repr, ts)), f"--x={x0!r},{x1!r},{n}"],
+        st.sampled_from(ENTRY_IDS), _fuzz_wave_number(),
+        st.lists(_big, min_size=1, max_size=3), _big, _big,
+        st.integers(1, 30)),
+))
+def test_catalog_and_eval_fuzz(argv):
+    with tempfile.TemporaryDirectory() as out_dir, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            try:
+                code = main([*argv, "--out-dir", out_dir])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        written = sorted(pathlib.Path(out_dir).iterdir())
+        for path in written:
+            _check_parses(path)
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert caught == []
+    if code == 2:
+        assert err.getvalue().count("\n") >= 1
+    else:
+        assert any(p.name.endswith("_manifest.json") for p in written)

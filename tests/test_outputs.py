@@ -2,16 +2,19 @@
 against the digests in tests/data/outputs.sha256.
 
 The exact-layer commands (`derive`, `catalog`) must match on every machine.
-numpy picks its transcendental kernels by CPU dispatch, so the numeric
-outputs may differ in their last bits elsewhere; their digests are kept per
-numpy version and dispatch set, and compared only where both match.
+`eval` evaluates its profiles with `math`, so its bytes come from the
+platform's C library; its digests are kept per machine type and C library
+(the scope of tests/test_entry_cores.py).  numpy picks its transcendental
+kernels by CPU dispatch, so the other numeric outputs may differ in their
+last bits elsewhere; their digests are kept per numpy version and dispatch
+set.  Each scope is compared only where it matches.
 
 A change that alters outputs on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_outputs.py
 
-which replaces the exact digests and those of this machine's numeric scope
-and keeps the numeric digests recorded on other machines.
+which replaces the exact digests and those of this machine's C-library and
+numeric scopes and keeps the digests recorded on other machines.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ import sys
 import tempfile
 
 import pytest
+from test_entry_cores import libm_scope
 
 from cahnallen import cli
 
@@ -30,7 +34,8 @@ HEADER = "# scope output sha256; see tests/test_outputs.py\n"
 EXACT = "exact"
 KS = ("0.5", "1", "1.37", "2.5")
 
-# case name -> argv; derive and catalog cases hold exact-layer outputs
+# case name -> argv; derive and catalog cases hold exact-layer outputs and
+# eval cases C-library ones
 MATRIX = {
     "derive-symbolic": ["derive"],
     **{f"derive-k{k}": ["derive", "--k", k] for k in KS},
@@ -65,10 +70,11 @@ def run_matrix(root: pathlib.Path) -> dict[tuple[str, str], str]:
     """{(scope, output name): sha256} of every file, of each stdout with the
     exit code appended, and of each stderr; the out-dir is replaced by a fixed
     token in both streams."""
-    numeric = numeric_scope()
+    numeric, libm = numeric_scope(), libm_scope()
     out = {}
     for case, argv in MATRIX.items():
-        scope = EXACT if case.startswith(("derive", "catalog")) else numeric
+        scope = EXACT if case.startswith(("derive", "catalog")) else \
+            libm if case.startswith("eval") else numeric
         case_dir = root / case
         case_dir.mkdir()
         if argv[0] != "derive":
@@ -111,16 +117,24 @@ def test_exact_outputs_match_their_digests(produced):
     assert _changed(produced, read_digests(), EXACT) == []
 
 
-def test_numeric_outputs_match_their_digests(produced):
-    recorded, scope = read_digests(), numeric_scope()
+def _assert_scope_matches(produced, scope):
+    recorded = read_digests()
     if not any(s == scope for s, _ in recorded):
         pytest.skip(f"no digests recorded for {scope}")
     assert _changed(produced, recorded, scope) == []
 
 
+def test_numeric_outputs_match_their_digests(produced):
+    _assert_scope_matches(produced, numeric_scope())
+
+
+def test_libm_outputs_match_their_digests(produced):
+    _assert_scope_matches(produced, libm_scope())
+
+
 def main() -> int:
     kept = {key: d for key, d in read_digests().items()
-            if key[0] not in (EXACT, numeric_scope())} \
+            if key[0] not in (EXACT, libm_scope(), numeric_scope())} \
         if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as root:
         kept.update(run_matrix(pathlib.Path(root)))

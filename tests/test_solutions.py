@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import constant_solution
 
+from cahnallen.qfield import Radical2
 from cahnallen.solutions import (
     SINGULAR_HALF_WIDTH,
     Family,
@@ -16,6 +18,7 @@ from cahnallen.solutions import (
     derived_entry,
     enumerate_catalog,
     logistic_pair,
+    ode_coefficients,
     reduce_ab_to_canonical,
 )
 
@@ -48,6 +51,55 @@ def test_logistic_pair_matches_math_exp_to_full_precision():
     for got, sign in ((s, 1.0), (h, -1.0)):
         want = np.array([_logistic_oracle(sign * t) for t in theta])
         assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+# --- exact verdicts ---------------------------------------------------------
+
+
+def exact_valid(spec) -> bool:
+    return not any(ode_coefficients(spec))
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.5, 1.0, 30.0, 1e6, 1.3e154])
+def test_exact_verdict_splits_derived_from_printed(k):
+    catalog = enumerate_catalog(k)
+    assert [exact_valid(s) for s in catalog] == \
+        [s.reading == "derived" for s in catalog]
+
+
+@pytest.mark.parametrize("k", [1e-3, 1.37, 1e6])
+def test_exact_core_is_the_evaluated_core(k):
+    # the floats the evaluators use are the exact core, read at k
+    for spec in enumerate_catalog(k):
+        u0, amp, n, w = spec.exact
+        assert (float(u0), float(amp)) == (spec.u0, spec.amp), spec.entry_id
+        assert float(w) * k == spec.w, spec.entry_id
+        assert math.isclose(float(n) / k, spec.nu, rel_tol=4e-16), spec.entry_id
+
+
+def _printed_at_derived_rate(table1):
+    """eq26+printed is the eq26+ kink read at twice its rate; at the
+    branch rate it is that kink again."""
+    spec = table1["eq26+printed"]
+    return replace(spec, exact=spec.exact._replace(N=spec.exact.N / 2))
+
+
+def test_printed_reading_at_the_branch_rate_is_valid(table1):
+    assert not exact_valid(table1["eq26+printed"])
+    assert exact_valid(_printed_at_derived_rate(table1))
+
+
+@pytest.mark.parametrize("field", ["u0", "amp", "N", "W"])
+def test_perturbing_one_input_flips_the_verdict(field, table1):
+    spec = _printed_at_derived_rate(table1)
+    value = getattr(spec.exact, field)
+    bumped = value + Radical2(1, 0) / 1000
+    perturbed = replace(spec, exact=spec.exact._replace(**{field: bumped}))
+    assert not exact_valid(perturbed)
+    # a perturbation in the sqrt(2) part alone is caught as well
+    bumped = value + Radical2.sqrt2(1) / 1000
+    perturbed = replace(spec, exact=spec.exact._replace(**{field: bumped}))
+    assert not exact_valid(perturbed)
 
 
 # --- enumeration ------------------------------------------------------------
