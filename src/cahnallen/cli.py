@@ -11,9 +11,11 @@ files.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
 
 `derive`, `catalog` and `eval` run on the standard library alone: the
 catalog's validity column is the exact structural zero of each entry's
-k-free ODE coefficients (solutions.ode_coefficients), and eval writes its
-profiles with a scalar `math` loop.  Each handler imports the modules it
-uses, so only verify, simulate and convergence load numpy.
+k-free ODE coefficients (solutions.ode_coefficients), and eval writes the
+rows of SolutionSpec.profile_rows, the scalar `math` twin of the array
+evaluator.  Each handler imports the modules it uses, so only verify,
+simulate and convergence load numpy.  The audit JSON is written from the
+audit's own records (verify.AuditRow, verify.EquivalenceRow).
 """
 
 from __future__ import annotations
@@ -210,44 +212,6 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
     return xs
 
 
-def _profile_rows(spec: SolutionSpec, xs: list[float],
-                  t: float) -> tuple[list[tuple[float, float]], int]:
-    """The (x, u) rows of u0 + amp*S(nu*(k*x + w*t) + shift) outside the
-    singular zone, and the number of rows omitted inside it.
-
-    The scalar twin of SolutionSpec.eval, with math in place of numpy:
-    the same formulas in the same order, so the two differ only where
-    libm's exp and numpy's differ in the last bit.  A wave coordinate that
-    overflows is the same ValueError.
-    """
-    from .solutions import SINGULAR_HALF_WIDTH
-
-    k, w, nu, shift = spec.k, spec.w, spec.nu, spec.shift
-    u0, amp, pole, kink = spec.u0, spec.amp, spec.pole, spec.qsign > 0
-    wt, exp, expm1, inf = w * t, math.exp, math.expm1, math.inf
-    rows: list[tuple[float, float]] = []
-    append = rows.append
-    omitted = 0
-    for x in xs:
-        xi = k * x + wt
-        if not -inf < xi < inf:
-            raise spec._overflow()
-        if pole is not None and abs(xi - pole) < SINGULAR_HALF_WIDTH:
-            omitted += 1
-            continue
-        theta = nu * xi + shift
-        if kink:  # logistic_pair's S: e^min(theta, 0) / (1 + e^-|theta|)
-            append((x, u0 + amp * (exp(theta if theta < 0.0 else 0.0)
-                                   / (1.0 + exp(-abs(theta))))))
-            continue
-        try:
-            s = 1.0 / -expm1(-theta)
-        except OverflowError:  # numpy's expm1 gives +inf: S is 1/-inf
-            s = -0.0
-        append((x, u0 + amp * s))
-    return rows, omitted
-
-
 def emit_plot_data(spec: SolutionSpec, t_list: list[float],
                    x_grid: tuple[float, float, int], out_dir: str,
                    run_id: str) -> tuple[list[str], list[str]]:
@@ -256,7 +220,7 @@ def emit_plot_data(spec: SolutionSpec, t_list: list[float],
     outputs: list[str] = []
     notes: list[str] = []
     for index, t in enumerate(t_list):
-        rows, omitted = _profile_rows(spec, xs, t)
+        rows, omitted = spec.profile_rows(xs, t)
         if omitted:
             notes.append(
                 f"t={_fmt(t)}: omitted {omitted} rows inside the singular"
@@ -310,6 +274,15 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+def _audit_row(row) -> dict:
+    """An AuditRow as JSON: its verdict spelled out, its maxima null where
+    they are not finite."""
+    out = row._replace(pde_max_abs=_json_number(row.pde_max_abs),
+                       ode_max_abs=_json_number(row.ode_max_abs))._asdict()
+    out["verdict"] = "valid" if out.pop("valid") else "invalid"
+    return out
+
+
 def _cmd_verify(args) -> int:
     from .solutions import enumerate_catalog
     from .verify import GridSpec, classify_branches
@@ -319,12 +292,13 @@ def _cmd_verify(args) -> int:
         from dataclasses import replace
 
         # a speed sign flip is not a symmetry of the equation, so matching
-        # entries are guaranteed to fail the residual audit
-        catalog = [
-            replace(spec, w=-spec.w)
-            if spec.entry_id.startswith(args.corrupt) else spec
-            for spec in catalog
-        ]
+        # entries are guaranteed to fail the residual audit; the exact core
+        # flips with the float speed, so it stays the core that is evaluated
+        for i, spec in enumerate(catalog):
+            if spec.entry_id.startswith(args.corrupt):
+                exact = spec.exact._replace(W=-spec.exact.W)
+                catalog[i] = replace(spec, exact=exact,
+                                     **exact.lowered(spec.k))
     grid = args.grid or GridSpec()
     audit = classify_branches(catalog, grid, args.threshold)
     payload = {
@@ -333,25 +307,8 @@ def _cmd_verify(args) -> int:
             "nx": grid.nx, "nt": grid.nt,
         },
         "threshold": args.threshold,
-        "rows": [
-            {
-                "entry_id": r.entry_id, "family_code": r.family_code,
-                "family": r.family, "reading": r.reading, "a0": r.a0,
-                "s1": r.s1, "sw": r.sw, "params": r.params,
-                "pde_max_abs": _json_number(r.pde_max_abs),
-                "ode_max_abs": _json_number(r.ode_max_abs),
-                "verdict": "valid" if r.valid else "invalid",
-            }
-            for r in audit.rows
-        ],
-        "equivalences": [
-            {
-                "ab_entry": e.ab_entry, "canonical_code": e.canonical_code,
-                "shift_c": e.shift_c, "max_abs_diff": e.max_abs_diff,
-                "confirmed": e.confirmed,
-            }
-            for e in audit.equivalences
-        ],
+        "rows": [_audit_row(r) for r in audit.rows],
+        "equivalences": [e._asdict() for e in audit.equivalences],
         "family_valid": audit.family_valid,
     }
     path = os.path.join(args.out_dir, "audit.json")

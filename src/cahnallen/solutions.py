@@ -14,14 +14,16 @@ can classify them; each is a row of branch data: u0, amp and a multiple of
 the rate of one closure branch, whose speed it takes, with shift 0.
 
 Every entry also carries its core in Q(sqrt(2)) (ExactCore): u0, amp, the
-rate N = nu*k and the speed ratio W = w/k, none of which depends on k.  The
-ODE residual of the core is a cubic in S whose four coefficients
+rate N = nu*k and the speed ratio W = w/k, none of which depends on k, and
+its floats are that core read at k (ExactCore.lowered, the one lowering).
+The ODE residual of the core is a cubic in S whose four coefficients
 (ode_coefficients) are then k-free too, so whether an entry solves the ODE
 is decided by structural zero, not by a tolerance.
 
 Building the catalog needs only the standard library; the array methods
 (xi, regular_mask, profile, eval, partials, logistic_pair) load numpy when
-they run.
+they run.  Its scalar twin, profile_rows, evaluates the same closed form
+with math; each is the other's test oracle.
 
 Entry ids are stable catalog codes: family code (eq19..eq30), one sign
 character, then an optional variant suffix.  For the a0 = 0 families the
@@ -99,6 +101,12 @@ class ExactCore(NamedTuple):
     amp: Radical2
     N: Radical2
     W: Radical2
+
+    def lowered(self, k: float) -> dict[str, float]:
+        """The SolutionSpec floats u0, amp, nu and w of this core read at
+        wave number k: every entry's numbers are built here."""
+        return {"u0": float(self.u0), "amp": float(self.amp),
+                "nu": float(self.N) / k, "w": float(self.W) * k}
 
 
 @dataclass(frozen=True)
@@ -205,6 +213,41 @@ class SolutionSpec:
         u, _, _ = self.profile(xi)
         return float(u) if np.isscalar(x) and np.isscalar(t) else u
 
+    def profile_rows(self, xs: list[float],
+                     t: float) -> tuple[list[tuple[float, float]], int]:
+        """The (x, u) rows of the wave at time t outside the singular zone,
+        and the number of rows omitted inside it.
+
+        The scalar twin of eval, with math in place of numpy: the same
+        formulas in the same order, so the two differ only where libm's exp
+        and numpy's differ in the last bit.  A wave coordinate that
+        overflows is the same ValueError.
+        """
+        k, nu, shift, u0, amp = self.k, self.nu, self.shift, self.u0, self.amp
+        pole, kink = self.pole, self.qsign > 0
+        wt, exp, expm1, inf = self.w * t, math.exp, math.expm1, math.inf
+        rows: list[tuple[float, float]] = []
+        append = rows.append
+        omitted = 0
+        for x in xs:
+            xi = k * x + wt
+            if not -inf < xi < inf:
+                raise self._overflow()
+            if pole is not None and abs(xi - pole) < SINGULAR_HALF_WIDTH:
+                omitted += 1
+                continue
+            theta = nu * xi + shift
+            if kink:  # logistic_pair's S: e^min(theta, 0) / (1 + e^-|theta|)
+                append((x, u0 + amp * (exp(theta if theta < 0.0 else 0.0)
+                                       / (1.0 + exp(-abs(theta))))))
+                continue
+            try:
+                s = 1.0 / -expm1(-theta)
+            except OverflowError:  # numpy's expm1 gives +inf: S is 1/-inf
+                s = -0.0
+            append((x, u0 + amp * s))
+        return rows, omitted
+
     def partials(self, x, t):
         """(u_t, u_x, u_xx) from the closed-form chain rule."""
         import numpy as np
@@ -271,14 +314,10 @@ def derived_entry(entry_id: str, family_code: str, family: Family, a0: int,
                 f" {num:g}/{den:g} is not a finite nonzero number")
         shift, qsign = -math.log(abs(q)), (1 if q > 0 else -1)
     rate = branch.nu_times_k
-    amp = branch.alpha * rate
-    return SolutionSpec(
-        entry_id, family_code, family, "derived", a0, s1, sw, k,
-        ExactCore(branch.a0, amp, rate, branch.w_over_k), **params,
-        u0=float(branch.a0_int), amp=float(amp),
-        nu=float(rate) / k, shift=shift, qsign=qsign,
-        w=float(branch.w_over_k) * k,
-    )
+    exact = ExactCore(branch.a0, branch.alpha * rate, rate, branch.w_over_k)
+    return SolutionSpec(entry_id, family_code, family, "derived", a0, s1, sw,
+                        k, exact, **params, **exact.lowered(k), shift=shift,
+                        qsign=qsign)
 
 
 # (id suffix, a0, s1, sw) of the sign variants, for a0 = 0 and a0 = +-1
@@ -301,14 +340,11 @@ def enumerate_catalog(k: float) -> list[SolutionSpec]:
         # speed it takes, u0, amp, multiple of that rate); shift 0, logistic S
         for stem, (a0, s1, sw), key, u0, amp, multiple in rows:
             branch = branch_for(*key)
-            rate = branch.nu_times_k
             exact = ExactCore(Radical2.of(u0), Radical2.of(amp),
-                              rate * multiple, branch.w_over_k)
+                              branch.nu_times_k * multiple, branch.w_over_k)
             entries.append(SolutionSpec(
                 f"{stem}printed", stem[:4], family, "printed", a0, s1, sw, k,
-                exact, u0=float(u0), amp=float(amp),
-                nu=multiple * (float(rate) / k), shift=0.0, qsign=1,
-                w=float(branch.w_over_k) * k, **params))
+                exact, **params, **exact.lowered(k)))
 
     derived("eq19", Family.GENERAL_EXP_RATIO, A0_ZERO, c1=1.0, c2=1.0)
     derived("eq20", Family.TANH_KINK, A0_ZERO, c1=1.0)

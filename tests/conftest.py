@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from cahnallen.closure import run_derivation
+from cahnallen.qfield import Radical2
 from cahnallen.reduction import EvolutionEquation, WaveFrame, reduce_to_ode
 from cahnallen.solutions import catalog_by_id, enumerate_catalog
 
@@ -35,9 +36,12 @@ class PerturbedSolution:
 
 def constant_solution(level: float):
     """u = level everywhere: the eq20+ kink with zero amplitude, so every
-    partial is zero (an equilibrium when level is 0 or +-1)."""
-    return replace(catalog_by_id(1.0)["eq20+"], entry_id=f"constant({level:g})",
-                   u0=level, amp=0.0)
+    partial is zero (an equilibrium when level is 0 or +-1).  Its exact core
+    is that constant too, lowered as every catalog entry is."""
+    kink = catalog_by_id(1.0)["eq20+"]
+    exact = kink.exact._replace(u0=Radical2.of(level), amp=Radical2())
+    return replace(kink, entry_id=f"constant({level:g})", exact=exact,
+                   **exact.lowered(kink.k))
 
 
 @pytest.fixture(scope="session")

@@ -198,14 +198,13 @@ def test_scalar_and_array_profiles_agree(k):
     # the scalar profile writer and SolutionSpec.eval compute one closed
     # form, each the other's oracle: the same rows, and u within 2 ulp of
     # |u0| + |amp*S| (numpy's exp and libm's differ in the last bit)
-    from cahnallen.cli import _profile_rows
     from cahnallen.solutions import enumerate_catalog
 
     xs = np.linspace(-10.0, 10.0, 201)
     worst = 0.0
     for spec in enumerate_catalog(k):
         for t in (0.0, 0.37, 1.0):
-            rows, omitted = _profile_rows(spec, xs.tolist(), t)
+            rows, omitted = spec.profile_rows(xs.tolist(), t)
             want_x, want_u, scale = _array_profile(spec, xs, t)
             got = np.array(rows).reshape(-1, 2)
             assert omitted == xs.size - want_x.size, spec.entry_id
@@ -305,6 +304,33 @@ def test_verify_corrupted_family_fails_and_names_it(tmp_path, capsys):
     assert code == 1
     assert "eq20" in err
     assert "eq20+" in err
+
+
+def test_corrupted_entries_are_exactly_invalid(tmp_path, capsys, monkeypatch):
+    # --corrupt flips the exact speed ratio with the float speed, so each
+    # audited entry's exact verdict is the numeric verdict audit.json writes
+    import cahnallen.verify
+    from cahnallen.solutions import ode_coefficients
+
+    audited = []
+    classify = cahnallen.verify.classify_branches
+
+    def spy(catalog, *args):
+        audited.extend(catalog)
+        return classify(catalog, *args)
+
+    monkeypatch.setattr(cahnallen.verify, "classify_branches", spy)
+    code, _, _ = run(["verify", "--corrupt", "eq20",
+                      "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    rows = json.loads((tmp_path / "audit.json").read_text())["rows"]
+    assert [r["entry_id"] for r in rows] == [s.entry_id for s in audited]
+    corrupted = [s for s in audited if s.entry_id.startswith("eq20")]
+    assert len(corrupted) == 4
+    assert all(any(ode_coefficients(s)) for s in corrupted)
+    for spec, row in zip(audited, rows):
+        exact = "invalid" if any(ode_coefficients(spec)) else "valid"
+        assert row["verdict"] == exact, spec.entry_id
 
 
 def test_verify_custom_grid(tmp_path, capsys):
@@ -668,6 +694,9 @@ def _check_parses(path):
         st.sampled_from(ENTRY_IDS), _fuzz_wave_number(),
         st.lists(_big, min_size=1, max_size=3), _big, _big,
         st.integers(1, 30)),
+    st.builds(lambda k, bad: ["verify", "--k", repr(k),
+                              *(["--corrupt", bad] if bad else [])],
+              _fuzz_wave_number(), st.none() | st.sampled_from(ENTRY_IDS)),
 ))
 def test_catalog_and_eval_fuzz(argv):
     with tempfile.TemporaryDirectory() as out_dir, \
@@ -682,7 +711,9 @@ def test_catalog_and_eval_fuzz(argv):
         written = sorted(pathlib.Path(out_dir).iterdir())
         for path in written:
             _check_parses(path)
-    assert code in (0, 2), err.getvalue()
+    # a failed audit is verify's exit 1; catalog and eval have no check
+    allowed = (0, 1, 2) if argv[0] == "verify" else (0, 2)
+    assert code in allowed, err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert caught == []
     if code == 2:

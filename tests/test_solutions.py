@@ -1,12 +1,15 @@
 """Catalog entries: values, partials, constants, equivalences, symmetries."""
 
 import math
+import struct
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import constant_solution
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cahnallen.qfield import Radical2
 from cahnallen.solutions import (
@@ -67,14 +70,30 @@ def test_exact_verdict_splits_derived_from_printed(k):
         [s.reading == "derived" for s in catalog]
 
 
+def _assert_core_is_evaluated(k):
+    # the floats the evaluators use are the exact core read at k, bit for
+    # bit (signs of zero included), for every entry and canonical reduction
+    catalog = enumerate_catalog(k)
+    reductions = [reduce_ab_to_canonical(s) for s in catalog
+                  if s.family is Family.AB_EXP_FORM and s.reading == "derived"]
+    assert len(reductions) == 8
+    for spec in catalog + reductions:
+        u0, amp, n, w = spec.exact
+        want = (float(u0), float(amp), float(n) / k, float(w) * k)
+        got = (spec.u0, spec.amp, spec.nu, spec.w)
+        assert struct.pack("<4d", *got) == struct.pack("<4d", *want), \
+            spec.entry_id
+
+
 @pytest.mark.parametrize("k", [1e-3, 1.37, 1e6])
 def test_exact_core_is_the_evaluated_core(k):
-    # the floats the evaluators use are the exact core, read at k
-    for spec in enumerate_catalog(k):
-        u0, amp, n, w = spec.exact
-        assert (float(u0), float(amp)) == (spec.u0, spec.amp), spec.entry_id
-        assert float(w) * k == spec.w, spec.entry_id
-        assert math.isclose(float(n) / k, spec.nu, rel_tol=4e-16), spec.entry_id
+    _assert_core_is_evaluated(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e))
+def test_exact_core_is_the_evaluated_core_at_any_k(k):
+    _assert_core_is_evaluated(k)
 
 
 def _printed_at_derived_rate(table1):

@@ -7,7 +7,8 @@ import pytest
 from conftest import PerturbedSolution, constant_solution
 
 from cahnallen.solutions import (SINGULAR_HALF_WIDTH, Family, derived_entry,
-                                 enumerate_catalog, reduce_ab_to_canonical)
+                                 enumerate_catalog, ode_coefficients,
+                                 reduce_ab_to_canonical)
 from cahnallen.verify import (
     _STENCILS,
     ODE_THRESHOLD,
@@ -32,6 +33,9 @@ def audit(catalog1):
 def test_equilibria_have_exactly_zero_residual():
     for level in (0.0, 1.0, -1.0):
         const = constant_solution(level)
+        # its exact core is that constant, which is exactly valid too
+        assert (float(const.exact.u0), const.exact.amp) == (level, 0)
+        assert not any(ode_coefficients(const))
         assert pde_residual(const).max_abs == 0.0
         assert ode_residual(const).max_abs == 0.0
 
