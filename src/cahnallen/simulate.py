@@ -19,7 +19,7 @@ import numpy as np
 
 from .qfield import Frozen
 from .reduction import ConfigError, check_times
-from .solutions import SINGULAR_HALF_WIDTH, SolutionSpec
+from .solutions import SolutionSpec
 
 BLOWUP_LIMIT = 1e6
 STEPS_PER_PROFILE = 4096  # boundary data evaluated per block of steps
@@ -453,9 +453,7 @@ def integrate(spec: SolutionSpec, grid: Grid1D, config: SimConfig) -> SimResult:
     xs = grid.xs()
     xi_lo = spec.k * grid.x_min + min(0.0, spec.w * config.T)
     xi_hi = spec.k * grid.x_max + max(0.0, spec.w * config.T)
-    pole = spec.pole
-    if pole is not None and (xi_lo - SINGULAR_HALF_WIDTH < pole
-                             < xi_hi + SINGULAR_HALF_WIDTH):
+    if not spec.clear_of_pole(xi_lo, xi_hi):
         raise ValueError(
             f"{spec.entry_id} is singular inside the space-time window;"
             " choose a domain clear of the traveling pole"

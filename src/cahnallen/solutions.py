@@ -161,14 +161,23 @@ class SolutionSpec:
     def front_level(self) -> float:
         return self.u0 + self.amp / 2.0
 
-    def regular_mask(self, xi):
-        """True where xi lies outside the singular zone."""
+    def regular_mask(self, xi, margin: float = 0.0):
+        """True where xi lies outside the singular zone widened by margin:
+        the one array form of the rule |xi - pole| < SINGULAR_HALF_WIDTH."""
         import numpy as np
 
         pole = self.pole
         if pole is None:
             return np.ones(np.shape(xi), dtype=bool)
-        return ~(np.abs(np.asarray(xi, dtype=float) - pole) < SINGULAR_HALF_WIDTH)
+        return ~(np.abs(np.asarray(xi, dtype=float) - pole)
+                 < SINGULAR_HALF_WIDTH + margin)
+
+    def clear_of_pole(self, lo: float, hi: float) -> bool:
+        """Whether every wave coordinate in [lo, hi] lies outside the
+        singular zone."""
+        pole = self.pole
+        return pole is None or not (lo - SINGULAR_HALF_WIDTH < pole
+                                    < hi + SINGULAR_HALF_WIDTH)
 
     def _check_regular(self, xi) -> None:
         pole = self.pole

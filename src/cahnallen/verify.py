@@ -4,6 +4,10 @@ An exact traveling wave drives the pointwise residual u_t - u_xx + u^3 - u
 down to rounding noise (~1e-13 on the standard grid); a wrong sign pairing
 or a mis-scaled argument leaves an O(1) residual.  The default threshold of
 1e-8 separates the two classes by more than five orders of magnitude.
+
+Where an entry may be evaluated is the entry's business: the residuals are
+computed only at the points its regular_mask keeps, and the cross check
+asks it for the zone widened by the stencil reach.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qfield import Frozen
-from .solutions import (SINGULAR_HALF_WIDTH, Family, SolutionSpec,
-                        reduce_ab_to_canonical)
+from .solutions import Family, SolutionSpec, reduce_ab_to_canonical
 
 PDE_THRESHOLD = 1e-8
 ODE_THRESHOLD = 1e-10
@@ -54,7 +57,6 @@ def _mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 class ResidualReport(NamedTuple):
     entry_id: str
     max_abs: float
-    mean_abs: float
     argmax: tuple[float, float]
     threshold: float
     n_points: int
@@ -63,36 +65,6 @@ class ResidualReport(NamedTuple):
     @property
     def is_valid(self) -> bool:
         return self.max_abs < self.threshold
-
-
-def _regular_part(spec, xi: np.ndarray):
-    """(mask, xi with singular points moved one unit off the pole); the
-    mask is None when the entry has no pole."""
-    pole = spec.pole
-    if pole is None:
-        return None, xi
-    mask = spec.regular_mask(xi)
-    return mask, np.where(mask, xi, pole + 1.0)
-
-
-def _report(entry_id, resid, xs, ts, mask, threshold) -> ResidualReport:
-    """Max, mean and location of |resid| over the points the mask keeps
-    (every point when mask is None)."""
-    vals = np.abs(resid)
-    if mask is None:
-        n_points, total = vals.size, np.sum(vals)
-    else:
-        n_points, total = int(np.count_nonzero(mask)), np.sum(vals, where=mask)
-        vals[~mask] = -1.0
-    if n_points == 0:
-        raise ValueError("every grid point fell inside a singular zone")
-    at = int(np.argmax(vals))
-    i, j = np.unravel_index(at, vals.shape)
-    return ResidualReport(
-        entry_id, float(vals.flat[at]), float(total) / n_points,
-        (float(xs[i, j]), float(ts[i, j])),
-        threshold, n_points, vals.size - n_points,
-    )
 
 
 def _residual(spec, xi):
@@ -106,24 +78,36 @@ def _residual(spec, xi):
         return spec.w * du - spec.k * spec.k * d2 + u * u * u - u
 
 
+def _report(spec, xi, xs, ts, threshold) -> ResidualReport:
+    """Max and location of |residual| over the points of xi that the entry
+    calls regular; xs and ts hold each point's (x, t)."""
+    keep = np.flatnonzero(spec.regular_mask(xi))
+    if keep.size == 0:
+        raise ValueError(f"{spec.entry_id}: every grid point fell inside a"
+                         " singular zone")
+    vals = np.abs(_residual(spec, xi.ravel()[keep]))
+    at = int(np.argmax(vals))
+    where = keep[at]
+    return ResidualReport(
+        spec.entry_id, float(vals[at]),
+        (float(xs.flat[where]), float(ts.flat[where])),
+        threshold, keep.size, xi.size - keep.size,
+    )
+
+
 def pde_residual(spec, grid: GridSpec | None = None,
                  threshold: float = PDE_THRESHOLD) -> ResidualReport:
-    """Pointwise u_t - u_xx + u^3 - u on the grid, singular zones excluded."""
-    grid = grid or GridSpec()
-    X, T = grid.mesh()
-    mask, xi = _regular_part(spec, spec.xi(X, T))
-    resid = _residual(spec, xi)
-    return _report(spec.entry_id, resid, X, T, mask, threshold)
+    """Pointwise u_t - u_xx + u^3 - u on the grid's regular points."""
+    X, T = (grid or GridSpec()).mesh()
+    return _report(spec, spec.xi(X, T), X, T, threshold)
 
 
 def ode_residual(spec, xi_points=STANDARD_XI_POINTS,
                  threshold: float = ODE_THRESHOLD) -> ResidualReport:
-    """Pointwise w*u' - k^2*u'' + u^3 - u along the wave coordinate."""
-    xi = np.asarray(xi_points, dtype=float).reshape(-1, 1)
-    mask, xi_safe = _regular_part(spec, xi)
-    resid = _residual(spec, xi_safe)
-    zeros = np.zeros_like(xi)
-    return _report(spec.entry_id, resid, xi, zeros, mask, threshold)
+    """Pointwise w*u' - k^2*u'' + u^3 - u at the regular points along the
+    wave coordinate."""
+    xi = np.asarray(xi_points, dtype=float)
+    return _report(spec, xi, xi, np.zeros_like(xi), threshold)
 
 
 # --- finite-difference cross check ----------------------------------------
@@ -176,9 +160,7 @@ def fd_crosscheck(spec, grid: GridSpec | None = None,
     X, T = grid.mesh()
     xi = spec.xi(X, T)
     margin = max(h_list) * arms * (abs(spec.k) + abs(spec.w)) + 1e-9
-    mask = np.ones(xi.shape, dtype=bool)
-    if spec.pole is not None:
-        mask = np.abs(xi - spec.pole) > SINGULAR_HALF_WIDTH + margin
+    mask = spec.regular_mask(xi, margin)
     xs, ts = X[mask], T[mask]
 
     # one evaluation per direction: row (h, o) is the wave shifted by o*h

@@ -11,9 +11,16 @@ from hypothesis import strategies as st
 
 from cahnallen.qfield import Radical2, rational_sqrt
 
-fractions = st.fractions(
-    min_value=-100, max_value=100, max_denominator=50
-)
+
+def _fractions(bound: int, max_denominator: int):
+    """The fractions n/d with d <= max_denominator and |n/d| <= bound, drawn
+    as two integers (st.fractions draws them far more slowly)."""
+    return st.integers(1, max_denominator).flatmap(
+        lambda d: st.integers(-bound * d, bound * d).map(
+            lambda n: Fraction(n, d)))
+
+
+fractions = _fractions(100, 50)
 radicals = st.builds(Radical2, fractions, fractions)
 
 

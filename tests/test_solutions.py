@@ -1,6 +1,7 @@
 """Catalog entries: values, partials, constants, equivalences, symmetries."""
 
 import math
+import pathlib
 import struct
 import warnings
 from dataclasses import replace
@@ -11,6 +12,7 @@ from conftest import constant_solution
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cahnallen import solutions
 from cahnallen.qfield import Radical2
 from cahnallen.solutions import (
     SINGULAR_HALF_WIDTH,
@@ -197,9 +199,31 @@ def test_regular_mask_excludes_exactly_the_singular_zone(table1):
     pole = table1["eq21+"].pole
     mask = table1["eq21+"].regular_mask(xi)
     assert np.array_equal(mask, np.abs(xi - pole) >= SINGULAR_HALF_WIDTH)
+    wide = table1["eq21+"].regular_mask(xi, 0.25)
+    assert np.array_equal(wide, np.abs(xi - pole) >= SINGULAR_HALF_WIDTH + 0.25)
+    assert np.count_nonzero(~wide) > np.count_nonzero(~mask) > 0
     assert table1["eq20+"].pole is None
+    assert table1["eq20+"].regular_mask(xi, 0.25).all()
     assert table1["eq20+"].regular_mask(xi.reshape(3, 67)).all()
     assert table1["eq20+"].regular_mask(xi).shape == xi.shape
+
+
+def test_only_solutions_states_the_zone_rule():
+    package = pathlib.Path(solutions.__file__).parent
+    naming = sorted(p.name for p in package.glob("*.py")
+                    if "SINGULAR_HALF_WIDTH" in p.read_text())
+    assert naming == ["solutions.py"]
+
+
+def test_clear_of_pole_is_the_mask_over_a_span(table1):
+    spec = table1["eq21+"]
+    pole = spec.pole
+    for lo, hi in ((pole - 3.0, pole - 0.2), (pole + 0.2, pole + 3.0),
+                   (pole - 3.0, pole - 0.05), (pole - 1.0, pole + 1.0),
+                   (pole + 0.05, pole + 0.05)):
+        span = np.linspace(lo, hi, 2001)
+        assert spec.clear_of_pole(lo, hi) == spec.regular_mask(span).all()
+    assert table1["eq20+"].clear_of_pole(-1e300, 1e300)
 
 
 def test_case_two_kink_connects_zero_and_a0(table1):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_qfield import _fractions
 
 from cahnallen.qfield import Radical2
 from cahnallen.symexpr import (
@@ -34,7 +35,7 @@ SQRT2 = Radical2.sqrt2()
 
 # --- strategies -------------------------------------------------------------
 
-_consts = st.fractions(min_value=-5, max_value=5, max_denominator=6).map(
+_consts = _fractions(5, 6).map(
     lambda f: SymExpr.const(Radical2(f, Fraction(0)))
 ) | st.sampled_from([SymExpr.const(SQRT2), SymExpr.const(Radical2(Fraction(1), Fraction(1)))])
 

@@ -44,7 +44,6 @@ def test_kink_pde_residual_is_rounding_noise(table1):
     report = pde_residual(table1["eq20+"])
     assert report.max_abs < 1e-10
     assert report.is_valid
-    assert report.mean_abs <= report.max_abs
     assert report.n_points == 201 * 11
 
 
@@ -68,10 +67,35 @@ def test_perturbed_solution_is_rejected(table1):
     assert ode_residual(bumped).max_abs > 1e-3
 
 
-def test_report_mean_max_ordering(catalog1):
-    for spec in catalog1[:8]:
-        rep = pde_residual(spec)
-        assert 0.0 <= rep.mean_abs <= rep.max_abs
+@pytest.mark.parametrize("entry", ["eq21+", "eq20+"])
+def test_pde_report_matches_plain_residual_over_regular_points(table1, entry):
+    # the plain formulation over the regular points, located by a 2-D
+    # argmax: guards the mapping of the best point back to (x, t)
+    spec = table1[entry]
+    X, T = np.meshgrid(np.linspace(-10.0, 10.0, 201), np.linspace(0.0, 1.0, 11),
+                       indexing="ij")
+    xi = spec.k * X + spec.w * T
+    keep = np.ones(xi.shape, dtype=bool)
+    if spec.pole is not None:
+        keep &= np.abs(xi - spec.pole) >= SINGULAR_HALF_WIDTH
+    u, du, d2 = spec.profile(np.where(keep, xi, (spec.pole or 0.0) + 1.0))
+    resid = np.abs(spec.w * du - spec.k * spec.k * d2 + u * u * u - u)
+    resid[~keep] = -np.inf
+    i, j = np.unravel_index(np.argmax(resid), resid.shape)
+    report = pde_residual(spec)
+    assert report.max_abs == resid[i, j]
+    assert report.argmax == (X[i, j], T[i, j])
+    assert report.n_points == np.count_nonzero(keep)
+    assert report.n_excluded == xi.size - np.count_nonzero(keep)
+    assert (report.n_excluded > 0) == (spec.pole is not None)
+
+
+def test_all_singular_grid_names_the_entry(table1):
+    spec = table1["eq21+"]
+    x = spec.pole / spec.k
+    inside = GridSpec((x - 0.01, x + 0.01), (0.0, 0.0), 5, 1)
+    with pytest.raises(ValueError, match=r"^eq21\+: every grid point"):
+        pde_residual(spec, inside)
 
 
 # --- finite-difference cross check --------------------------------------------
