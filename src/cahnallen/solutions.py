@@ -154,6 +154,13 @@ class SolutionSpec:
                           f" overflows at k = {self.k:g}, w = {self.w:g}")
 
     @property
+    def wave(self) -> tuple:
+        """The floats every evaluation reads: two entries with equal waves
+        give the same numbers at every point."""
+        return (self.k, self.w, self.u0, self.amp, self.nu, self.shift,
+                self.qsign)
+
+    @property
     def pole(self) -> float | None:
         """The wave coordinate of the singular entries' pole, else None."""
         return None if self.qsign > 0 else -self.shift / self.nu

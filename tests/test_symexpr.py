@@ -144,6 +144,35 @@ def test_product_rule(a, b):
     assert diff_xi(a * b) == diff_xi(a) * b + a * diff_xi(b)
 
 
+# a concrete S(xi) = 2 + e^xi, read where e^xi = E: every S^(j) is E, and a
+# term c * E^m * S^-g has the xi-derivative c * E^m * S^-g * (m - g*E/S)
+_E = Fraction(1, 2)
+_S = 2 + _E
+_ATOM_VALUES = {"k": Fraction(3, 2), "w": Fraction(-2, 3),
+                "A0": Fraction(1, 3), "A1": Fraction(-5, 4)}
+
+
+def _at_concrete_s(e):
+    """(value of e, its derivative along xi) at the concrete S."""
+    value = slope = Radical2()
+    for t in e.terms:
+        assert not t.u_powers
+        m = sum(p for _, p in t.deriv_powers)
+        v = t.coeff * _E**m / _S**t.s_grade
+        for atom, p in t.sym_powers:
+            v = v * _ATOM_VALUES[atom] ** p
+        value = value + v
+        slope = slope + v * (m - t.s_grade * _E / _S)
+    return value, slope
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(exprs)
+def test_diff_matches_derivative_on_a_concrete_s(e):
+    # unlike the product rule, this sees the sign of the S-inverse term
+    assert _at_concrete_s(diff_xi(e))[0] == _at_concrete_s(e)[1]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(exprs, exprs, exprs)
 def test_ring_laws(a, b, c):

@@ -1,14 +1,18 @@
 """Residual certification, finite-difference cross checks, branch audit."""
 
 import math
+import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import PerturbedSolution, constant_solution
 
-from cahnallen.solutions import (SINGULAR_HALF_WIDTH, Family, derived_entry,
-                                 enumerate_catalog, ode_coefficients,
-                                 reduce_ab_to_canonical)
+from cahnallen import verify
+from cahnallen.solutions import (SINGULAR_HALF_WIDTH, Family, catalog_by_id,
+                                 derived_entry, enumerate_catalog,
+                                 ode_coefficients, reduce_ab_to_canonical)
 from cahnallen.verify import (
     _STENCILS,
     ODE_THRESHOLD,
@@ -144,8 +148,21 @@ def test_crosscheck_avoids_singular_zone(table1):
 
 
 def test_crosscheck_rejects_bad_step_lists(table1):
-    with pytest.raises(ValueError):
-        fd_crosscheck(table1["eq20+"], h_list=(1e-3, 1e-2))
+    for h_list in ((1e-3, 1e-2), (), (1e-2,), (1e-2, 1e-2, 1e-2), (1e-2, 0.0),
+                   (1e-2, math.nan), (math.inf, 1e-2)):
+        with pytest.raises(ValueError, match="at least two finite positive"
+                                             " steps in strictly decreasing"):
+            fd_crosscheck(table1["eq20+"], h_list=h_list)
+
+
+@pytest.mark.parametrize("entry", ["eq21+", "eq24+coth"])
+def test_all_singular_crosscheck_names_the_entry(entry):
+    # at k = 0.001 the default grid spans |xi| <= 0.012, inside the zone
+    spec = catalog_by_id(0.001)[entry]
+    with pytest.raises(ValueError, match=rf"^{re.escape(entry)}: every grid"
+                       " point fell inside a singular zone widened by the"
+                       " stencil reach"):
+        fd_crosscheck(spec)
 
 
 # --- the audit ----------------------------------------------------------------
@@ -193,6 +210,51 @@ def test_frame_consistency_of_verdicts(catalog1):
         assert pde_ok == ode_ok
 
 
+def _flip_speed(catalog, prefix):
+    """The catalog as `verify --corrupt prefix` audits it."""
+    out = []
+    for spec in catalog:
+        if spec.entry_id.startswith(prefix):
+            exact = spec.exact._replace(W=-spec.exact.W)
+            spec = replace(spec, exact=exact, **exact.lowered(spec.k))
+        out.append(spec)
+    return out
+
+
+@pytest.mark.parametrize("corrupt", [None, "eq20"])
+def test_audit_evaluates_each_wave_once(monkeypatch, corrupt):
+    catalog = enumerate_catalog(1.37)
+    if corrupt:
+        catalog = _flip_speed(catalog, corrupt)
+    # the row-by-row audit: each entry audited on its own
+    alone = [classify_branches([spec]) for spec in catalog]
+
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def call(spec, *args, **kwargs):
+            calls[name] += 1
+            return real(spec, *args, **kwargs)
+        return call
+
+    for name in ("pde_residual", "ode_residual"):
+        monkeypatch.setattr(verify, name, counted(name))
+    audit = classify_branches(catalog)
+
+    waves = len({spec.wave for spec in catalog})
+    assert calls == {"pde_residual": waves, "ode_residual": waves}
+    if not corrupt:
+        assert waves == 32
+    else:
+        assert not any(r.valid for r in audit.rows
+                       if r.entry_id.startswith(corrupt))
+    # repr writes every float to the last bit
+    assert repr(audit.rows) == repr(tuple(a.rows[0] for a in alone))
+    assert audit.equivalences == tuple(e for a in alone for e in a.equivalences)
+
+
 def test_equivalence_pairs_confirmed(audit):
     assert len(audit.equivalences) == 8  # eq25 x4, eq27 x2, eq29 x2
     for row in audit.equivalences:
@@ -211,8 +273,6 @@ def test_translation_invariance_of_verdict():
 
 
 def test_corrupted_entry_fails_audit(table1):
-    from dataclasses import replace
-
     wrong_speed = replace(table1["eq20+"], w=-table1["eq20+"].w)
     assert not pde_residual(wrong_speed).is_valid
 
