@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: derive (symbolic pipeline with structural checks), catalog
-(entry table), verify (residual audit), eval (profile CSV emission),
-simulate (finite-difference run), convergence (refinement study).
+(entry table), verify (exact verdicts cross-checked by residuals), eval
+(profile CSV emission), simulate (finite-difference run), convergence
+(refinement study).
 
 Numeric data goes to CSV with 17 significant digits so files are
 byte-identical across runs; JSON is used only for the run manifest and the
@@ -10,12 +11,13 @@ audit table.  Every run writes a manifest listing its parameters and output
 files.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
 
 `derive`, `catalog` and `eval` run on the standard library alone: the
-catalog's validity column is the exact structural zero of each entry's
-k-free ODE coefficients (solutions.ode_coefficients), and eval writes the
-rows of SolutionSpec.profile_rows, the scalar `math` twin of the array
-evaluator.  Each handler imports the modules it uses, so only verify,
-simulate and convergence load numpy.  The audit JSON is written from the
-audit's own records (verify.AuditRow, verify.EquivalenceRow).
+validity of `catalog` and of `verify` is one predicate, the exact
+structural zero of each entry's k-free ODE coefficients
+(SolutionSpec.solves_ode), and eval writes the rows of
+SolutionSpec.profile_rows, the scalar `math` twin of the array evaluator.
+Each handler imports the modules it uses, so only verify, simulate and
+convergence load numpy.  The audit JSON is written from the audit's own
+records (verify.AuditRow).
 """
 
 from __future__ import annotations
@@ -136,14 +138,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _positive(text: str) -> float:
-    """A finite number option that must be above zero."""
-    value = _finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
-    return value
-
-
 def _integer(text: str) -> int:
     """A point count; argparse would report only the name of the type
     function for int()'s ValueError."""
@@ -253,7 +247,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    from .solutions import enumerate_catalog, ode_coefficients
+    from .solutions import enumerate_catalog
 
     entries = enumerate_catalog(args.k)
     rows = []
@@ -263,7 +257,7 @@ def _cmd_catalog(args) -> int:
             spec.a0, spec.s1, spec.sw, float(spec.k),
             json.dumps(spec.params(), sort_keys=True,
                        allow_nan=False).replace(",", ";"),
-            "invalid" if any(ode_coefficients(spec)) else "valid",
+            "valid" if spec.solves_ode else "invalid",
         ])
     path = os.path.join(args.out_dir, "catalog.csv")
     _write_csv(path, ["entry_id", "family_code", "family", "reading", "a0",
@@ -292,37 +286,38 @@ def _cmd_verify(args) -> int:
         from dataclasses import replace
 
         # a speed sign flip is not a symmetry of the equation, so matching
-        # entries are guaranteed to fail the residual audit; the exact core
-        # flips with the float speed, so it stays the core that is evaluated
+        # entries are exactly invalid; the exact core flips with the float
+        # speed, so it stays the core that is evaluated
         for i, spec in enumerate(catalog):
             if spec.entry_id.startswith(args.corrupt):
                 exact = spec.exact._replace(W=-spec.exact.W)
                 catalog[i] = replace(spec, exact=exact,
                                      **exact.lowered(spec.k))
     grid = args.grid or GridSpec()
-    audit = classify_branches(catalog, grid, args.threshold)
+    audit = classify_branches(catalog, grid)
     payload = {
         "grid": {
             "x_range": list(grid.x_range), "t_range": list(grid.t_range),
             "nx": grid.nx, "nt": grid.nt,
         },
-        "threshold": args.threshold,
         "rows": [_audit_row(r) for r in audit.rows],
-        "equivalences": [e._asdict() for e in audit.equivalences],
+        "mismatches": list(audit.mismatches),
         "family_valid": audit.family_valid,
     }
     path = os.path.join(args.out_dir, "audit.json")
     _write_json(path, payload)
     _write_manifest(args.out_dir, "verify",
-                    {"k": args.k, "threshold": args.threshold,
-                     "corrupt": args.corrupt or ""}, [path], [])
+                    {"k": args.k, "corrupt": args.corrupt or ""}, [path], [])
     bad = sorted(code for code, ok in audit.family_valid.items() if not ok)
-    if bad:
-        for code in bad:
-            members = [r.entry_id for r in audit.rows if r.family_code == code]
-            sys.stderr.write(
-                f"verification failed: no valid entry in family {code}"
-                f" (entries: {', '.join(members)})\n")
+    for code in bad:
+        members = [r.entry_id for r in audit.rows if r.family_code == code]
+        sys.stderr.write(
+            f"verification failed: no valid entry in family {code}"
+            f" (entries: {', '.join(members)})\n")
+    for entry in audit.mismatches:
+        sys.stderr.write(f"verification failed: the residuals of {entry}"
+                         " disagree with its exact verdict\n")
+    if bad or audit.mismatches:
         return 1
     sys.stdout.write(
         f"all {len(audit.family_valid)} families certified; audit at {path}\n")
@@ -434,11 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("verify", help="residual audit of every catalog entry")
+    p = sub.add_parser("verify", help="exact verdicts, residual cross-check")
     p.add_argument("--k", type=float, default=1.0,
                    help="wave number (default 1.0)")
-    p.add_argument("--threshold", type=_positive, default=1e-8,
-                   help="validity threshold on the max residual (default 1e-8)")
     p.add_argument("--grid", type=_parse_grid2, default=None,
                    metavar="xmin,xmax,nx,tmin,tmax,nt",
                    help="audit grid (default -10,10,201,0,1,11)")

@@ -18,7 +18,8 @@ rate N = nu*k and the speed ratio W = w/k, none of which depends on k, and
 its floats are that core read at k (ExactCore.lowered, the one lowering).
 The ODE residual of the core is a cubic in S whose four coefficients
 (ode_coefficients) are then k-free too, so whether an entry solves the ODE
-is decided by structural zero, not by a tolerance.
+(SolutionSpec.solves_ode, the one validity predicate) is decided by
+structural zero, not by a tolerance.
 
 Building the catalog needs only the standard library; the array methods
 (xi, regular_mask, profile, eval, partials, logistic_pair) load numpy when
@@ -277,6 +278,12 @@ class SolutionSpec:
             return float(u_t), float(u_x), float(u_xx)
         return u_t, u_x, u_xx
 
+    @property
+    def solves_ode(self) -> bool:
+        """Whether the entry solves the ODE, at every k: the one validity
+        predicate, the structural zero of its ode_coefficients."""
+        return not any(ode_coefficients(self.exact))
+
     def params(self) -> dict[str, float]:
         out: dict[str, float] = {}
         for name in ("c1", "c2", "a", "b", "c"):
@@ -286,15 +293,16 @@ class SolutionSpec:
         return out
 
 
-def ode_coefficients(spec: SolutionSpec) -> tuple[Radical2, ...]:
+@lru_cache(maxsize=64)
+def ode_coefficients(core: ExactCore) -> tuple[Radical2, ...]:
     """The coefficients of S^0..S^3 in the ODE residual w*u' - k^2*u'' +
-    u^3 - u of the entry's core.
+    u^3 - u of an entry's exact core, computed once per distinct core.
 
     With S' = S(1 - S), u = u0 + amp*S(nu*xi + shift), N = nu*k and
     W = w/k, the residual is a cubic in S whose coefficients hold no k:
     the entry solves the ODE, at every k, exactly when all four are zero.
     """
-    u0, amp, n, w = spec.exact
+    u0, amp, n, w = core
     return (u0 * u0 * u0 - u0,
             amp * (w * n - n * n + 3 * u0 * u0 - 1),
             amp * (3 * n * n - w * n + 3 * u0 * amp),

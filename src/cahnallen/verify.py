@@ -1,9 +1,14 @@
-"""Numerical certification of catalog entries against the PDE and ODE.
+"""Numerical cross-check of the catalog's exact verdicts against the PDE
+and ODE.
 
-An exact traveling wave drives the pointwise residual u_t - u_xx + u^3 - u
-down to rounding noise (~1e-13 on the standard grid); a wrong sign pairing
-or a mis-scaled argument leaves an O(1) residual.  The default threshold of
-1e-8 separates the two classes by more than five orders of magnitude.
+Whether an entry is valid is decided exactly, once, by
+SolutionSpec.solves_ode; the residual audit is its independent check.  Each
+pointwise residual r = u_t - u_xx + u^3 - u is judged relative to its own
+terms, |r| / (1 + |w u'| + |k^2 u''| + |u^3| + |u|) (the Oettli-Prager
+componentwise backward error), which does not move with k: an exact wave
+leaves rounding noise (below 1e-15), a wrong sign pairing or a mis-scaled
+argument an O(0.1) share.  An entry whose residual verdict disagrees with
+its exact one is a mismatch.
 
 Where an entry may be evaluated is the entry's business: the residuals are
 computed only at the points its regular_mask keeps, and the cross check
@@ -11,7 +16,7 @@ asks it for the zone widened by the stencil reach.
 
 The audit evaluates each distinct wave once.  Printed readings and the a-b
 and canonical forms repeat other entries' floats (the catalog's 54 rows are
-32 waves), so rows that share a wave share their residual maxima.
+32 waves), so rows that share a wave share their residual reports.
 """
 
 from __future__ import annotations
@@ -23,11 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .qfield import Frozen
-from .solutions import Family, SolutionSpec, reduce_ab_to_canonical
+from .solutions import SolutionSpec
 
 PDE_THRESHOLD = 1e-8
 ODE_THRESHOLD = 1e-10
-EQUIVALENCE_TOL = 1e-12
 
 STANDARD_XI_POINTS = tuple(np.linspace(-15.0, 15.0, 61))
 
@@ -59,43 +63,52 @@ def _mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ResidualReport(NamedTuple):
+    """The largest |residual| (information) and its (x, t), and the largest
+    scaled residual, which the threshold judges."""
+
     entry_id: str
     max_abs: float
     argmax: tuple[float, float]
+    max_scaled: float
     threshold: float
     n_points: int
     n_excluded: int
 
     @property
     def is_valid(self) -> bool:
-        return self.max_abs < self.threshold
+        return self.max_scaled < self.threshold  # NaN never passes
 
 
 def _residual(spec, xi):
-    """w*u' - k^2*u'' + u^3 - u at the wave coordinates xi: the ODE residual,
-    and the PDE residual u_t - u_xx + u^3 - u at the matching (x, t).
+    """(|r|, |r| / (1 + |w u'| + |k^2 u''| + |u^3| + |u|)) of r = w*u' -
+    k^2*u'' + u^3 - u at the wave coordinates xi: the ODE residual, and the
+    PDE residual u_t - u_xx + u^3 - u at the matching (x, t).
 
     Near a pole at huge k it overflows to inf or NaN, which no threshold
     passes."""
     with np.errstate(over="ignore", invalid="ignore"):
         u, du, d2 = spec.profile(xi)
-        return spec.w * du - spec.k * spec.k * d2 + u * u * u - u
+        wdu, kkd2, u3 = spec.w * du, spec.k * spec.k * d2, u * u * u
+        abs_r = np.abs(wdu - kkd2 + u3 - u)
+        return abs_r, abs_r / (1.0 + np.abs(wdu) + np.abs(kkd2)
+                               + np.abs(u3) + np.abs(u))
 
 
 def _report(spec, xi, xs, ts, threshold) -> ResidualReport:
-    """Max and location of |residual| over the points of xi that the entry
-    calls regular; xs and ts hold each point's (x, t)."""
+    """Max and location of |residual|, and the max scaled residual, over
+    the points of xi that the entry calls regular; xs and ts hold each
+    point's (x, t)."""
     keep = np.flatnonzero(spec.regular_mask(xi))
     if keep.size == 0:
         raise ValueError(f"{spec.entry_id}: every grid point fell inside a"
                          " singular zone")
-    vals = np.abs(_residual(spec, xi.ravel()[keep]))
+    vals, scaled = _residual(spec, xi.ravel()[keep])
     at = int(np.argmax(vals))
     where = keep[at]
     return ResidualReport(
         spec.entry_id, float(vals[at]),
         (float(xs.flat[where]), float(ts.flat[where])),
-        threshold, keep.size, xi.size - keep.size,
+        float(np.max(scaled)), threshold, keep.size, xi.size - keep.size,
     )
 
 
@@ -170,21 +183,23 @@ def fd_crosscheck(spec, grid: GridSpec | None = None,
     xs, ts = X[mask], T[mask]
 
     # one profile call for the wave shifted by o*h along t, then along x,
-    # both laid out as (h, offset, point), and for the centre
+    # both laid out as (h, offset, point), and for the centre, which is
+    # every stencil's offset 0
     hs = np.array(steps).reshape(-1, 1)
     t_offsets = [o for o, _ in d1]
-    x_offsets = sorted({o for o, _ in d1 + d2})
+    x_offsets = sorted({o for o, _ in d1 + d2} - {0})
     parts = (spec.xi(xs, ts + (hs * t_offsets)[..., None]),
              spec.xi(xs + (hs * x_offsets)[..., None], ts), xi[mask])
     u, du, d2u = spec.profile(np.concatenate([p.ravel() for p in parts]))
     n_t = parts[0].size
     along_t = u[:n_t].reshape(len(steps), len(t_offsets), -1)
     along_x = u[n_t:-xs.size].reshape(len(steps), len(x_offsets), -1)
-    du, d2u = du[-xs.size:], d2u[-xs.size:]
+    centre, du, d2u = u[-xs.size:], du[-xs.size:], d2u[-xs.size:]
 
     def fd(along, offsets, weights):
         # term by term in the stencil's order, for every h at once
-        return sum(c * along[:, offsets.index(o)] for o, c in weights)
+        return sum(c * (along[:, offsets.index(o)] if o else centre)
+                   for o, c in weights)
 
     # finite differences less the analytic partials (partials' chain rule)
     diffs = {
@@ -219,18 +234,10 @@ class AuditRow(NamedTuple):
     valid: bool
 
 
-class EquivalenceRow(NamedTuple):
-    ab_entry: str
-    canonical_code: str
-    shift_c: float
-    max_abs_diff: float
-    confirmed: bool
-
-
 class AuditTable(NamedTuple):
     rows: tuple[AuditRow, ...]
-    equivalences: tuple[EquivalenceRow, ...]
     family_valid: dict[str, bool]
+    mismatches: tuple[str, ...]  # ids whose residual verdict is not exact
 
     def all_families_covered(self) -> bool:
         return all(self.family_valid.values())
@@ -240,16 +247,17 @@ def classify_branches(catalog: list[SolutionSpec],
                       grid: GridSpec | None = None,
                       pde_threshold: float = PDE_THRESHOLD,
                       ode_threshold: float = ODE_THRESHOLD) -> AuditTable:
-    """Label every entry valid/invalid and confirm the shift equivalences.
+    """Label every entry with its exact verdict and cross-check it.
 
-    An entry is valid only when both residuals pass their thresholds; the
-    residuals are computed once per distinct wave (SolutionSpec.wave).  For
-    every valid a-b exponential entry with positive constants, the canonical
-    reduction is built and compared pointwise on the grid.
+    An entry is valid when it solves the ODE (SolutionSpec.solves_ode).  Its
+    residual verdict passes when both scaled residuals are below their
+    thresholds; an entry whose two verdicts differ is a mismatch.  The
+    residuals are computed once per distinct wave (SolutionSpec.wave).
     """
     grid = grid or GridSpec()
     rows: list[AuditRow] = []
     family_valid: dict[str, bool] = {}
+    mismatches: list[str] = []
     reports: dict[tuple, tuple[ResidualReport, ResidualReport]] = {}
     for spec in catalog:
         wave = spec.wave
@@ -257,26 +265,13 @@ def classify_branches(catalog: list[SolutionSpec],
             reports[wave] = (pde_residual(spec, grid, pde_threshold),
                              ode_residual(spec, threshold=ode_threshold))
         pde, ode = reports[wave]
-        valid = pde.is_valid and ode.is_valid
+        valid = spec.solves_ode
+        if valid != (pde.is_valid and ode.is_valid):
+            mismatches.append(spec.entry_id)
         rows.append(AuditRow(
             spec.entry_id, spec.family_code, spec.family.value, spec.reading,
             spec.a0, spec.s1, spec.sw, spec.params(),
             pde.max_abs, ode.max_abs, valid,
         ))
         family_valid[spec.family_code] = family_valid.get(spec.family_code, False) or valid
-
-    equivalences: list[EquivalenceRow] = []
-    X, T = grid.mesh()
-    for spec, row in zip(catalog, rows):
-        if spec.family is not Family.AB_EXP_FORM or spec.reading != "derived":
-            continue
-        if not row.valid or spec.a is None or spec.a <= 0 or spec.b <= 0:
-            continue
-        canon = reduce_ab_to_canonical(spec)
-        diff = float(np.max(np.abs(spec.eval(X, T) - canon.eval(X, T))))
-        equivalences.append(EquivalenceRow(
-            spec.entry_id, canon.family_code, canon.c or 0.0, diff,
-            diff < EQUIVALENCE_TOL,
-        ))
-
-    return AuditTable(tuple(rows), tuple(equivalences), family_valid)
+    return AuditTable(tuple(rows), family_valid, tuple(mismatches))

@@ -40,7 +40,7 @@ MATRIX = {
     "derive-symbolic": ["derive"],
     **{f"derive-k{k}": ["derive", "--k", k] for k in KS},
     **{f"catalog-k{k}": ["catalog", "--k", k] for k in KS},
-    **{f"verify-k{k}": ["verify", "--k", k] for k in KS},
+    **{f"verify-k{k}": ["verify", "--k", k] for k in (*KS, "30", "1e10")},
     "verify-corrupt-eq20": ["verify", "--corrupt", "eq20"],
     "eval-eq20+": ["eval", "--entry", "eq20+", "--t", "0,1"],
     "eval-eq21+": ["eval", "--entry", "eq21+", "--t", "0,1"],

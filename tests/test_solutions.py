@@ -62,7 +62,9 @@ def test_logistic_pair_matches_math_exp_to_full_precision():
 
 
 def exact_valid(spec) -> bool:
-    return not any(ode_coefficients(spec))
+    valid = not any(ode_coefficients(spec.exact))
+    assert spec.solves_ode is valid
+    return valid
 
 
 @pytest.mark.parametrize("k", [1e-3, 0.5, 1.0, 30.0, 1e6, 1.3e154])

@@ -12,7 +12,7 @@ from conftest import PerturbedSolution, constant_solution
 from cahnallen import verify
 from cahnallen.solutions import (SINGULAR_HALF_WIDTH, Family, catalog_by_id,
                                  derived_entry, enumerate_catalog,
-                                 ode_coefficients, reduce_ab_to_canonical)
+                                 ode_coefficients)
 from cahnallen.verify import (
     _STENCILS,
     ODE_THRESHOLD,
@@ -39,7 +39,7 @@ def test_equilibria_have_exactly_zero_residual():
         const = constant_solution(level)
         # its exact core is that constant, which is exactly valid too
         assert (float(const.exact.u0), const.exact.amp) == (level, 0)
-        assert not any(ode_coefficients(const))
+        assert const.solves_ode
         assert pde_residual(const).max_abs == 0.0
         assert ode_residual(const).max_abs == 0.0
 
@@ -252,16 +252,7 @@ def test_audit_evaluates_each_wave_once(monkeypatch, corrupt):
                        if r.entry_id.startswith(corrupt))
     # repr writes every float to the last bit
     assert repr(audit.rows) == repr(tuple(a.rows[0] for a in alone))
-    assert audit.equivalences == tuple(e for a in alone for e in a.equivalences)
-
-
-def test_equivalence_pairs_confirmed(audit):
-    assert len(audit.equivalences) == 8  # eq25 x4, eq27 x2, eq29 x2
-    for row in audit.equivalences:
-        assert row.confirmed
-        assert row.max_abs_diff < 1e-12
-    codes = {r.canonical_code for r in audit.equivalences}
-    assert codes == {"eq26", "eq28", "eq30"}
+    assert audit.mismatches == tuple(m for a in alone for m in a.mismatches)
 
 
 def test_translation_invariance_of_verdict():
@@ -336,8 +327,8 @@ def test_batched_crosscheck_is_bit_identical(table1, entry, kwargs):
 
 
 def _verdict_oracle(catalog):
-    """Verdicts, family coverage and equivalences from a fresh mesh per
-    entry and the cube as a power."""
+    """Verdicts and family coverage from the exact coefficients, and the
+    mismatches from the plain scaled residual on a fresh mesh per entry."""
     def fresh_mesh():
         return np.meshgrid(np.linspace(-10.0, 10.0, 201),
                            np.linspace(0.0, 1.0, 11), indexing="ij")
@@ -348,36 +339,51 @@ def _verdict_oracle(catalog):
             mask &= ~(np.abs(xi - spec.pole) < SINGULAR_HALF_WIDTH)
         center = 0.0 if spec.pole is None else spec.pole
         u, du, d2 = spec.profile(np.where(mask, xi, center + 1.0))
-        resid = spec.w * du - spec.k * spec.k * d2 + u**3 - u
-        return float(np.max(np.abs(resid[mask]))) < threshold
+        terms = (spec.w * du, -spec.k**2 * d2, u**3, -u)
+        scaled = np.abs(sum(terms)) / (1.0 + sum(np.abs(t) for t in terms))
+        return bool(np.all(scaled[mask] < threshold))
 
-    valid, family_valid, equivalences = [], {}, []
+    valid, family_valid, mismatches = [], {}, []
     for spec in catalog:
         X, T = fresh_mesh()
-        ok = (residual_ok(spec, spec.k * X + spec.w * T, PDE_THRESHOLD)
-              and residual_ok(spec, np.linspace(-15.0, 15.0, 61).reshape(-1, 1),
-                              ODE_THRESHOLD))
+        ok = not any(ode_coefficients(spec.exact))
+        residual = (
+            residual_ok(spec, spec.k * X + spec.w * T, PDE_THRESHOLD)
+            and residual_ok(spec, np.linspace(-15.0, 15.0, 61).reshape(-1, 1),
+                            ODE_THRESHOLD))
         valid.append((spec.entry_id, ok))
         family_valid[spec.family_code] = family_valid.get(spec.family_code, False) or ok
-        if (spec.family is Family.AB_EXP_FORM and spec.reading == "derived"
-                and ok and spec.a > 0 and spec.b > 0):
-            canon = reduce_ab_to_canonical(spec)
-            diff = float(np.max(np.abs(spec.eval(X, T) - canon.eval(X, T))))
-            equivalences.append((spec.entry_id, canon.family_code,
-                                 canon.c or 0.0, diff, diff < 1e-12))
-    return valid, family_valid, equivalences
+        if residual != ok:
+            mismatches.append(spec.entry_id)
+    return valid, family_valid, mismatches
+
+
+def _assert_audit_matches_oracle(catalog):
+    audit = classify_branches(catalog)
+    valid, family_valid, mismatches = _verdict_oracle(catalog)
+    assert [(r.entry_id, r.valid) for r in audit.rows] == valid
+    assert audit.family_valid == family_valid
+    assert list(audit.mismatches) == mismatches
+    return audit
 
 
 @pytest.mark.parametrize("k", (0.05, 0.5, 1.0, 1.37, 2.5, 5.0, 10.0, 15.0))
 def test_audit_verdicts_match_plain_formulation(k):
-    catalog = enumerate_catalog(k)
-    audit = classify_branches(catalog)
-    valid, family_valid, equivalences = _verdict_oracle(catalog)
-    assert [(r.entry_id, r.valid) for r in audit.rows] == valid
-    assert audit.family_valid == family_valid
-    assert [tuple(e) for e in audit.equivalences] == equivalences
+    assert _assert_audit_matches_oracle(enumerate_catalog(k)).mismatches == ()
     with pytest.raises(ValueError):
         GridSpec().mesh()[0][0, 0] = 1.0
+
+
+@pytest.mark.parametrize("k", (0.5, 30.0, 1e10))
+def test_audit_mismatches_match_plain_formulation(k):
+    # float-only corruptions, exact cores untouched: a kink and a singular
+    # entry that no longer solve, and a printed reading moved to the branch
+    # rate, which does
+    catalog = [replace(s, w=-s.w) if s.entry_id in ("eq20+", "eq21-")
+               else replace(s, nu=s.nu / 2) if s.entry_id == "eq26+printed"
+               else s for s in enumerate_catalog(k)]
+    assert _assert_audit_matches_oracle(catalog).mismatches == \
+        ("eq20+", "eq21-", "eq26+printed")
 
 
 def test_each_grid_mesh_is_built_once(table1, catalog1, monkeypatch):
