@@ -9,6 +9,8 @@ Numeric data goes to CSV with 17 significant digits so files are
 byte-identical across runs; JSON is used only for the run manifest and the
 audit table.  Every run writes a manifest listing its parameters and output
 files.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
+simulate and convergence refuse a grid that does not resolve the front,
+and convergence checks its observed orders.
 
 `derive`, `catalog` and `eval` run on the standard library alone: the
 validity of `catalog` and of `verify` is one predicate, the exact
@@ -46,6 +48,11 @@ if "numpy" in sys.modules:
     # of the whole package in such a process (perfbench/layers.py traces
     # the modules it loads)
     from . import simulate, solutions, verify  # noqa: F401
+
+
+# a spatial refinement study checks the order of the central differences,
+# less a margin
+SPATIAL_ORDER, ORDER_MARGIN = 2.0, 0.25
 
 
 def _fmt(v: float) -> str:
@@ -191,6 +198,17 @@ def _checked(grid_type, *args):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _check_resolution(spec: SolutionSpec, grid: Grid1D) -> None:
+    """A usage error when the grid spacing h exceeds the front width 1/|N|
+    (N the entry's rate in x): the front then falls between nodes, and its
+    measured speed and the observed orders say nothing."""
+    rate = abs(float(spec.exact.N))
+    if grid.h * rate > 1.0:
+        raise ValueError(f"grid spacing h = {grid.h:g} exceeds the width"
+                         f" 1/|N| = {1.0 / rate:g} of the {spec.entry_id}"
+                         " front; refine the grid")
+
+
 def _linspace(start: float, stop: float, n: int) -> list[float]:
     """numpy.linspace(start, stop, n), bit for bit, as a list."""
     delta = stop - start
@@ -209,12 +227,14 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
 def emit_plot_data(spec: SolutionSpec, t_list: list[float],
                    x_grid: tuple[float, float, int], out_dir: str,
                    run_id: str) -> tuple[list[str], list[str]]:
-    """One x,u CSV per requested time; singular zones become omitted rows."""
+    """One x,u CSV per requested time; singular zones become omitted rows.
+    Every time is evaluated before the first file is written, so a time
+    whose wave coordinate overflows leaves no file behind."""
     xs = _linspace(*x_grid)
+    tables = [spec.profile_rows(xs, t) for t in t_list]
     outputs: list[str] = []
     notes: list[str] = []
-    for index, t in enumerate(t_list):
-        rows, omitted = spec.profile_rows(xs, t)
+    for index, (t, (rows, omitted)) in enumerate(zip(t_list, tables)):
         if omitted:
             notes.append(
                 f"t={_fmt(t)}: omitted {omitted} rows inside the singular"
@@ -348,6 +368,7 @@ def _cmd_simulate(args) -> int:
 
     spec = resolve_entry(args.entry, args.k)
     grid = args.grid or Grid1D(-20.0, 20.0, 801)
+    _check_resolution(spec, grid)
     scheme = {"rk4": "explicit_rk4_mol", "imex": "imex_cn"}[args.scheme]
     config = SimConfig(dt=args.dt, T=args.T, scheme=scheme)
     result = integrate(spec, grid, config)
@@ -387,6 +408,7 @@ def _cmd_convergence(args) -> int:
 
     spec = resolve_entry(args.entry, args.k)
     base = args.grid or Grid1D(-20.0, 20.0, 101)
+    _check_resolution(spec, base)
     grids = [
         Grid1D(base.x_min, base.x_max, (base.n - 1) * 2**i + 1)
         for i in range(args.levels)
@@ -402,12 +424,19 @@ def _cmd_convergence(args) -> int:
                     {"entry": spec.entry_id, "k": spec.k,
                      "levels": args.levels, "T": args.T,
                      "grid": [base.x_min, base.x_max, base.n]}, [path], [])
+    short = 0
     for r in rows:
         order = r.get("observed_order")
         sys.stdout.write(
             f"h = {_fmt(r['h'])}  linf = {_fmt(r['linf_error'])}"
             + (f"  order = {_fmt(order)}" if order is not None else "") + "\n")
-    return 0
+        if order is not None and order < SPATIAL_ORDER - ORDER_MARGIN:
+            short += 1
+            sys.stderr.write(
+                f"convergence check failed: observed order {order:.4g} at"
+                f" h = {r['h']:g} falls short of the stated order"
+                f" {SPATIAL_ORDER:g} by more than {ORDER_MARGIN:g}\n")
+    return 1 if short else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -262,14 +262,10 @@ def _horner(coeffs: list[Radical2], x: Radical2) -> Radical2:
 # --- pipeline steps --------------------------------------------------------
 
 
-def build_ansatz_derivatives(n: int) -> Ansatz:
-    """u = A0 + sum A_i (S'/S)^i and its first two xi-derivatives."""
-    if n < 1:
-        raise ValueError("ansatz degree must be >= 1")
-    ratio = SymExpr.s_deriv(1) * SymExpr.s_inverse(1)
-    u = SymExpr.atom("A0")
-    for i in range(1, n + 1):
-        u = u + SymExpr.atom(f"A{i}") * ratio**i
+def build_ansatz_derivatives() -> Ansatz:
+    """u = A0 + A1*S'/S and its first two xi-derivatives."""
+    u = (SymExpr.atom("A0")
+         + SymExpr.atom("A1") * SymExpr.s_deriv(1) * SymExpr.s_inverse(1))
     u1 = diff_xi(u)
     u2 = diff_xi(u1)
     return Ansatz(u, u1, u2)
@@ -456,7 +452,7 @@ def run_derivation(ode: TravelingWaveODE) -> DerivationReport:
     n = balance_degree(ode)
     if n != 1:
         raise ClosureUnsupported(f"closure requires balance degree 1, got {n}")
-    ansatz = build_ansatz_derivatives(n)
+    ansatz = build_ansatz_derivatives()
     system = form_coefficient_system(ode, ansatz)
     solution = solve_closure(system)
 

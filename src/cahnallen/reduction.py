@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .qfield import Frozen, Radical2
+from .qfield import Frozen
 from .symexpr import SymExpr
 
 # about 45 rounding units of t = 1; a run to T = 1 takes 1e14 such steps
@@ -43,24 +43,9 @@ class EvolutionEquation(Frozen):
 
 
 class WaveFrame(Frozen):
-    """The comoving frame xi = k*x + w*t.
+    """The comoving frame xi = k*x + w*t, with k and w the symbolic atoms."""
 
-    k and w are kept symbolic when None; an exact value pins them.
-    """
-
-    __slots__ = ("k", "w")
-
-    def __init__(self, k: Radical2 | None = None,
-                 w: Radical2 | None = None) -> None:
-        if k is not None and not k:
-            raise ValueError("numeric wave number k must be nonzero")
-        super().__init__(k, w)
-
-    def k_expr(self) -> SymExpr:
-        return SymExpr.atom("k") if self.k is None else SymExpr.const(self.k)
-
-    def w_expr(self) -> SymExpr:
-        return SymExpr.atom("w") if self.w is None else SymExpr.const(self.w)
+    __slots__ = ()
 
 
 def check_wave_number(k: float) -> float:
@@ -99,7 +84,7 @@ def reduce_to_ode(eq: EvolutionEquation, frame: WaveFrame) -> TravelingWaveODE:
     u = SymExpr.u_deriv(0)
     u1 = SymExpr.u_deriv(1)
     u2 = SymExpr.u_deriv(2)
-    expr = frame.w_expr() * u1 - frame.k_expr() ** 2 * u2 + u**eq.m - u
+    expr = SymExpr.atom("w") * u1 - SymExpr.atom("k") ** 2 * u2 + u**eq.m - u
     return TravelingWaveODE(eq.m, expr)
 
 

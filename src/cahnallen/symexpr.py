@@ -3,8 +3,7 @@
 An expression is a normalized sum of monomials.  A monomial multiplies an
 exact Q(sqrt(2)) coefficient with
 
-* powers of scalar atoms (k, w, A0, A1, c1, c2, and further ansatz
-  coefficients A2.. when a higher-degree ansatz is built),
+* powers of scalar atoms (k, w, A0, A1, c1, c2),
 * powers of profile-derivative atoms u, u', u'', ...,
 * powers of the unknown-function derivative atoms S', S'', S''', ...,
 * a grade g >= 0, the power of S**-1 carried by the term.
@@ -26,11 +25,9 @@ ScalarLike = Union[Radical2, Fraction, int]
 Bindable = Union["SymExpr", Radical2, Fraction, int]
 
 
-def _atom_sort_key(name: str) -> tuple[int, int, str]:
+def _atom_sort_key(name: str) -> int:
     if name in CORE_ATOMS:
-        return (0, CORE_ATOMS.index(name), name)
-    if name.startswith("A") and name[1:].isdigit():
-        return (1, int(name[1:]), name)
+        return CORE_ATOMS.index(name)
     raise ValueError(f"unknown scalar atom {name!r}")
 
 
@@ -168,9 +165,6 @@ class SymExpr(Frozen):
 
     def normalized(self) -> "SymExpr":
         return SymExpr.from_terms(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -374,7 +368,7 @@ def _mono_text(m: Monomial) -> tuple[bool, str]:
 
 def to_text(e: SymExpr) -> str:
     """Deterministic text rendering in the derivation-trace notation."""
-    if e.is_zero():
+    if not e:
         return "0"
     pieces: list[str] = []
     for i, m in enumerate(e.terms):

@@ -112,19 +112,17 @@ def _report(spec, xi, xs, ts, threshold) -> ResidualReport:
     )
 
 
-def pde_residual(spec, grid: GridSpec | None = None,
-                 threshold: float = PDE_THRESHOLD) -> ResidualReport:
+def pde_residual(spec, grid: GridSpec | None = None) -> ResidualReport:
     """Pointwise u_t - u_xx + u^3 - u on the grid's regular points."""
     X, T = (grid or GridSpec()).mesh()
-    return _report(spec, spec.xi(X, T), X, T, threshold)
+    return _report(spec, spec.xi(X, T), X, T, PDE_THRESHOLD)
 
 
-def ode_residual(spec, xi_points=STANDARD_XI_POINTS,
-                 threshold: float = ODE_THRESHOLD) -> ResidualReport:
-    """Pointwise w*u' - k^2*u'' + u^3 - u at the regular points along the
-    wave coordinate."""
-    xi = np.asarray(xi_points, dtype=float)
-    return _report(spec, xi, xi, np.zeros_like(xi), threshold)
+def ode_residual(spec) -> ResidualReport:
+    """Pointwise w*u' - k^2*u'' + u^3 - u at the regular points of
+    STANDARD_XI_POINTS along the wave coordinate."""
+    xi = np.asarray(STANDARD_XI_POINTS, dtype=float)
+    return _report(spec, xi, xi, np.zeros_like(xi), ODE_THRESHOLD)
 
 
 # --- finite-difference cross check ----------------------------------------
@@ -244,15 +242,14 @@ class AuditTable(NamedTuple):
 
 
 def classify_branches(catalog: list[SolutionSpec],
-                      grid: GridSpec | None = None,
-                      pde_threshold: float = PDE_THRESHOLD,
-                      ode_threshold: float = ODE_THRESHOLD) -> AuditTable:
+                      grid: GridSpec | None = None) -> AuditTable:
     """Label every entry with its exact verdict and cross-check it.
 
     An entry is valid when it solves the ODE (SolutionSpec.solves_ode).  Its
-    residual verdict passes when both scaled residuals are below their
-    thresholds; an entry whose two verdicts differ is a mismatch.  The
-    residuals are computed once per distinct wave (SolutionSpec.wave).
+    residual verdict passes when both scaled residuals are below
+    PDE_THRESHOLD and ODE_THRESHOLD; an entry whose two verdicts differ is a
+    mismatch.  The residuals are computed once per distinct wave
+    (SolutionSpec.wave).
     """
     grid = grid or GridSpec()
     rows: list[AuditRow] = []
@@ -262,8 +259,7 @@ def classify_branches(catalog: list[SolutionSpec],
     for spec in catalog:
         wave = spec.wave
         if wave not in reports:
-            reports[wave] = (pde_residual(spec, grid, pde_threshold),
-                             ode_residual(spec, threshold=ode_threshold))
+            reports[wave] = (pde_residual(spec, grid), ode_residual(spec))
         pde, ode = reports[wave]
         valid = spec.solves_ode
         if valid != (pde.is_valid and ode.is_valid):

@@ -6,7 +6,6 @@ import math
 import os
 import pathlib
 import pkgutil
-import re
 import subprocess
 import sys
 import tempfile
@@ -20,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cahnallen
+from cahnallen import simulate
 from cahnallen.cli import _write_floats, main, resolve_entry
+from cahnallen.simulate import Grid1D, SimConfig, integrate
 from cahnallen.solutions import catalog_by_id
 
 
@@ -447,17 +448,75 @@ def test_simulate_imex(tmp_path, capsys):
 def test_simulate_default_step_is_stable_on_coarse_grids(tmp_path, capsys):
     # h = 5.7 and 3.6: a default step that ignores the reaction's
     # stiffness blows up or stalls the front here; on the 8-point grid
-    # fewer than 3 crossings are recorded, so it measures no speed
-    code, _, err = run(["simulate", "--entry", "eq20+", "--grid=-20,20,8",
-                        "--T", "100", "--out-dir", str(tmp_path)], capsys)
-    assert code == 0 and "Traceback" not in err
-    code, out, err = run(["simulate", "--entry", "eq20+", "--grid=-20,20,12",
-                          "--T", "30", "--out-dir", str(tmp_path)], capsys)
-    assert code == 0 and "Traceback" not in err
-    measured, expected = (float(v) for v in re.search(
-        r"measured front speed: (\S+) \(frame ratio -w/k = (\S+)\)",
-        out).groups())
-    assert measured == pytest.approx(expected, rel=0.01)
+    # fewer than 3 crossings are recorded, so it measures no speed.  The
+    # command refuses both grids, which do not resolve the front; the
+    # library still runs them
+    spec = catalog_by_id(1.0)["eq20+"]
+    integrate(spec, Grid1D(-20.0, 20.0, 8), SimConfig(T=100.0))
+    result = integrate(spec, Grid1D(-20.0, 20.0, 12), SimConfig(T=30.0))
+    assert result.measured_speed == pytest.approx(-spec.w / spec.k, rel=0.01)
+    for grid in ("--grid=-20,20,8", "--grid=-20,20,12"):
+        code, _, err = run(["simulate", "--entry", "eq20+", grid,
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 2 and "exceeds the width" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, h", [
+    (["simulate", "--entry", "eq20+", "--grid=-1e300,1e300,9", "--T", "0.1"],
+     "2.5e+299"),
+    (["convergence", "--entry", "eq20+", "--grid=-1e300,1e300,9"], "2.5e+299"),
+    (["simulate", "--entry", "eq20+", "--grid=-40,40,17", "--T", "1"], "5"),
+    (["convergence", "--entry", "eq20+", "--grid=-40,40,17"], "5"),
+], ids=["simulate-huge", "convergence-huge", "simulate-h5", "convergence-h5"])
+def test_grid_that_does_not_resolve_the_front_is_usage_error(argv, h,
+                                                              tmp_path, capsys):
+    # the eq20+ kink is 1/|N| = sqrt(2) wide in x
+    code, out, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: grid spacing h = {h} exceeds the width"
+                   " 1/|N| = 1.41421 of the eq20+ front; refine the grid\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_convergence_fails_on_an_order_short_of_second(tmp_path, capsys):
+    # the printed eq26 reading does not solve the equation: its error does
+    # not fall with h
+    code, out, err = run(["convergence", "--entry", "eq26+printed",
+                          "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert out.count("order = ") == 2
+    lines = err.splitlines()
+    assert [line.split(" at h = ")[1].split()[0] for line in lines] == \
+        ["0.2", "0.1"]
+    assert all(line.startswith("convergence check failed: observed order")
+               and line.endswith("falls short of the stated order 2 by more"
+                                 " than 0.25") for line in lines)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "convergence_eq26+printed.csv", "convergence_manifest.json"]
+
+
+@pytest.mark.parametrize("orders, short", [
+    ((1.0, 1.0), ["0.2", "0.1"]),
+    ((2.0, 1.74), ["0.1"]),
+    ((1.75, None), []),  # an exact-zero error has no order
+])
+def test_convergence_checks_each_observed_order(orders, short, tmp_path,
+                                                capsys, monkeypatch):
+    def planted(spec, grids, config):
+        rows = [{"h": g.h, "n": g.n, "linf_error": 0.1 * g.h} for g in grids]
+        for row, order in zip(rows[1:], orders):
+            if order is not None:
+                row["observed_order"] = order
+        return rows
+
+    monkeypatch.setattr(simulate, "convergence_study", planted)
+    code, _, err = run(["convergence", "--entry", "eq20+",
+                        "--out-dir", str(tmp_path)], capsys)
+    assert code == (1 if short else 0)
+    assert [line.split(" at h = ")[1].split()[0]
+            for line in err.splitlines()] == short
+    assert (tmp_path / "convergence_eq20+.csv").exists()
 
 
 def test_convergence_command(tmp_path, capsys):
@@ -517,7 +576,10 @@ def test_bad_time_step_is_usage_error(capsys):
     ["simulate", "--entry", "eq20+", "--T", "nan"],
     # k*x is +inf and w*t is -inf: the wave coordinate overflows
     ["eval", "--entry", "eq20+", "--k", "2", "--x=1e308,1e308,1", "--t=-1e308"],
-], ids=["catalog-k", "eval-t", "simulate-dt", "simulate-T", "eval-xi"])
+    # only at the second time: the first time's file is not written either
+    ["eval", "--entry", "eq19+", "--x=0,0,1", "--t=0,8.5e307"],
+], ids=["catalog-k", "eval-t", "simulate-dt", "simulate-T", "eval-xi",
+        "eval-xi-second-time"])
 def test_non_finite_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
     assert code == 2
@@ -732,6 +794,39 @@ def _check_parses(path):
               _fuzz_wave_number(), st.none() | st.sampled_from(ENTRY_IDS)),
 ))
 def test_catalog_and_eval_fuzz(argv):
+    # a failed audit is verify's exit 1; catalog and eval have no check
+    _run_fuzz_case(argv, (0, 1, 2) if argv[0] == "verify" else (0, 2))
+
+
+def _fuzz_run_grid():
+    """xmin,xmax,n with spans up to +-1e300 around the origin; the second
+    range of exponents gives grids fine enough to run."""
+    end = (st.floats(0.0, 300.0) | st.floats(0.0, 1.5)).map(lambda e: 10.0 ** e)
+    return st.builds(lambda lo, hi, n: f"{-lo!r},{hi!r},{n}",
+                     end, end, st.integers(8, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(lambda entry, k, grid, T, scheme: [
+        "simulate", "--entry", entry, "--k", repr(k), f"--grid={grid}",
+        "--T", repr(T), "--scheme", scheme],
+        st.sampled_from(ENTRY_IDS), _fuzz_wave_number(), _fuzz_run_grid(),
+        st.floats(1e-3, 0.02), st.sampled_from(["rk4", "imex"])),
+    st.builds(lambda entry, k, grid, T: [
+        "convergence", "--entry", entry, "--k", repr(k), f"--grid={grid}",
+        "--T", repr(T)],
+        st.sampled_from(ENTRY_IDS), _fuzz_wave_number(), _fuzz_run_grid(),
+        st.floats(1e-3, 0.02)),
+))
+def test_simulate_and_convergence_fuzz(argv):
+    # simulate checks nothing yet; convergence checks its observed orders
+    _run_fuzz_case(argv, (0, 1, 2) if argv[0] == "convergence" else (0, 2))
+
+
+def _run_fuzz_case(argv, allowed):
+    """Run one command: it exits with an allowed code and no traceback or
+    warning, every file it writes parses, and a usage error writes none."""
     with tempfile.TemporaryDirectory() as out_dir, \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -750,12 +845,11 @@ def test_catalog_and_eval_fuzz(argv):
             rows = _strict_json(pathlib.Path(out_dir, "audit.json"))["rows"]
             assert any(r["pde_max_abs"] is None or r["ode_max_abs"] is None
                        for r in rows), err.getvalue()
-    # a failed audit is verify's exit 1; catalog and eval have no check
-    allowed = (0, 1, 2) if argv[0] == "verify" else (0, 2)
     assert code in allowed, err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert caught == []
     if code == 2:
         assert err.getvalue().count("\n") >= 1
+        assert written == []
     else:
         assert any(p.name.endswith("_manifest.json") for p in written)

@@ -35,7 +35,7 @@ HALF_SQRT2 = Radical2.sqrt2(Fraction(1, 2))
 @pytest.fixture(scope="module")
 def system():
     ode = reduce_to_ode(EvolutionEquation(3), WaveFrame())
-    return form_coefficient_system(ode, build_ansatz_derivatives(1))
+    return form_coefficient_system(ode, build_ansatz_derivatives())
 
 
 @pytest.fixture(scope="module")
@@ -47,28 +47,22 @@ def solution(system):
 
 
 def test_ansatz_shape():
-    ansatz = build_ansatz_derivatives(1)
+    ansatz = build_ansatz_derivatives()
     assert ansatz.u == A0 + A1 * S1 * SINV
     assert ansatz.u1 == diff_xi(ansatz.u)
     assert ansatz.u2 == diff_xi(ansatz.u1)
 
 
 def test_second_derivative_contains_cross_term():
-    ansatz = build_ansatz_derivatives(1)
+    ansatz = build_ansatz_derivatives()
     cross = Monomial.make(-3, sym={"A1": 1}, deriv={1: 1, 2: 1}, s_grade=2)
     assert cross in ansatz.u2.terms
 
 
 def test_constant_ansatz_has_zero_derivative():
-    ansatz = build_ansatz_derivatives(1)
+    ansatz = build_ansatz_derivatives()
     u1_bound = substitute(ansatz.u1, {"A1": SymExpr.const(0)})
-    assert u1_bound.is_zero()
-
-
-def test_higher_degree_ansatz_builds_structurally():
-    ansatz = build_ansatz_derivatives(2)
-    top = (SymExpr.atom("A2") * (S1 * SINV) ** 2).terms[0]
-    assert top in ansatz.u.terms
+    assert not u1_bound
 
 
 # --- grade system -----------------------------------------------------------
@@ -188,7 +182,7 @@ def test_backsubstitution_rejects_wrong_branches(system, solution):
 
 def test_closure_rejects_other_grade_sets():
     ode = reduce_to_ode(EvolutionEquation(2), WaveFrame())
-    sys2 = form_coefficient_system(ode, build_ansatz_derivatives(1))
+    sys2 = form_coefficient_system(ode, build_ansatz_derivatives())
     with pytest.raises(ClosureUnsupported):
         solve_closure(sys2)
 
@@ -266,7 +260,7 @@ def _oracle_backsubstitute(system, branch):
                 "w": K.scaled(rho)}
     ratios = {1: (K**2).scaled(3) * S1, 2: K.scaled(rho - beta) * S1,
               3: SymExpr.const(branch.denom_scale) * S1}
-    return all(substitute_s(substitute(eq, bindings), ratios).is_zero()
+    return all(not substitute_s(substitute(eq, bindings), ratios)
                for eq in system.equations.values())
 
 

@@ -48,7 +48,10 @@ MATRIX = {
                      "--grid=-20,20,201", "--T", "0.1"],
     "simulate-imex": ["simulate", "--entry", "eq20+", "--scheme", "imex",
                       "--grid=-20,20,201", "--T", "0.1", "--dt", "0.01"],
+    "simulate-coarse": ["simulate", "--entry", "eq20+", "--grid=-40,40,17",
+                        "--T", "1"],
     "convergence": ["convergence", "--entry", "eq20+"],
+    "convergence-eq26+printed": ["convergence", "--entry", "eq26+printed"],
 }
 
 

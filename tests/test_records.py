@@ -31,7 +31,7 @@ RECORDS = {
     "SimConfig": lambda: SimConfig(dt=0.01, T=0.5, scheme="imex_cn",
                                    snapshot_times=(0.0, 0.5)),
     "GridSpec": lambda: GridSpec((-2.0, 2.0), (0.0, 0.5), 11, 3),
-    "WaveFrame": lambda: WaveFrame(Radical2(1), Radical2(0, -3)),
+    "WaveFrame": WaveFrame,
     "ClosureBranch": lambda: ClosureBranch(
         Radical2(1), -1, Radical2(0, 3), Radical2(-1), Radical2(0, 1),
         Radical2(1, 2)),
@@ -50,13 +50,15 @@ def test_equal_fields_give_equal_records_and_hashes(name):
 @pytest.mark.parametrize("name", RECORDS)
 def test_records_are_immutable(name):
     record = RECORDS[name]()
-    field = (getattr(record, "_fields", ()) or type(record).__slots__)[0]
-    with pytest.raises(AttributeError):
-        setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 1
+    fields = getattr(record, "_fields", ()) or type(record).__slots__
+    if not fields:  # WaveFrame holds none
+        return
     with pytest.raises(AttributeError):
-        delattr(record, field)
+        setattr(record, fields[0], getattr(record, fields[0]))
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
 
 
 def test_records_of_different_fields_differ():
@@ -86,8 +88,6 @@ def test_records_of_different_fields_differ():
      "unknown scheme 'spectral'"),
     (lambda: GridSpec(nx=1), ValueError, "grid needs nx >= 2 and nt >= 1"),
     (lambda: GridSpec(nt=0), ValueError, "grid needs nx >= 2 and nt >= 1"),
-    (lambda: WaveFrame(Radical2(0)), ValueError,
-     "numeric wave number k must be nonzero"),
     (lambda: EvolutionEquation(1), ValueError,
      "nonlinearity power m must be >= 2"),
 ])

@@ -52,8 +52,9 @@ def test_kink_pde_residual_is_rounding_noise(table1):
 
 
 def test_kink_ode_residual_on_sample_points(table1):
-    report = ode_residual(table1["eq20+"], xi_points=(-5.0, -1.0, 0.0, 2.0, 7.0))
+    report = ode_residual(table1["eq20+"])
     assert report.max_abs < 1e-12
+    assert report.n_points == len(verify.STANDARD_XI_POINTS) == 61
 
 
 def test_singular_entry_grid_exclusion(table1):
@@ -270,9 +271,10 @@ def test_corrupted_entry_fails_audit(table1):
 
 def test_custom_grid_and_threshold(table1):
     grid = GridSpec((-5.0, 5.0), (0.0, 0.5), 51, 3)
-    report = pde_residual(table1["eq20+"], grid, threshold=1e-6)
+    report = pde_residual(table1["eq20+"], grid)
     assert report.n_points == 51 * 3
-    assert report.threshold == 1e-6
+    assert report.threshold == PDE_THRESHOLD
+    assert ode_residual(table1["eq20+"]).threshold == ODE_THRESHOLD
     assert report.is_valid
 
 
