@@ -492,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0,
                    help="final time (default 1.0)")
     p.add_argument("--dt", type=float, default=None,
-                   help="time step (default and rk4 limit 2/(4/h^2 + 2))")
+                   help="time step (rk4: default and limit 2/(4/h^2 + 2);"
+                   " imex: default 0.01)")
     p.add_argument("--k", type=float, default=None,
                    help="wave number (default 1.0 or the id suffix)")
     p.add_argument("--out-dir", default=".", help="output directory")

@@ -48,6 +48,8 @@ MATRIX = {
                      "--grid=-20,20,201", "--T", "0.1"],
     "simulate-imex": ["simulate", "--entry", "eq20+", "--scheme", "imex",
                       "--grid=-20,20,201", "--T", "0.1", "--dt", "0.01"],
+    "simulate-imex-default": ["simulate", "--entry", "eq20+", "--scheme",
+                              "imex", "--T", "0.1"],
     "simulate-coarse": ["simulate", "--entry", "eq20+", "--grid=-40,40,17",
                         "--T", "1"],
     "convergence": ["convergence", "--entry", "eq20+"],

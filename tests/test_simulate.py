@@ -8,6 +8,7 @@ import pytest
 from conftest import constant_solution
 
 from cahnallen.simulate import (
+    SPLIT_DT,
     ConfigError,
     Grid1D,
     InsufficientData,
@@ -208,12 +209,40 @@ def test_split_scheme_is_bounded_at_huge_steps(kink):
 
 
 def test_split_scheme_is_second_order_in_time(kink):
-    # n = 1601 keeps the spatial error below the temporal one at these steps
-    errors = [integrate(kink, Grid1D(-20.0, 20.0, 1601),
+    errors = [integrate(kink, Grid1D(-20.0, 20.0, 201),
                         SimConfig(dt=dt, T=1.0, scheme="imex_cn")).linf_errors[-1]
-              for dt in (0.1, 0.05, 0.025)]
+              for dt in (0.05, 0.025, 0.0125, 0.00625)]
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
-    assert min(orders) >= 1.8, (errors, orders)
+    assert min(orders) >= 1.95, (errors, orders)
+
+
+def test_split_scheme_is_spectral_in_space(kink):
+    # 41 points, h*|N| = 0.71, the coarsest grid the commands accept: the
+    # three-point Laplacian's heat flow left an error of 1.1e-3 here
+    grid = Grid1D(-20.0, 20.0, 41)
+    assert grid.h * abs(float(kink.exact.N)) == pytest.approx(0.707, abs=1e-3)
+    res = integrate(kink, grid, SimConfig(dt=0.01, T=0.5, scheme="imex_cn"))
+    assert res.linf_errors[-1] <= 5e-7, res.linf_errors[-1]
+
+
+def test_split_scheme_on_a_short_domain_is_second_order_in_space(kink):
+    # on [-2, 2] the kink's u'' does not vanish at the ends, so the sine
+    # series of u - l converges slowly: the error falls back to O(h^2)
+    errors = [integrate(kink, Grid1D(-2.0, 2.0, n), SimConfig(
+        dt=2e-4, T=0.25, scheme="imex_cn")).linf_errors[-1] for n in (41, 81)]
+    assert max(errors) <= 5e-5, errors
+    assert math.log2(errors[0] / errors[1]) >= 1.75, errors
+
+
+def test_split_scheme_default_step(kink):
+    # its own constant step, not RK4's h-dependent one: 100 steps to T = 1
+    # on the default grid, at an error 25 times below RK4's default run
+    config = SimConfig(T=1.0, scheme="imex_cn")
+    assert config.resolved_dt(KINK_GRID.h) == SPLIT_DT
+    steps = _schedule(config, config.resolved_dt(KINK_GRID.h))[2]
+    assert len(steps) <= 100
+    res = integrate(kink, KINK_GRID, config)
+    assert res.linf_errors[-1] <= 5e-7, res.linf_errors[-1]
 
 
 def test_split_scheme_is_second_order_on_periodic_grids():
@@ -578,7 +607,7 @@ def test_split_scheme_energy_at_large_steps(n, dt):
     # the energy falls at every step while the field settles; once two
     # fronts remain (from t = 5 on) and it changes only exponentially
     # slowly, the splitting error shows as rises that scale like dt^5
-    # (1.4e-9 at dt = 0.05, 2e-6 at 0.2)
+    # (2.6e-10 at dt = 0.05, 1.8e-6 at 0.2)
     grid = Grid1D(0.0, 16.0 * np.pi * (n - 1) / n, n)
     steps = round(10.0 / dt)
     settling = round(2.0 / dt)
@@ -593,47 +622,67 @@ def test_split_scheme_energy_at_large_steps(n, dt):
 
 
 def _dense_flow(matrix: np.ndarray, dt: float):
-    """phi_j(dt*matrix) for j = 0, 1, 2 from a dense eigendecomposition,
-    with phi_0 = exp, phi_1(z) = (e^z - 1)/z, phi_2(z) = (e^z - 1 - z)/z^2."""
+    """exp(dt*matrix) and phi1(dt*matrix), phi1(z) = (e^z - 1)/z, of a
+    symmetric matrix from a dense eigendecomposition."""
     lam, vecs = np.linalg.eigh(matrix)
     z = dt * lam
     with np.errstate(divide="ignore", invalid="ignore"):
-        phis = (np.exp(z),
-                np.where(z == 0.0, 1.0, np.expm1(z) / z),
-                np.where(z == 0.0, 0.5, (np.expm1(z) - z) / (z * z)))
-    return [vecs @ np.diag(phi) @ vecs.T for phi in phis]
+        phi1 = np.where(z == 0.0, 1.0, np.expm1(z) / z)
+    return [vecs @ np.diag(phi) @ vecs.T for phi in (np.exp(z), phi1)]
 
 
 def test_periodic_diffusion_step_matches_dense_eigensolution():
-    n, h, dt = 16, 0.3, 0.05
-    lap = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
-           + np.diag(np.ones(n - 1), -1))
-    lap[0, -1] = lap[-1, 0] = 1.0
-    u = np.random.default_rng(3).uniform(-1.0, 1.0, n)
-    flow, _, _ = _dense_flow(lap / (h * h), dt)
-    got = _Split(Grid1D(0.0, h * (n - 1), n), [dt], periodic=True).diffuse(u, dt)
-    assert np.max(np.abs(got - flow @ u)) < 1e-13
+    # the heat equation on the period L = n*h: every Fourier mode the grid
+    # carries, cos and sin of 2*pi*k*x/L, decays by exactly
+    # e^(-(2*pi*k/L)^2 dt)
+    h, dt = 0.3, 0.05
+    for n in (16, 17):
+        x = h * np.arange(n)
+        length = n * h
+        split = _Split(Grid1D(0.0, h * (n - 1), n), [dt], periodic=True)
+        for k in range(n // 2 + 1):
+            decay = math.exp(-((2.0 * math.pi * k / length) ** 2) * dt)
+            for wave in (np.cos, np.sin):
+                mode = wave(2.0 * math.pi * k * x / length)
+                got = split.diffuse(mode, dt)
+                assert np.max(np.abs(got - decay * mode)) < 1e-13, (n, k)
 
 
 @pytest.mark.parametrize("n", [16, 17])
 def test_dirichlet_diffusion_step_matches_dense_eigensolution(n):
-    # interior nodes: u' = A u + g(t), where g carries boundary values that
-    # move linearly in time from (a0, b0) to (a1, b1); the exact solution is
-    # e^(dt A) u + dt phi1(dt A) g0 + dt phi2(dt A) (g1 - g0)
+    # the heat equation on [0, L], L = (n - 1)*h, with end values that move
+    # linearly in time from (a0, b0) to (a1, b1).  With fixed zero ends each
+    # sine mode sin(pi*j*x/L) decays by exactly e^(-(pi*j/L)^2 dt).  With
+    # moving ends, v = u - l, where l is linear in x between the end values,
+    # solves v_t = v_xx - l_t with zero ends: v(dt) = e^(dt A) v
+    # - dt phi1(dt A) l_t, where A is the second derivative of the sine
+    # interpolant on the interior nodes, built densely from the sine modes
     h, dt = 0.3, 0.05
-    m = n - 2
-    lap = (np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1)
-           + np.diag(np.ones(m - 1), -1)) / (h * h)
+    length = (n - 1) * h
+    x = h * np.arange(1, n - 1)
+    split = _Split(Grid1D(0.0, length, n), [dt], periodic=False)
+    for j in range(1, n - 1):
+        mode = np.zeros(n)
+        mode[1:-1] = np.sin(math.pi * j * x / length)
+        got = split.diffuse(mode, dt, [0.0, 0.0])
+        decay = math.exp(-((math.pi * j / length) ** 2) * dt)
+        assert np.max(np.abs(got - decay * mode)) < 1e-13, j
+        assert np.array_equal(got[[0, -1]], [0.0, 0.0])
+
+    wave = np.arange(1, n - 1) * math.pi / length
+    sines = np.sin(np.outer(x, wave))  # column j: sine mode j on the nodes
+    lap = sines @ np.diag(-wave * wave) @ np.linalg.inv(sines)
+    flow, phi1 = _dense_flow(0.5 * (lap + lap.T), dt)
     rng = np.random.default_rng(n)
     u = rng.uniform(-1.0, 1.0, n)
     end = rng.uniform(-1.0, 1.0, 2)
-    g0, g1 = np.zeros(m), np.zeros(m)
-    g0[[0, -1]] = u[[0, -1]] / (h * h)
-    g1[[0, -1]] = end / (h * h)
-    flow, phi1, phi2 = _dense_flow(lap, dt)
-    want = flow @ u[1:-1] + dt * phi1 @ g0 + dt * phi2 @ (g1 - g0)
-    got = _Split(Grid1D(0.0, h * (n - 1), n), [dt], periodic=False).diffuse(
-        u, dt, end)
+
+    def lift(a, b):
+        return a + (b - a) * x / length
+
+    l0, l1 = lift(*u[[0, -1]]), lift(*end)
+    want = flow @ (u[1:-1] - l0) - dt * phi1 @ ((l1 - l0) / dt) + l1
+    got = split.diffuse(u, dt, end)
     assert np.max(np.abs(got[1:-1] - want)) < 1e-13
     assert np.array_equal(got[[0, -1]], end)
 
