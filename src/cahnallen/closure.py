@@ -9,12 +9,16 @@ That consistency requirement is a quadratic in the speed w over Q(sqrt(2))
 and is solved exactly; every surviving branch is certified by structural
 back-substitution into all four grade equations with k left symbolic.
 
-The solve and the back-substitution do not rewrite expressions: one helper
-evaluates the terms of a grade equation in Q(sqrt(2)) with scalar values
-for its bound atoms and sums the exact coefficients keyed by the powers
-left over (of k or w, of the S-derivatives, and of any unbound atom).  The
-closure reads coefficient lists in w from it, and back-substitution asks
-that every coefficient, keyed by its power of k, be a structural zero.
+The two rates are formed once, as ratios of polynomials in k, w, A0 and A1
+split out of grades 2 and 1 by S-derivative signature.  The speed condition
+is their cross product, and the trace prints the same S'''/S'' ratio.  No
+other step rewrites expressions: one helper evaluates the terms of an
+expression in Q(sqrt(2)) with scalar values for its bound atoms and sums
+the exact coefficients keyed by the powers left over (of k or w, of the
+S-derivatives, and of any unbound atom).  The closure reads from it the
+speed condition's coefficient list in w and the two rates at each root;
+back-substitution asks that every coefficient, keyed by its power of k, be
+a structural zero.
 
 S is integrated in closed form only at the very end: each branch yields
 S'' = c1*exp(nu*xi), then S' and S by division with the same rate, and the
@@ -138,6 +142,8 @@ class ClosureSolution(NamedTuple):
     degenerate: tuple[DegenerateRoot, ...]
     # every branch back-substitutes to a structural zero, k symbolic
     backsubstituted: bool
+    # (lambda, mu) = (S''/S', S'''/S''), each a (numerator, denominator) pair
+    rates: tuple[tuple[SymExpr, SymExpr], tuple[SymExpr, SymExpr]]
 
 
 # --- small exact polynomial helpers ---------------------------------------
@@ -231,32 +237,11 @@ def _coeff_lists(e: SymExpr, scalars: Mapping[str, tuple[Radical2, int]]
     return out
 
 
-def _poly_mul(a: list[Radical2], b: list[Radical2]) -> list[Radical2]:
-    """Coefficient list of the product of two polynomials."""
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _poly_sum(*polys: list[Radical2]) -> list[Radical2]:
-    """Coefficient list of a sum of polynomials, trailing zeros stripped."""
-    out = [ZERO] * max(map(len, polys))
-    for p in polys:
-        for i, x in enumerate(p):
-            out[i] = out[i] + x
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
-
-
-def _horner(coeffs: list[Radical2], x: Radical2) -> Radical2:
-    """sum(coeffs[i] * x**i) by Horner's rule."""
-    out = Radical2()
-    for a in reversed(coeffs):
-        out = out * x + a
-    return out
+def _value(e: SymExpr, scalars: Mapping[str, tuple[Radical2, int]]
+           ) -> Radical2:
+    """The exact value of a polynomial with every atom bound to a number."""
+    [c] = _coeff_lists(e, scalars).get((), [ZERO])
+    return c
 
 
 # --- pipeline steps --------------------------------------------------------
@@ -286,6 +271,31 @@ _S1S1 = ((1, 2),)
 _S1S2 = ((1, 1), (2, 1))
 
 
+def _rate_ratios(system: CoefficientSystem
+                 ) -> tuple[tuple[SymExpr, SymExpr], tuple[SymExpr, SymExpr]]:
+    """The rates lambda = S''/S' and mu = S'''/S'' as ratios of polynomials
+    in k, w, A0 and A1, each a (numerator, denominator) pair.
+
+    Grade 2 reads a*S'^2 + b*S'*S'' = 0, so lambda = -a/b.  Grade 1 reads
+    c3*S''' + c2*S'' + c1*S' = 0; divided by S'', with S'/S'' = 1/lambda,
+    it gives mu = -(c2*lambda + c1) / (c3*lambda).
+    """
+
+    def by_s_signature(e: SymExpr) -> dict[tuple, SymExpr]:
+        parts: dict[tuple, list[Monomial]] = {}
+        for (_, _, sig, u, kept), c in _evaluate(e, {}).items():
+            parts.setdefault(sig, []).append(Monomial(c, kept, u))
+        return {sig: SymExpr.from_terms(ms) for sig, ms in parts.items()}
+
+    g2 = by_s_signature(system.equations[2])
+    g1 = by_s_signature(system.equations[1])
+    zero = SymExpr()
+    lam_num, lam_den = -g2.get(_S1S1, zero), g2.get(_S1S2, zero)
+    c3, c2, c1 = (g1.get(sig, zero) for sig in (_S3, _S2, _S1))
+    return ((lam_num, lam_den),
+            (-(c2 * lam_num + c1 * lam_den), c3 * lam_num))
+
+
 def backsubstitute(system: CoefficientSystem, branch: ClosureBranch) -> bool:
     """Structural zero check of all grade equations, with k symbolic.
 
@@ -312,11 +322,13 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
     """Enumerate every exact branch of the coefficient system.
 
     A0 comes from the grade-0 polynomial, A1 from grade 3 (its zero root is
-    rejected: the ansatz would lose its top coefficient), and for each pair
-    the requirement that grade 1 and grade 2 share one exponential rate is a
-    quadratic in w, solved exactly.  Roots that leave no traveling wave or no
-    integrable closed form are recorded as degenerate instead of returned.
-    Each returned branch is back-substituted once; the outcome is recorded.
+    rejected: the ansatz would lose its top coefficient).  The rates
+    lambda = S''/S' from grade 2 and mu = S'''/S'' from grade 1 are formed
+    once; for each pair, lambda = mu with denominators cleared is a
+    quadratic in w, solved exactly, and both rates are read off at each
+    root.  Roots that leave no traveling wave or no integrable closed form
+    are recorded as degenerate instead of returned.  Each returned branch is
+    back-substituted once; the outcome and the rates are recorded.
     """
     grades = system.grades()
     if grades != (0, 1, 2, 3):
@@ -343,56 +355,47 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
             " for no branch")
     signs = sorted({1 if float(a) > 0 else -1 for a in alpha_roots}, reverse=True)
 
+    rates = _rate_ratios(system)
+    (lam_num, lam_den), (mu_num, mu_den) = rates
+    consistency = lam_num * mu_den - mu_num * lam_den  # lambda = mu
     branches: list[ClosureBranch] = []
     degenerate: list[DegenerateRoot] = []
     backsubstituted = True
-    zero = [ZERO]
     for a0 in a0_values:
         for s1 in signs:
             alpha = Radical2.sqrt2(s1)
-            # polynomials in w at k = 1 (every equation is homogeneous in k;
-            # the surviving branches are re-certified with k symbolic below)
-            scalars = {"A0": (a0, 0), "A1": (alpha, 0), "k": (ONE, 0),
-                       "w": (ONE, 1)}
-            g2 = _coeff_lists(system.equations[2], scalars)
-            g1 = _coeff_lists(system.equations[1], scalars)
-            num = [-c for c in g2.get(_S1S1, zero)]
-            den = g2.get(_S1S2, zero)
-            e3, e2, e1 = (g1.get(sig, zero) for sig in (_S3, _S2, _S1))
-            # grade 1 with S'' = lam*S' and S''' = mu*lam*S', under mu = lam:
-            consistency = _poly_sum(_poly_mul(_poly_mul(e3, num), num),
-                                    _poly_mul(_poly_mul(e2, num), den),
-                                    _poly_mul(_poly_mul(e1, den), den))
-            if len(consistency) != 3:
+            # at k = 1 (every equation is homogeneous in k; the surviving
+            # branches are re-certified with k symbolic below)
+            pair = {"A0": (a0, 0), "A1": (alpha, 0), "k": (ONE, 0)}
+            coeffs = _coeff_lists(consistency, {**pair, "w": (ONE, 1)})
+            if len(coeffs.get((), ())) != 3:
                 raise ClosureUnsupported("speed consistency is not quadratic")
-            roots, zero_mult = _poly_roots(consistency)
-            all_roots = ([Radical2()] * zero_mult) + roots
+            roots, zero_mult = _poly_roots(coeffs[()])
             beta = 3 * a0 * alpha
-            for rho in all_roots:
-                den_at = _horner(den, rho)
-                lam = _horner(num, rho) / den_at if den_at else None
-                dscale = (3 * (3 * a0 * a0 - 1)) + rho * (rho - beta)
+            for rho in [Radical2()] * zero_mult + roots:
                 if not rho:
                     degenerate.append(DegenerateRoot(
                         a0, s1, rho, "stationary frame (w = 0)"))
                     continue
-                if lam is None or not lam:
+                at = {**pair, "w": (rho, 0)}
+                den_at = _value(lam_den, at)
+                lam = _value(lam_num, at) / den_at if den_at else ZERO
+                if not lam:
                     degenerate.append(DegenerateRoot(
                         a0, s1, rho, "exponential rate vanishes (w = 3*A0*A1)"))
                     continue
+                dscale = (3 * (3 * a0 * a0 - 1)) + rho * (rho - beta)
                 if not dscale:
                     degenerate.append(DegenerateRoot(
                         a0, s1, rho, "closed-form denominator vanishes"))
                     continue
-                mu_num = -(_horner(e2, rho) * lam + _horner(e1, rho))
-                mu = mu_num / (_horner(e3, rho) * lam)
-                if lam != mu:
-                    raise AssertionError("consistency root with lambda != mu")
+                mu = _value(mu_num, at) / _value(mu_den, at)
                 branch = ClosureBranch(a0, s1, rho, lam, mu, dscale)
                 backsubstituted &= backsubstitute(system, branch)
                 branches.append(branch)
 
-    return ClosureSolution(tuple(branches), tuple(degenerate), backsubstituted)
+    return ClosureSolution(tuple(branches), tuple(degenerate), backsubstituted,
+                           rates)
 
 
 # --- trace and certified derivation ---------------------------------------
@@ -523,7 +526,7 @@ def _render_trace(ode, ansatz, system, solution) -> str:
     add("roots of the polynomial conditions:")
     add("  g=0 : A0 in {0, 1, -1}")
     add(f"  g=3 : {a1_roots}")
-    mu_num, mu_den = _mu_ratio_exprs(system)
+    mu_num, mu_den = _cancel_common(*solution.rates[1])
     add("rate of the third derivative over the second, from g=1 with g=2:")
     add(f"  S'''/S'' = ({mu_num}) / ({mu_den})")
     add("speed from the rate consistency S''/S' = S'''/S'' (exact quadratic):")
@@ -542,21 +545,3 @@ def _render_trace(ode, ansatz, system, solution) -> str:
         add(f"    u = {b.a0_int} + ({b.alpha * b.s1_scale})*c1*k^2*E"
             f" / (({b.s_scale})*c1*k^2*E + c2)")
     return "\n".join(lines) + "\n"
-
-
-def _mu_ratio_exprs(system: CoefficientSystem) -> tuple[SymExpr, SymExpr]:
-    """The S'''/S'' ratio as a cancelled ratio of polynomials in k, w, A0, A1."""
-
-    def by_s_signature(e: SymExpr) -> dict[tuple, SymExpr]:
-        parts: dict[tuple, list[Monomial]] = {}
-        for (_, _, sig, _, kept), c in _evaluate(e, {}).items():
-            parts.setdefault(sig, []).append(Monomial(c, kept))
-        return {sig: SymExpr.from_terms(ms) for sig, ms in parts.items()}
-
-    g2 = by_s_signature(system.equations[2])
-    g1 = by_s_signature(system.equations[1])
-    lam_num = -g2[_S1S1]
-    lam_den = g2[_S1S2]
-    num = -(g1[_S2] * lam_num + g1[_S1] * lam_den)
-    den = g1[_S3] * lam_num
-    return _cancel_common(num, den)

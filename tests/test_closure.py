@@ -159,6 +159,38 @@ def test_case_one_exponent(solution):
     assert b.nu_times_k == HALF_SQRT2  # rate 1/(sqrt2*k)
 
 
+# S'''/S'' as the trace prints it (golden file line 19)
+MU_NUM = (K**2).scaled(3) - (K**2 * A0**2).scaled(9) \
+    + (W * A0 * A1).scaled(3) - W**2
+MU_DEN = (K**2 * A0 * A1).scaled(3) - K**2 * W
+
+
+def test_speed_condition_roots_are_the_census(report):
+    # bound with `substitute`, not with the closure's own evaluator
+    solution = report.solution
+    (lam_num, lam_den), (mu_num, mu_den) = solution.rates
+    consistency = lam_num * mu_den - mu_num * lam_den
+    for a0 in (0, 1, -1):
+        for s1 in (1, -1):
+            at_pair = substitute(consistency,
+                                 {"A0": a0, "A1": Radical2.sqrt2(s1), "k": 1})
+            roots = [b.w_over_k for b in solution.branches
+                     if (b.a0_int, b.s1) == (a0, s1)]
+            roots += [d.w_over_k for d in solution.degenerate
+                      if (int(d.a0.r), d.s1) == (a0, s1)]
+            assert len(roots) == 2
+            lead = next(t.coeff for t in at_pair.terms
+                        if t.sym_powers == (("w", 2),))
+            assert at_pair == ((W - SymExpr.const(roots[0]))
+                               * (W - SymExpr.const(roots[1]))).scaled(lead)
+
+    assert f"  S'''/S'' = ({MU_NUM}) / ({MU_DEN})\n" in report.trace
+    for b in solution.branches:
+        bind = {"A0": b.a0, "A1": b.alpha, "k": 1, "w": b.w_over_k}
+        den = substitute(MU_DEN, bind)
+        assert den and substitute(MU_NUM, bind) == den.scaled(b.mu_times_k)
+
+
 def test_backsubstitution_is_structural_zero(system, solution):
     for b in solution.branches:
         assert backsubstitute(system, b)

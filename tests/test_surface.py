@@ -6,9 +6,11 @@ reached when one of the commands below calls it, or when the benchmark
 (`perfbench/*.py` apart from its self-tests) or the acceptance gate
 (`tests/test_acceptance.py`) names it: a function by its identifier, a
 method or property only as `.name`.  Anything else is dead weight: move it
-next to the test that needs it, or delete it.
+next to the test that needs it, or delete it.  A private function or method
+is dead weight when no code in the package names it outside its own def.
 """
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -115,3 +117,33 @@ def test_every_public_name_is_reached(tmp_path, monkeypatch):
     assert not unreached, (
         "reached by no command, acceptance criterion or benchmark: "
         + ", ".join(sorted(unreached)))
+
+
+def _private_defs_and_uses():
+    """(name, file, first, last line) of every non-dunder private function
+    or method in src, and (name, file, line) of every name and attribute
+    that code in src refers to."""
+    defs, uses = [], []
+    for path in sorted((ROOT / "src" / "cahnallen").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name.startswith("_") and not (
+                        name.startswith("__") and name.endswith("__")):
+                    defs.append((name, path, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+    return defs, uses
+
+
+def test_every_private_function_is_used_in_the_package():
+    defs, uses = _private_defs_and_uses()
+    unused = [f"{path.name}:{name}" for name, path, first, last in defs
+              if not any(used == name
+                         and not (where == path and first <= line <= last)
+                         for used, where, line in uses)]
+    assert not unused, (
+        "private functions named nowhere in src outside their own def: "
+        + ", ".join(unused))
