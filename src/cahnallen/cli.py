@@ -34,8 +34,8 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .closure import run_derivation
-from .reduction import (EvolutionEquation, WaveFrame, check_times,
-                        check_wave_number, reduce_to_ode)
+from .reduction import (EvolutionEquation, WaveFrame, check_step_count,
+                        check_times, check_wave_number, reduce_to_ode)
 
 if TYPE_CHECKING:
     from .simulate import Grid1D
@@ -362,6 +362,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_simulate(args) -> int:
     check_times(args.T, args.dt)  # before numpy loads and the derivation runs
+    if args.dt is not None:
+        check_step_count(args.T, args.dt)
     import numpy as np
 
     from .simulate import Grid1D, SimConfig, integrate

@@ -18,6 +18,10 @@ from .symexpr import SymExpr
 
 # about 45 rounding units of t = 1; a run to T = 1 takes 1e14 such steps
 MIN_TIME_STEP = 1e-14
+# the most steps T/dt a run may ask for: far beyond the few thousand that
+# any run of the toolkit takes, and at least minutes of stepping on the
+# smallest grid, so a larger count is a mistyped T or dt
+MAX_STEPS = 10**7
 
 
 class NonIntegerBalance(ValueError):
@@ -72,6 +76,17 @@ def check_times(T: float, dt: float | None) -> None:
     if dt < MIN_TIME_STEP:
         raise ConfigError(
             f"time step {dt} is below the smallest step {MIN_TIME_STEP}")
+
+
+def check_step_count(T: float, dt: float) -> None:
+    """A ConfigError if a run to T at steps of dt takes more than MAX_STEPS
+    steps.  check_times leaves it out, as a configuration may name any
+    usable dt: each run checks its own count before its first step, and
+    the command line checks a given --dt before it loads numpy."""
+    if T / dt > MAX_STEPS:
+        raise ConfigError(
+            f"a run to T = {T:g} at dt = {dt:g} takes {T / dt:.3g} steps,"
+            f" more than the cap of {MAX_STEPS:,}")
 
 
 class TravelingWaveODE(NamedTuple):

@@ -7,6 +7,11 @@ heat flow of the grid's trigonometric interpolant (scheme "imex_cn", a
 name kept from its Crank-Nicolson predecessor).  Seeding a run with an
 exact catalog profile and tracking the mid-level crossing measures the
 lab-frame front speed -w/k dynamically.
+
+A run's memory is bounded by its grid, not by its step count: the step
+schedule is made as the run takes each step, the exact boundary data are
+evaluated one block of steps at a time, and the steppers own fixed work
+buffers.  `reduction.check_step_count` caps T/dt at `MAX_STEPS`.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
 from .qfield import Frozen
-from .reduction import ConfigError, check_times
+from .reduction import ConfigError, check_step_count, check_times
 from .solutions import SolutionSpec
 
 BLOWUP_LIMIT = 1e6
@@ -294,11 +299,16 @@ class _Split:
                           + l1_hat,    phi1(z) = (e^z - 1)/z
 
     (Hochbruck & Ostermann, Acta Numerica 19, 2010).
+
+    A stepper is built from the grid alone.  Per step length it keeps two
+    vectors, e^z and phi1(z), made the first time the length is used; on
+    Dirichlet grids it keeps one (4, n - 2) lift map, rebuilt in place
+    whenever the step length changes.
     """
 
     stages = (1.0,)  # the boundary values at the end of each step
 
-    def __init__(self, grid: Grid1D, steps: list[float], periodic: bool):
+    def __init__(self, grid: Grid1D, periodic: bool):
         n = grid.n
         self.periodic = periodic
         # 2/h * mode is the wave number 2*pi*k/L of each Fourier mode over
@@ -309,27 +319,37 @@ class _Split:
             mode = np.pi * np.arange(1, n - 1) / (2 * (n - 1))
             frac = np.arange(1, n - 1) / (n - 1)
             self.lift_hat = _dst(np.stack([1.0 - frac, frac]))
-            # per-run buffers: sine coefficients, scratch, boundary values
+            # per-run buffers: sine coefficients, scratch, boundary values,
+            # and the lift map with the step length it was built for
             self.hat, self.work = np.empty((2, n - 2))
             self.ends = np.empty(4)
-        lam = -(2.0 / grid.h * mode) ** 2
-        # every step length of the run, so a partial step costs no rebuild
-        self.factors = {s: self._factors(s, lam) for s in set(steps)}
+            self.weights = np.empty((4, n - 2))
+            self.weights_step = None
+        self.lam = -(2.0 / grid.h * mode) ** 2
+        self.tables: dict[float, tuple] = {}
 
-    def _factors(self, step: float, lam: np.ndarray):
-        """e^z; on Dirichlet grids the (4, n - 2) map from the boundary
-        values (start, end) to their share of the new u_hat; the decay
-        e^-step of a reaction half step, kept above zero so that a zero
-        field stays zero (not 0/0) at steps beyond about 708."""
-        z = step * lam
-        decay = np.exp(z)
-        half_step = max(math.exp(-step), sys.float_info.min)
-        if self.periodic:
-            return decay, None, half_step
-        phi1 = np.expm1(z) / z  # every eigenvalue is negative here
-        weights = np.concatenate([(phi1 - decay) * self.lift_hat,
-                                  (1.0 - phi1) * self.lift_hat])
-        return decay, weights, half_step
+    def factors(self, step: float):
+        """e^z; on Dirichlet grids phi1(z), else None; the decay e^-step
+        of a reaction half step, kept above zero so that a zero field stays
+        zero (not 0/0) at steps beyond about 708.  Made on first use."""
+        table = self.tables.get(step)
+        if table is None:
+            z = step * self.lam
+            # every eigenvalue is negative on Dirichlet grids
+            phi1 = None if self.periodic else np.expm1(z) / z
+            table = self.tables[step] = (
+                np.exp(z), phi1, max(math.exp(-step), sys.float_info.min))
+        return table
+
+    def lift_map(self, step: float) -> np.ndarray:
+        """The (4, n - 2) map from the boundary values (start, end) to their
+        share of the new u_hat, rebuilt in place for a new step length."""
+        if step != self.weights_step:
+            decay, phi1, _ = self.factors(step)
+            np.multiply(phi1 - decay, self.lift_hat, out=self.weights[:2])
+            np.multiply(1.0 - phi1, self.lift_hat, out=self.weights[2:])
+            self.weights_step = step
+        return self.weights
 
     def diffuse(self, u: np.ndarray, step: float, end=None,
                 out=None) -> np.ndarray:
@@ -338,14 +358,14 @@ class _Split:
         fresh array or, on Dirichlet grids, into `out` (which may be u);
         there the boundary values move linearly from u's two end nodes to
         `end`."""
-        decay, weights, _ = self.factors[step]
+        decay = self.factors(step)[0]
         if self.periodic:
             return np.fft.irfft(decay * np.fft.rfft(u), u.size)
         u_hat, ends = _dst(u[1:-1], self.hat), self.ends
         u_hat *= decay
         ends[0], ends[1] = u[0], u[-1]
         ends[2:] = end
-        u_hat += np.matmul(ends, weights, out=self.work)
+        u_hat += np.matmul(ends, self.lift_map(step), out=self.work)
         if out is None:
             out = np.empty_like(u)
         _dst(u_hat, out[1:-1])
@@ -353,7 +373,7 @@ class _Split:
         return out
 
     def step(self, u: np.ndarray, step: float, u_t=None, end=None) -> np.ndarray:
-        decay = self.factors[step][2]
+        decay = self.factors(step)[2]
         if self.periodic:
             return _react(self.diffuse(_react(u, decay), step), decay)
         out = np.empty_like(u)
@@ -366,39 +386,41 @@ class _Split:
 
 
 def _schedule(config: SimConfig, dt: float):
-    """Whether the run records t = 0, and the start, length and recorded
-    snapshot time (or None) of every step.  Steps are dt long except where
-    a snapshot time or T cuts one short."""
+    """Whether the run records t = 0, and an iterator over the steps: the
+    start, length and recorded snapshot time (or None) of each, made as
+    the run takes it.  Steps are dt long except where a snapshot time or T
+    cuts one short."""
     pending = list(config.resolved_snapshots())
     at_zero = bool(pending) and abs(pending[0]) < 1e-12
     if at_zero:
         pending.pop(0)
-    starts: list[float] = []
-    steps: list[float] = []
-    marks: list[float | None] = []
-    t = 0.0
-    while t < config.T - 1e-12:
-        target = pending[0] if pending else config.T
-        step = min(dt, target - t, config.T - t)
-        starts.append(t)
-        steps.append(step)
-        t += step
-        marks.append(pending.pop(0) if pending and t >= pending[0] - 1e-12
-                     else None)
-    return at_zero, starts, steps, marks
+
+    def steps():
+        t = 0.0
+        while t < config.T - 1e-12:
+            target = pending[0] if pending else config.T
+            step = min(dt, target - t, config.T - t)
+            start = t
+            t += step
+            yield start, step, (pending.pop(0) if pending
+                                and t >= pending[0] - 1e-12 else None)
+
+    return at_zero, steps()
 
 
-def _boundary_data(spec: SolutionSpec, edges: np.ndarray, starts: list[float],
-                   steps: list[float], stages: tuple[float, ...]):
-    """Per step, u_t on both boundary nodes at the `stages` fractions of the
-    step and u there at the last one.  One profile evaluation serves a block
-    of STEPS_PER_PROFILE steps, which bounds the memory of long runs."""
+def _boundary_data(spec: SolutionSpec, edges: np.ndarray, schedule,
+                   stages: tuple[float, ...]):
+    """Each step of `schedule` with u_t on both boundary nodes at the
+    `stages` fractions of the step and u there at the last one.  One
+    profile evaluation serves a block of STEPS_PER_PROFILE steps, which
+    bounds the memory of long runs."""
     fraction = np.array(stages)[:, None]
-    for lo in range(0, len(steps), STEPS_PER_PROFILE):
-        t0 = np.array(starts[lo:lo + STEPS_PER_PROFILE])[:, None, None]
-        length = np.array(steps[lo:lo + STEPS_PER_PROFILE])[:, None, None]
+    while block := list(islice(schedule, STEPS_PER_PROFILE)):
+        starts, steps, _ = zip(*block)
+        t0 = np.array(starts)[:, None, None]
+        length = np.array(steps)[:, None, None]
         u, du, _ = spec.profile(spec.xi(edges, t0 + fraction * length))
-        yield from zip((spec.w * du).tolist(), u[:, -1].tolist())
+        yield from zip(block, (spec.w * du).tolist(), u[:, -1].tolist())
 
 
 def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
@@ -407,6 +429,7 @@ def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
     periodic = spec is None
     h = grid.h
     dt = config.resolved_dt(h)
+    check_step_count(config.T, dt)
     rk4 = config.scheme == "explicit_rk4_mol"
     if rk4:
         limit = explicit_dt_limit(h)
@@ -414,11 +437,11 @@ def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
             raise ConfigError(
                 f"explicit scheme needs dt <= {limit:g} at h = {h:g}, got {dt:g}"
             )
-    at_zero, starts, steps, marks = _schedule(config, dt)
-    stepper = _Rk4(grid) if rk4 else _Split(grid, steps, periodic)
+    at_zero, schedule = _schedule(config, dt)
+    stepper = _Rk4(grid) if rk4 else _Split(grid, periodic)
     xs = grid.xs()
-    edges = (repeat((None, None)) if periodic else
-             _boundary_data(spec, xs[[0, -1]], starts, steps, stepper.stages))
+    stream = (zip(schedule, repeat(None), repeat(None)) if periodic else
+              _boundary_data(spec, xs[[0, -1]], schedule, stepper.stages))
 
     result = SimResult()
 
@@ -441,7 +464,7 @@ def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
     u = np.asarray(u0, dtype=float).copy()
     if at_zero:
         record(0.0, u)
-    for start, step, mark, (u_t, end) in zip(starts, steps, marks, edges):
+    for (start, step, mark), u_t, end in stream:
         u = stepper.step(u, step, u_t, end)
         if not np.abs(u).max() <= BLOWUP_LIMIT:  # NaN fails it too
             raise UnstableStep(f"field magnitude exceeded {BLOWUP_LIMIT:g}"
@@ -501,16 +524,14 @@ def convergence_study(spec: SolutionSpec, grids: list[Grid1D],
         raise ValueError("a refinement study needs at least 3 grids")
     h0 = grids[0].h
     dt0 = config.resolved_dt(h0)
+    scaled = [SimConfig(dt=dt0 * (g.h / h0) ** 2, T=config.T,
+                        boundary=config.boundary, scheme=config.scheme,
+                        snapshot_times=(0.0, config.T)) for g in grids]
+    for level in scaled:  # before any level runs
+        check_step_count(level.T, level.dt)
     rows: list[dict] = []
-    for g in grids:
-        scaled = SimConfig(
-            dt=dt0 * (g.h / h0) ** 2,
-            T=config.T,
-            boundary=config.boundary,
-            scheme=config.scheme,
-            snapshot_times=(0.0, config.T),
-        )
-        res = integrate(spec, g, scaled)
+    for g, level in zip(grids, scaled):
+        res = integrate(spec, g, level)
         rows.append({"h": g.h, "n": g.n, "linf_error": res.linf_errors[-1]})
     for prev, cur in zip(rows, rows[1:]):
         if prev["linf_error"] > 0.0 and cur["linf_error"] > 0.0:

@@ -717,7 +717,11 @@ def test_stdlib_command_loads_no_numpy(argv, tmp_path):
      "time step must be positive and finite"),
     (["convergence", "--entry", "eq20+", "--T", "nan"],
      "final time must be positive and finite"),
-], ids=["simulate-dt", "convergence-T"])
+    (["simulate", "--entry", "eq20+", "--scheme", "imex", "--T", "0.1",
+      "--dt", "1e-13"],
+     "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps,"
+     " more than the cap of 10,000,000"),
+], ids=["simulate-dt", "convergence-T", "simulate-steps"])
 def test_bad_time_is_reported_before_numpy_loads(argv, reason, tmp_path):
     import cahnallen
 
@@ -733,6 +737,32 @@ def test_bad_time_is_reported_before_numpy_loads(argv, reason, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == f"error: {reason}\n"
     assert proc.stdout == "False\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # a grid option loads numpy while the arguments are parsed
+    (["simulate", "--entry", "eq20+", "--scheme", "imex", "--grid=-20,20,201",
+      "--T", "0.1", "--dt", "1e-13"],
+     "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps"),
+    # the default steps are known only with the grid: the finest of three
+    # levels asks for about 2e8 steps, and the coarsest, at the RK4 default
+    # step 2/27, already for more than the cap
+    (["convergence", "--entry", "eq20+", "--T", "1e6"],
+     "a run to T = 1e+06 at dt = 0.0740741 takes 1.35e+07 steps"),
+    (["simulate", "--entry", "eq20+", "--scheme", "imex", "--T", "1e6"],
+     "a run to T = 1e+06 at dt = 0.01 takes 1e+08 steps"),
+], ids=["simulate-grid", "convergence", "simulate-imex"])
+def test_runs_beyond_the_step_cap_are_usage_errors(argv, reason, tmp_path):
+    import cahnallen
+
+    src = os.path.dirname(os.path.dirname(cahnallen.__file__))
+    proc = subprocess.run([sys.executable, "-m", "cahnallen.cli", *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {reason}, more than the cap of 10,000,000\n"
+    assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
 
 

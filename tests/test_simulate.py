@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 from conftest import constant_solution
 
+from cahnallen.reduction import MAX_STEPS
 from cahnallen.simulate import (
     SPLIT_DT,
     ConfigError,
@@ -78,13 +80,41 @@ def test_config_validation():
 
 def test_no_step_is_longer_than_dt():
     config = SimConfig(dt=0.03, T=1.0, snapshot_times=(0.0, 0.1, 0.25, 1.0))
-    at_zero, starts, steps, marks = _schedule(config, config.dt)
+    at_zero, schedule = _schedule(config, config.dt)
+    starts, steps, marks = zip(*schedule)
     assert at_zero and max(steps) <= 0.03
     assert math.isclose(sum(steps), 1.0)
     assert [m for m in marks if m is not None] == [0.1, 0.25, 1.0]
     # SimConfig rejects a dt below 1e-14; the schedule alone does not
     # stretch such a step to the next snapshot time either
-    assert max(_schedule(SimConfig(T=2e-12), 1e-15)[2]) == 1e-15
+    schedule = _schedule(SimConfig(T=2e-12), 1e-15)[1]
+    assert max(step for _, step, _ in schedule) == 1e-15
+
+
+def test_schedule_is_made_step_by_step():
+    # the first 1,000 steps of a million-step run, drawn before the rest
+    # exist: the whole schedule as lists took about 55 MB
+    config = SimConfig(dt=1e-6, T=1.0)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        at_zero, schedule = _schedule(config, config.dt)
+        first = list(islice(schedule, 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert at_zero and len(first) == 1000
+    assert first[-1][0] == pytest.approx(999e-6)
+    assert peak - start <= 1e6, peak - start
+
+
+def test_step_count_is_capped_before_the_first_step(kink):
+    # the split scheme's default step of 0.01 to T = 1e6 is 1e8 steps; the
+    # refusal comes before any step, so the run fails at once
+    with pytest.raises(ConfigError, match="more than the cap"):
+        integrate(kink, KINK_GRID, SimConfig(T=1e6, scheme="imex_cn"))
+    with pytest.raises(ConfigError, match="more than the cap"):
+        integrate(kink, KINK_GRID, SimConfig(T=1.0, dt=0.99 / MAX_STEPS))
 
 
 def test_integrate_rejects_periodic_boundaries(kink):
@@ -239,7 +269,8 @@ def test_split_scheme_default_step(kink):
     # on the default grid, at an error 25 times below RK4's default run
     config = SimConfig(T=1.0, scheme="imex_cn")
     assert config.resolved_dt(KINK_GRID.h) == SPLIT_DT
-    steps = _schedule(config, config.resolved_dt(KINK_GRID.h))[2]
+    schedule = _schedule(config, config.resolved_dt(KINK_GRID.h))[1]
+    steps = [step for _, step, _ in schedule]
     assert len(steps) <= 100
     res = integrate(kink, KINK_GRID, config)
     assert res.linf_errors[-1] <= 5e-7, res.linf_errors[-1]
@@ -451,8 +482,9 @@ def _previous_dst(x):
 
 
 def _previous_split_step(stepper, u, step, end=None):
-    """The allocating Strang step, from the stepper's own factors."""
-    decay, weights, half = stepper.factors[step]
+    """The allocating Strang step, from the stepper's own e^z and phi1(z)
+    but with a lift map of its own."""
+    decay, phi1, half = stepper.factors(step)
 
     def react(v):
         w = v * v
@@ -467,6 +499,8 @@ def _previous_split_step(stepper, u, step, end=None):
     u[1:-1] = react(u[1:-1])
     u_hat = _previous_dst(u[1:-1])
     u_hat *= decay
+    weights = np.concatenate([(phi1 - decay) * stepper.lift_hat,
+                              (1.0 - phi1) * stepper.lift_hat])
     u_hat += np.concatenate([u[[0, -1]], end]) @ weights
     out = np.empty_like(u)
     out[1:-1] = _previous_dst(u_hat)
@@ -476,8 +510,8 @@ def _previous_split_step(stepper, u, step, end=None):
 
 
 def _split_case(periodic: bool, n: int, seed: int):
-    """A split stepper for steps of 0.01 and a shortened 0.0037, a rough
-    start field and a source of moving end values (None when periodic)."""
+    """A split stepper, a rough start field and a source of moving end
+    values (None when periodic)."""
     rng = np.random.default_rng(seed)
     grid = Grid1D(-20.0, 20.0, n)
     u = np.tanh(grid.xs()) + 0.05 * rng.standard_normal(n)
@@ -485,7 +519,7 @@ def _split_case(periodic: bool, n: int, seed: int):
     def ends():
         return None if periodic else rng.uniform(-1.0, 1.0, 2).tolist()
 
-    return _Split(grid, [0.01, 0.0037], periodic), u, ends
+    return _Split(grid, periodic), u, ends
 
 
 @pytest.mark.parametrize("n", [64, 801])
@@ -505,6 +539,21 @@ def test_split_step_is_bit_identical_to_allocating_step(n, periodic, steps):
     assert not np.shares_memory(got, u)
 
 
+@pytest.mark.parametrize("n", [64, 801])
+def test_split_step_stays_bit_identical_across_step_lengths(n):
+    # alternating step lengths rebuild the one lift map in both directions
+    stepper, u, ends = _split_case(False, n, 6)
+    want = got = u
+    for i in range(20):
+        step = (0.01, 0.0037)[i % 2]
+        end = ends()
+        want = _previous_split_step(stepper, want, step, end)
+        got = stepper.step(got, step, None, end)
+        assert stepper.weights_step == step
+        assert np.array_equal(got, want), i
+    assert set(stepper.tables) == {0.01, 0.0037}
+
+
 def test_split_step_allocates_little_beyond_its_result():
     stepper, u, ends = _split_case(False, 6401, 5)
     u = stepper.step(u, 0.01, None, ends())  # warm-up
@@ -520,6 +569,24 @@ def test_split_step_allocates_little_beyond_its_result():
     # the result, the input it replaces, and the DST's padded copy and
     # rfft spectrum (about 4 fields); the allocating step peaked at about 7
     assert peak - start <= 5 * u.size * u.itemsize, peak - start
+
+
+def test_split_run_memory_is_bounded_by_the_grid(kink):
+    # one run of the dynamics benchmark's size: the 11 snapshots, e^z and
+    # phi1(z) for each of the schedule's 5 step lengths (they differ by an
+    # ulp or a few), one lift map of 4 fields and the step's own buffers
+    # come to about 45 fields; a lift map per step length peaked at 55
+    grid = Grid1D(-20.0, 20.0, 6401)
+    config = SimConfig(dt=0.005, T=1.0, scheme="imex_cn")
+    integrate(kink, grid, config)  # warm-up
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        integrate(kink, grid, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 48 * grid.n * 8, peak - start
 
 
 # --- front tracking ----------------------------------------------------------------
@@ -639,7 +706,7 @@ def test_periodic_diffusion_step_matches_dense_eigensolution():
     for n in (16, 17):
         x = h * np.arange(n)
         length = n * h
-        split = _Split(Grid1D(0.0, h * (n - 1), n), [dt], periodic=True)
+        split = _Split(Grid1D(0.0, h * (n - 1), n), periodic=True)
         for k in range(n // 2 + 1):
             decay = math.exp(-((2.0 * math.pi * k / length) ** 2) * dt)
             for wave in (np.cos, np.sin):
@@ -660,7 +727,7 @@ def test_dirichlet_diffusion_step_matches_dense_eigensolution(n):
     h, dt = 0.3, 0.05
     length = (n - 1) * h
     x = h * np.arange(1, n - 1)
-    split = _Split(Grid1D(0.0, length, n), [dt], periodic=False)
+    split = _Split(Grid1D(0.0, length, n), periodic=False)
     for j in range(1, n - 1):
         mode = np.zeros(n)
         mode[1:-1] = np.sin(math.pi * j * x / length)
