@@ -34,11 +34,11 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .closure import run_derivation
-from .reduction import (EvolutionEquation, WaveFrame, check_step_count,
-                        check_times, check_wave_number, reduce_to_ode)
+from .reduction import (EvolutionEquation, Grid1D, WaveFrame,
+                        check_step_count, check_times, check_wave_number,
+                        reduce_to_ode)
 
 if TYPE_CHECKING:
-    from .simulate import Grid1D
     from .solutions import SolutionSpec
     from .verify import GridSpec
 
@@ -184,8 +184,6 @@ def _parse_profile_grid(text: str) -> tuple[float, float, int]:
 
 
 def _parse_run_grid(text: str) -> Grid1D:
-    from .simulate import Grid1D
-
     return _checked(Grid1D, *_parse_grid1(text))
 
 
@@ -366,7 +364,7 @@ def _cmd_simulate(args) -> int:
         check_step_count(args.T, args.dt)
     import numpy as np
 
-    from .simulate import Grid1D, SimConfig, integrate
+    from .simulate import SimConfig, integrate
 
     spec = resolve_entry(args.entry, args.k)
     grid = args.grid or Grid1D(-20.0, 20.0, 801)
@@ -406,7 +404,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_convergence(args) -> int:
     check_times(args.T, None)
-    from .simulate import Grid1D, SimConfig, convergence_study
+    from .simulate import SimConfig, convergence_study
 
     spec = resolve_entry(args.entry, args.k)
     base = args.grid or Grid1D(-20.0, 20.0, 101)

@@ -4,6 +4,9 @@ Passing to the comoving coordinate xi = k*x + w*t replaces u_t by w*u' and
 u_xx by k**2 * u'', turning the PDE into a second-order ODE in xi.  The
 homogeneous-balance rule then fixes the ansatz degree from the formal
 degrees D(d^p u / dxi^p) = n + p and D(u^p * (d^q u)^s) = n*p + s*(n + q).
+
+The module also holds what the command line checks before numpy loads:
+the run grid (Grid1D), the run times and the step count.
 """
 
 from __future__ import annotations
@@ -50,6 +53,31 @@ class WaveFrame(Frozen):
     """The comoving frame xi = k*x + w*t, with k and w the symbolic atoms."""
 
     __slots__ = ()
+
+
+class Grid1D(Frozen):
+    """A uniform grid of n points on [x_min, x_max]; checked, like the run
+    times, without numpy, which only xs() loads."""
+
+    __slots__ = ("x_min", "x_max", "n")
+
+    def __init__(self, x_min: float, x_max: float, n: int) -> None:
+        if n < 8:
+            raise ValueError("grid needs at least 8 points")
+        if x_max <= x_min:
+            raise ValueError("empty grid interval")
+        if not math.isfinite(x_max - x_min):
+            raise ValueError("grid span is not a finite number")
+        super().__init__(x_min, x_max, n)
+
+    @property
+    def h(self) -> float:
+        return (self.x_max - self.x_min) / (self.n - 1)
+
+    def xs(self):
+        import numpy as np
+
+        return np.linspace(self.x_min, self.x_max, self.n)
 
 
 def check_wave_number(k: float) -> float:

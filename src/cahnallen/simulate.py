@@ -10,8 +10,11 @@ lab-frame front speed -w/k dynamically.
 
 A run's memory is bounded by its grid, not by its step count: the step
 schedule is made as the run takes each step, the exact boundary data are
-evaluated one block of steps at a time, and the steppers own fixed work
-buffers.  `reduction.check_step_count` caps T/dt at `MAX_STEPS`.
+evaluated one block of STEPS_PER_PROFILE steps at a time, each snapshot
+evaluates the exact u alone, and the steppers own fixed work buffers,
+the split stepper's factors among them, refilled whenever the step length
+changes.  `reduction.check_step_count` caps T/dt at `MAX_STEPS`.  The run
+grid, `Grid1D`, lives in `reduction`, which loads no numpy.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from itertools import islice, repeat
 import numpy as np
 
 from .qfield import Frozen
-from .reduction import ConfigError, check_step_count, check_times
+from .reduction import ConfigError, Grid1D, check_step_count, check_times
 from .solutions import SolutionSpec
 
 BLOWUP_LIMIT = 1e6
-STEPS_PER_PROFILE = 4096  # boundary data evaluated per block of steps
+STEPS_PER_PROFILE = 256  # boundary data evaluated per block of steps
 # The split scheme's default step.  Its spatial error is spectral, so its
 # error on the kink is temporal, about 2e-3*dt^2 at T = 1 on any grid that
 # resolves the front: 2e-7 at this step, in 100 steps.
@@ -55,26 +58,6 @@ class NoCrossing(ValueError):
 
 class InsufficientData(ValueError):
     pass
-
-
-class Grid1D(Frozen):
-    __slots__ = ("x_min", "x_max", "n")
-
-    def __init__(self, x_min: float, x_max: float, n: int) -> None:
-        if n < 8:
-            raise ValueError("grid needs at least 8 points")
-        if x_max <= x_min:
-            raise ValueError("empty grid interval")
-        if not math.isfinite(x_max - x_min):
-            raise ValueError("grid span is not a finite number")
-        super().__init__(x_min, x_max, n)
-
-    @property
-    def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.n - 1)
-
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n)
 
 
 class SimConfig(Frozen):
@@ -300,10 +283,9 @@ class _Split:
 
     (Hochbruck & Ostermann, Acta Numerica 19, 2010).
 
-    A stepper is built from the grid alone.  Per step length it keeps two
-    vectors, e^z and phi1(z), made the first time the length is used; on
-    Dirichlet grids it keeps one (4, n - 2) lift map, rebuilt in place
-    whenever the step length changes.
+    A stepper is built from the grid alone.  It keeps one e^z vector and,
+    on Dirichlet grids, one phi1(z) vector and one (4, n - 2) lift map,
+    each refilled in place whenever the step length changes.
     """
 
     stages = (1.0,)  # the boundary values at the end of each step
@@ -326,20 +308,28 @@ class _Split:
             self.weights = np.empty((4, n - 2))
             self.weights_step = None
         self.lam = -(2.0 / grid.h * mode) ** 2
-        self.tables: dict[float, tuple] = {}
+        # e^z and, on Dirichlet grids, phi1(z) of the last step length
+        self.exp_z = np.empty_like(self.lam)
+        self.phi1 = None if periodic else np.empty_like(self.lam)
+        self.factors_step = None
 
     def factors(self, step: float):
         """e^z; on Dirichlet grids phi1(z), else None; the decay e^-step
         of a reaction half step, kept above zero so that a zero field stays
-        zero (not 0/0) at steps beyond about 708.  Made on first use."""
-        table = self.tables.get(step)
-        if table is None:
-            z = step * self.lam
-            # every eigenvalue is negative on Dirichlet grids
-            phi1 = None if self.periodic else np.expm1(z) / z
-            table = self.tables[step] = (
-                np.exp(z), phi1, max(math.exp(-step), sys.float_info.min))
-        return table
+        zero (not 0/0) at steps beyond about 708.  One set per stepper,
+        refilled in place whenever the step length changes."""
+        if step != self.factors_step:
+            if self.periodic:
+                z = np.multiply(step, self.lam, out=self.exp_z)
+                np.exp(z, out=z)
+            else:
+                z = np.multiply(step, self.lam, out=self.phi1)
+                np.exp(z, out=self.exp_z)
+                # every eigenvalue is negative on Dirichlet grids
+                np.divide(np.expm1(z), z, out=z)
+            self.reaction_decay = max(math.exp(-step), sys.float_info.min)
+            self.factors_step = step
+        return self.exp_z, self.phi1, self.reaction_decay
 
     def lift_map(self, step: float) -> np.ndarray:
         """The (4, n - 2) map from the boundary values (start, end) to their
@@ -423,9 +413,10 @@ def _boundary_data(spec: SolutionSpec, edges: np.ndarray, schedule,
         yield from zip(block, (spec.w * du).tolist(), u[:, -1].tolist())
 
 
-def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
-    """One loop over the schedule with the scheme's stepper; `spec` gives
-    the exact Dirichlet data, None means a periodic grid."""
+def _march(u, grid, config, spec: SolutionSpec | None) -> SimResult:
+    """One loop over the schedule with the scheme's stepper from the field
+    u, which no step writes into; `spec` gives the exact Dirichlet data,
+    None means a periodic grid."""
     periodic = spec is None
     h = grid.h
     dt = config.resolved_dt(h)
@@ -450,7 +441,7 @@ def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
         result.snapshots.append(u.copy())
         result.energy_series.append(discrete_energy(u, h, periodic))
         if spec is not None:
-            exact = spec.eval(xs, np.full_like(xs, t))
+            exact = spec.eval(xs, t)
             diff = u - exact
             result.linf_errors.append(float(np.max(np.abs(diff))))
             result.l2_errors.append(float(math.sqrt(h * np.dot(diff, diff))))
@@ -461,7 +452,7 @@ def _march(u0, grid, config, spec: SolutionSpec | None) -> SimResult:
             except NoCrossing:
                 pass
 
-    u = np.asarray(u0, dtype=float).copy()
+    u = np.asarray(u, dtype=float)
     if at_zero:
         record(0.0, u)
     for (start, step, mark), u_t, end in stream:
@@ -487,7 +478,6 @@ def integrate(spec: SolutionSpec, grid: Grid1D, config: SimConfig) -> SimResult:
     """
     if config.boundary != "exact_dirichlet":
         raise ConfigError("catalog entries need exact_dirichlet boundaries")
-    xs = grid.xs()
     xi_lo = spec.k * grid.x_min + min(0.0, spec.w * config.T)
     xi_hi = spec.k * grid.x_max + max(0.0, spec.w * config.T)
     if not spec.clear_of_pole(xi_lo, xi_hi):
@@ -495,8 +485,7 @@ def integrate(spec: SolutionSpec, grid: Grid1D, config: SimConfig) -> SimResult:
             f"{spec.entry_id} is singular inside the space-time window;"
             " choose a domain clear of the traveling pole"
         )
-    u0 = spec.eval(xs, np.zeros_like(xs))
-    return _march(u0, grid, config, spec)
+    return _march(spec.eval(grid.xs(), 0.0), grid, config, spec)
 
 
 def simulate_field(u0, grid: Grid1D, config: SimConfig) -> SimResult:

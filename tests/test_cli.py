@@ -721,7 +721,15 @@ def test_stdlib_command_loads_no_numpy(argv, tmp_path):
       "--dt", "1e-13"],
      "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps,"
      " more than the cap of 10,000,000"),
-], ids=["simulate-dt", "convergence-T", "simulate-steps"])
+    # a grid option is parsed without numpy
+    (["simulate", "--entry", "eq20+", "--scheme", "imex", "--grid=-20,20,201",
+      "--T", "0.1", "--dt", "1e-13"],
+     "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps,"
+     " more than the cap of 10,000,000"),
+    (["convergence", "--entry", "eq20+", "--grid=-20,20,201", "--T", "nan"],
+     "final time must be positive and finite"),
+], ids=["simulate-dt", "convergence-T", "simulate-steps", "simulate-grid",
+        "convergence-grid"])
 def test_bad_time_is_reported_before_numpy_loads(argv, reason, tmp_path):
     import cahnallen
 
@@ -741,7 +749,7 @@ def test_bad_time_is_reported_before_numpy_loads(argv, reason, tmp_path):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    # a grid option loads numpy while the arguments are parsed
+    # the cap holds with a grid option too
     (["simulate", "--entry", "eq20+", "--scheme", "imex", "--grid=-20,20,201",
       "--T", "0.1", "--dt", "1e-13"],
      "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import constant_solution
 
+from cahnallen import simulate
 from cahnallen.reduction import MAX_STEPS
 from cahnallen.simulate import (
     SPLIT_DT,
@@ -550,8 +551,11 @@ def test_split_step_stays_bit_identical_across_step_lengths(n):
         want = _previous_split_step(stepper, want, step, end)
         got = stepper.step(got, step, None, end)
         assert stepper.weights_step == step
+        assert stepper.factors_step == step
         assert np.array_equal(got, want), i
-    assert set(stepper.tables) == {0.01, 0.0037}
+    # one e^z, phi1(z) pair, refilled in place for each length in turn
+    assert all(a is b for a, b in zip(stepper.factors(0.01)[:2],
+                                      stepper.factors(0.0037)[:2]))
 
 
 def test_split_step_allocates_little_beyond_its_result():
@@ -572,10 +576,11 @@ def test_split_step_allocates_little_beyond_its_result():
 
 
 def test_split_run_memory_is_bounded_by_the_grid(kink):
-    # one run of the dynamics benchmark's size: the 11 snapshots, e^z and
-    # phi1(z) for each of the schedule's 5 step lengths (they differ by an
-    # ulp or a few), one lift map of 4 fields and the step's own buffers
-    # come to about 45 fields; a lift map per step length peaked at 55
+    # one run of the dynamics benchmark's size: the 11 snapshots, one e^z,
+    # phi1(z) pair refilled for each of the schedule's 5 step lengths (they
+    # differ by an ulp or a few), one lift map of 4 fields and the step's
+    # own buffers come to about 32 fields; a pair kept per step length
+    # peaked at 45, and a lift map per step length at 55
     grid = Grid1D(-20.0, 20.0, 6401)
     config = SimConfig(dt=0.005, T=1.0, scheme="imex_cn")
     integrate(kink, grid, config)  # warm-up
@@ -586,7 +591,43 @@ def test_split_run_memory_is_bounded_by_the_grid(kink):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - start <= 48 * grid.n * 8, peak - start
+    assert peak - start <= 36 * grid.n * 8, peak - start
+
+
+def test_rk4_run_memory_is_bounded_by_one_block(kink):
+    # the 801-step run of the simulate default: the 11 snapshots, the
+    # stepper's buffers and one block of STEPS_PER_PROFILE steps' boundary
+    # data come to about 0.36 MB; one block of all 801 steps peaked at 0.83
+    config = SimConfig(T=1.0)
+    integrate(kink, KINK_GRID, config)  # warm-up
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        integrate(kink, KINK_GRID, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 0.45e6, peak - start
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize("scheme, dt", [("explicit_rk4_mol", None),
+                                        ("imex_cn", 0.002)])
+def test_boundary_blocks_do_not_change_a_run(kink, monkeypatch, block,
+                                             scheme, dt):
+    # 801 RK4 or 500 split steps, in blocks of the default size and of
+    # `block` (4096: the whole run in one block)
+    config = SimConfig(dt=dt, T=1.0, scheme=scheme)
+    want = vars(integrate(kink, KINK_GRID, config))
+    monkeypatch.setattr(simulate, "STEPS_PER_PROFILE", block)
+    got = vars(integrate(kink, KINK_GRID, config))
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if name == "snapshots":
+            assert [a.tobytes() for a in got[name]] == [
+                a.tobytes() for a in value]
+        else:
+            assert repr(got[name]) == repr(value), name
 
 
 # --- front tracking ----------------------------------------------------------------

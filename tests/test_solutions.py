@@ -196,6 +196,28 @@ def test_coth_eval_refuses_singular_zone(table1):
     assert np.isfinite(sing.eval(0.2, 0.0))
 
 
+@pytest.mark.parametrize("k", [1.0, 2.75])
+def test_eval_is_the_value_of_profile_bit_for_bit(k):
+    # eval forms u alone; profile forms u, du and d2 from the same core
+    t = 0.3
+    for spec in enumerate_catalog(k):
+        xs = np.linspace(-12.0, 12.0, 481)
+        xs = xs[spec.regular_mask(spec.xi(xs, t))]
+        want = spec.profile(spec.xi(xs, t))[0]
+        assert spec.eval(xs, t).tobytes() == want.tobytes(), spec.entry_id
+        assert (spec.eval(xs, np.full_like(xs, t)).tobytes()
+                == want.tobytes()), spec.entry_id
+        for x, u in zip(xs[::60].tolist(), want[::60].tolist()):
+            got = spec.eval(x, t)
+            assert type(got) is float and got.hex() == u.hex(), spec.entry_id
+        if spec.pole is not None:
+            x_pole = (spec.pole - spec.w * t) / spec.k
+            with pytest.raises(SingularEvaluation):
+                spec.eval(x_pole, t)
+            with pytest.raises(SingularEvaluation):
+                spec.eval(np.array([-20.0, x_pole, 20.0]), t)
+
+
 def test_regular_mask_excludes_exactly_the_singular_zone(table1):
     xi = np.linspace(-1.0, 1.0, 201)
     pole = table1["eq21+"].pole
