@@ -2,8 +2,8 @@
 
 Subcommands: derive (symbolic pipeline with structural checks), catalog
 (entry table), verify (exact verdicts cross-checked by residuals), eval
-(profile CSV emission), simulate (finite-difference run), convergence
-(refinement study).
+(profile CSV emission), simulate (a time-stepped run: the split step by
+default, RK4 as the cross-check), convergence (refinement study).
 
 Numeric data goes to CSV with 17 significant digits so files are
 byte-identical across runs; JSON is used only for the run manifest and the
@@ -391,7 +391,7 @@ def _cmd_simulate(args) -> int:
     speed = result.measured_speed
     _write_manifest(args.out_dir, "simulate",
                     {"entry": spec.entry_id, "k": spec.k, "scheme": scheme,
-                     "T": args.T, "dt": args.dt,
+                     "T": args.T, "dt": config.resolved_dt(grid.h),
                      "grid": [grid.x_min, grid.x_max, grid.n],
                      "boundary": config.boundary,
                      "measured_speed": speed}, outputs, [])
@@ -481,14 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("simulate", help="finite-difference run seeded by an entry")
+    p = sub.add_parser("simulate", help="time-stepped run seeded by an entry")
     p.add_argument("--entry", required=True,
                    help="catalog entry id, optionally with a k<value> suffix")
     p.add_argument("--grid", type=_parse_run_grid,
                    default=None, metavar="xmin,xmax,n",
                    help="run grid (default -20,20,801)")
-    p.add_argument("--scheme", choices=("rk4", "imex"), default="rk4",
-                   help="time stepper (default rk4)")
+    p.add_argument("--scheme", choices=("rk4", "imex"), default="imex",
+                   help="time stepper: imex, the split step (default), or"
+                   " rk4")
     p.add_argument("--T", type=float, default=1.0,
                    help="final time (default 1.0)")
     p.add_argument("--dt", type=float, default=None,

@@ -8,13 +8,23 @@ name kept from its Crank-Nicolson predecessor).  Seeding a run with an
 exact catalog profile and tracking the mid-level crossing measures the
 lab-frame front speed -w/k dynamically.
 
+A run steps on a lattice: step i starts at i*dt and is dt long.  A
+snapshot time within LATTICE_TOL*dt of a lattice time is recorded there;
+only a snapshot off the lattice, or a T off it, cuts a step, and no step
+is of zero length.  The split stepper leaves each step's closing half
+reaction pending and joins it to the next step's opening half, one
+reaction flow between two heat flows; a record closes a copy of the
+field, and the march goes on from the open one.  So a run whose dt
+divides its snapshot spacing has one step length and fills the split
+stepper's factors once; they are refilled in place only when the step
+length changes.
+
 A run's memory is bounded by its grid, not by its step count: the step
 schedule is made as the run takes each step, the exact boundary data are
 evaluated one block of STEPS_PER_PROFILE steps at a time, each snapshot
-evaluates the exact u alone, and the steppers own fixed work buffers,
-the split stepper's factors among them, refilled whenever the step length
-changes.  `reduction.check_step_count` caps T/dt at `MAX_STEPS`.  The run
-grid, `Grid1D`, lives in `reduction`, which loads no numpy.
+evaluates the exact u alone, and the steppers own fixed work buffers.
+`reduction.check_step_count` caps T/dt at `MAX_STEPS`.  The run grid,
+`Grid1D`, lives in `reduction`, which loads no numpy.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .solutions import SolutionSpec
 
 BLOWUP_LIMIT = 1e6
 STEPS_PER_PROFILE = 256  # boundary data evaluated per block of steps
+LATTICE_TOL = 1e-9  # a time this many dt from a lattice time lies on it
 # The split scheme's default step.  Its spatial error is spectral, so its
 # error on the kink is temporal, about 2e-3*dt^2 at T = 1 on any grid that
 # resolves the front: 2e-7 at this step, in 100 steps.
@@ -121,9 +132,12 @@ def discrete_energy(u: np.ndarray, h: float, periodic: bool) -> float:
     return grad + pot
 
 
-def front_position(field_values: np.ndarray, grid: Grid1D, level: float) -> float:
-    """x of the leftmost level crossing, linearly interpolated."""
-    xs = grid.xs()
+def front_position(field_values: np.ndarray, grid: Grid1D, level: float,
+                   xs: np.ndarray | None = None) -> float:
+    """x of the leftmost level crossing, linearly interpolated; `xs`, the
+    grid's nodes, is built when not given."""
+    if xs is None:
+        xs = grid.xs()
     d = np.asarray(field_values, dtype=float) - level
     exact_hits = np.flatnonzero(d == 0.0)
     sign_changes = np.flatnonzero(d[:-1] * d[1:] < 0.0)
@@ -264,10 +278,20 @@ class _Rk4:
             u[0], u[-1] = end
         return u
 
+    @staticmethod
+    def close(u: np.ndarray) -> np.ndarray:
+        """A step leaves nothing pending: a copy of u."""
+        return u.copy()
+
 
 class _Split:
     """Strang splitting: half a step of the exact reaction flow, one step of
-    the exact heat flow, another half reaction step.
+    the exact heat flow, another half reaction step.  Each step leaves its
+    closing half pending, and the next step joins it to its own opening
+    half: one reaction flow, over half the sum of the two step lengths,
+    between two heat flows (Strang, SIAM J. Numer. Anal. 5, 1968; McLachlan
+    & Quispel, Acta Numerica 11, 2002).  `close` applies the pending half
+    to a copy of the field.
 
     The heat flow is that of the grid's trigonometric interpolant: each
     Fourier mode (periodic grids, rfft) or sine mode of the interior nodes
@@ -285,7 +309,8 @@ class _Split:
 
     A stepper is built from the grid alone.  It keeps one e^z vector and,
     on Dirichlet grids, one phi1(z) vector and one (4, n - 2) lift map,
-    each refilled in place whenever the step length changes.
+    all filled together for one step length and refilled in place only
+    when the step length changes.
     """
 
     stages = (1.0,)  # the boundary values at the end of each step
@@ -301,45 +326,32 @@ class _Split:
             mode = np.pi * np.arange(1, n - 1) / (2 * (n - 1))
             frac = np.arange(1, n - 1) / (n - 1)
             self.lift_hat = _dst(np.stack([1.0 - frac, frac]))
-            # per-run buffers: sine coefficients, scratch, boundary values,
-            # and the lift map with the step length it was built for
+            # per-run buffers: sine coefficients, scratch, boundary values
+            # and the lift map
             self.hat, self.work = np.empty((2, n - 2))
             self.ends = np.empty(4)
             self.weights = np.empty((4, n - 2))
-            self.weights_step = None
         self.lam = -(2.0 / grid.h * mode) ** 2
-        # e^z and, on Dirichlet grids, phi1(z) of the last step length
         self.exp_z = np.empty_like(self.lam)
         self.phi1 = None if periodic else np.empty_like(self.lam)
-        self.factors_step = None
+        self.filled = None  # the step length the factors hold
+        self.pending = 0.0  # the length of the step whose half is pending
 
-    def factors(self, step: float):
-        """e^z; on Dirichlet grids phi1(z), else None; the decay e^-step
-        of a reaction half step, kept above zero so that a zero field stays
-        zero (not 0/0) at steps beyond about 708.  One set per stepper,
-        refilled in place whenever the step length changes."""
-        if step != self.factors_step:
-            if self.periodic:
-                z = np.multiply(step, self.lam, out=self.exp_z)
-                np.exp(z, out=z)
-            else:
-                z = np.multiply(step, self.lam, out=self.phi1)
-                np.exp(z, out=self.exp_z)
-                # every eigenvalue is negative on Dirichlet grids
-                np.divide(np.expm1(z), z, out=z)
-            self.reaction_decay = max(math.exp(-step), sys.float_info.min)
-            self.factors_step = step
-        return self.exp_z, self.phi1, self.reaction_decay
-
-    def lift_map(self, step: float) -> np.ndarray:
-        """The (4, n - 2) map from the boundary values (start, end) to their
-        share of the new u_hat, rebuilt in place for a new step length."""
-        if step != self.weights_step:
-            decay, phi1, _ = self.factors(step)
-            np.multiply(phi1 - decay, self.lift_hat, out=self.weights[:2])
+    def _fill(self, step: float) -> None:
+        """e^z and, on Dirichlet grids, phi1(z) and the (4, n - 2) map from
+        the boundary values (start, end) to their share of the new u_hat,
+        for one step length, in place."""
+        if self.periodic:
+            z = np.multiply(step, self.lam, out=self.exp_z)
+            np.exp(z, out=z)
+        else:
+            z = phi1 = np.multiply(step, self.lam, out=self.phi1)
+            np.exp(z, out=self.exp_z)
+            # every eigenvalue is negative on Dirichlet grids
+            np.divide(np.expm1(z), z, out=phi1)
+            np.multiply(phi1 - self.exp_z, self.lift_hat, out=self.weights[:2])
             np.multiply(1.0 - phi1, self.lift_hat, out=self.weights[2:])
-            self.weights_step = step
-        return self.weights
+        self.filled = step
 
     def diffuse(self, u: np.ndarray, step: float, end=None,
                 out=None) -> np.ndarray:
@@ -348,54 +360,91 @@ class _Split:
         fresh array or, on Dirichlet grids, into `out` (which may be u);
         there the boundary values move linearly from u's two end nodes to
         `end`."""
-        decay = self.factors(step)[0]
+        if step != self.filled:
+            self._fill(step)
         if self.periodic:
-            return np.fft.irfft(decay * np.fft.rfft(u), u.size)
+            spectrum = np.fft.rfft(u)
+            spectrum *= self.exp_z
+            return np.fft.irfft(spectrum, u.size)
         u_hat, ends = _dst(u[1:-1], self.hat), self.ends
-        u_hat *= decay
+        u_hat *= self.exp_z
         ends[0], ends[1] = u[0], u[-1]
         ends[2:] = end
-        u_hat += np.matmul(ends, self.lift_map(step), out=self.work)
+        u_hat += np.matmul(ends, self.weights, out=self.work)
         if out is None:
             out = np.empty_like(u)
         _dst(u_hat, out[1:-1])
         out[0], out[-1] = end
         return out
 
-    def step(self, u: np.ndarray, step: float, u_t=None, end=None) -> np.ndarray:
-        decay = self.factors(step)[2]
+    def _reacted(self, u: np.ndarray, length: float) -> np.ndarray:
+        """u after the reaction flow over half of `length`, as a fresh
+        array; on Dirichlet grids the boundary nodes keep their values.
+        The flow's decay e^-length is kept above zero so that a zero field
+        stays zero (not 0/0) beyond about 708."""
+        decay = max(math.exp(-length), sys.float_info.min)
         if self.periodic:
-            return _react(self.diffuse(_react(u, decay), step), decay)
+            return _react(u, decay)
         out = np.empty_like(u)
-        inner = out[1:-1]
         out[0], out[-1] = u[0], u[-1]
-        _react(u[1:-1], decay, inner, self.work)
-        self.diffuse(out, step, end, out)
-        _react(inner, decay, inner, self.work)
+        _react(u[1:-1], decay, out[1:-1], self.work)
         return out
+
+    def step(self, u: np.ndarray, step: float, u_t=None, end=None) -> np.ndarray:
+        """One reaction flow over (pending + step)/2, then the heat flow
+        over `step`, as a fresh array; this step's closing half reaction is
+        left pending."""
+        reacted = self._reacted(u, self.pending + step)
+        self.pending = step
+        return self.diffuse(reacted, step, end, reacted)
+
+    def close(self, u: np.ndarray) -> np.ndarray:
+        """u with the pending half reaction applied, as a fresh array; it
+        stays pending for the next step."""
+        return self._reacted(u, self.pending)
 
 
 def _schedule(config: SimConfig, dt: float):
-    """Whether the run records t = 0, and an iterator over the steps: the
-    start, length and recorded snapshot time (or None) of each, made as
-    the run takes it.  Steps are dt long except where a snapshot time or T
-    cuts one short."""
-    pending = list(config.resolved_snapshots())
-    at_zero = bool(pending) and abs(pending[0]) < 1e-12
-    if at_zero:
-        pending.pop(0)
+    """The snapshot times recorded at t = 0, and an iterator over the
+    steps: the start, length and recorded snapshot times (a tuple, most
+    often empty) of each, made as the run takes it.
+
+    Step i of the lattice starts at i*dt and is dt long.  A snapshot time
+    within LATTICE_TOL*dt of a lattice time is recorded there, under its
+    own value; one off the lattice, or a T off it, cuts the lattice step
+    that holds it.  So every step has a positive length, and a repeated
+    time is recorded again after the same step."""
+    T, tol = config.T, LATTICE_TOL * dt
+
+    def place(t: float) -> tuple[int, float | None]:
+        """(i, None) for the lattice time i*dt, or (i, t) inside step i."""
+        i = round(t / dt)
+        if abs(t - i * dt) <= tol:
+            return i, None
+        return (i if i * dt < t else i - 1), t
+
+    marks: dict[tuple[int, float | None], tuple[float, ...]] = {}
+    for t in config.resolved_snapshots():
+        key = place(min(t, T))
+        marks[key] = marks.get(key, ()) + (t,)
+    last, off = place(T)
+    cuts: dict[int, list[float]] = {}  # the off-lattice times in each step
+    for i, t in sorted({key for key in (*marks, (last, off))
+                        if key[1] is not None}):
+        cuts.setdefault(i, []).append(t)
 
     def steps():
-        t = 0.0
-        while t < config.T - 1e-12:
-            target = pending[0] if pending else config.T
-            step = min(dt, target - t, config.T - t)
-            start = t
-            t += step
-            yield start, step, (pending.pop(0) if pending
-                                and t >= pending[0] - 1e-12 else None)
+        for i in range(last + 1):
+            start = i * dt
+            inside = cuts.get(i, ())
+            for t in inside:
+                yield start, t - start, marks.get((i, t), ())
+                start = t
+            if i < last:
+                yield (start, (i + 1) * dt - start if inside else dt,
+                       marks.get((i + 1, None), ()))
 
-    return at_zero, steps()
+    return marks.get((0, None), ()), steps()
 
 
 def _boundary_data(spec: SolutionSpec, edges: np.ndarray, schedule,
@@ -437,8 +486,9 @@ def _march(u, grid, config, spec: SolutionSpec | None) -> SimResult:
     result = SimResult()
 
     def record(t: float, u: np.ndarray) -> None:
+        """Record u, a field no step writes into, as the snapshot at t."""
         result.times.append(t)
-        result.snapshots.append(u.copy())
+        result.snapshots.append(u)
         result.energy_series.append(discrete_energy(u, h, periodic))
         if spec is not None:
             exact = spec.eval(xs, t)
@@ -448,20 +498,22 @@ def _march(u, grid, config, spec: SolutionSpec | None) -> SimResult:
             try:
                 level = spec.front_level()
                 result.front_trajectory.append(
-                    (t, front_position(u, grid, level)))
+                    (t, front_position(u, grid, level, xs)))
             except NoCrossing:
                 pass
 
     u = np.asarray(u, dtype=float)
-    if at_zero:
-        record(0.0, u)
-    for (start, step, mark), u_t, end in stream:
+    for mark in at_zero:
+        record(mark, u.copy())
+    for (start, step, marks), u_t, end in stream:
         u = stepper.step(u, step, u_t, end)
-        if not np.abs(u).max() <= BLOWUP_LIMIT:  # NaN fails it too
+        # NaN fails it too; the pending reaction keeps a passing field
+        # within max(BLOWUP_LIMIT, 1)
+        if not -BLOWUP_LIMIT <= u.min() <= u.max() <= BLOWUP_LIMIT:
             raise UnstableStep(f"field magnitude exceeded {BLOWUP_LIMIT:g}"
                                f" at t = {start + step:g}")
-        if mark is not None:
-            record(mark, u)
+        for mark in marks:
+            record(mark, stepper.close(u))
 
     if len(result.front_trajectory) >= 3:
         result.measured_speed = measure_speed(result.front_trajectory)

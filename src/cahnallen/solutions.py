@@ -61,14 +61,18 @@ class InvalidReduction(ValueError):
 def logistic_pair(theta):
     """(1/(1 + e^-theta), 1/(1 + e^theta)) to full relative precision.
 
-    Written as e^min(theta, 0) / (1 + e^-|theta|) and its mirror: every
-    exponent is <= 0, so nothing overflows, and the small half never comes
-    from a cancellation.
+    With e = e^-|theta|, written as (e if theta < 0 else 1) / (1 + e) and
+    its mirror: the one exponent is <= 0, so nothing overflows, and the
+    small half never comes from a cancellation.
     """
     import numpy as np
 
-    d = 1.0 + np.exp(-np.abs(theta))
-    return np.exp(np.minimum(theta, 0.0)) / d, np.exp(np.minimum(-theta, 0.0)) / d
+    e = np.exp(-np.abs(theta))
+    d = 1.0 + e
+    s, h = np.where(theta < 0.0, e, 1.0), np.where(theta > 0.0, e, 1.0)
+    s /= d  # in place: a run's snapshots peak one field lower
+    h /= d
+    return s, h
 
 
 class Family(str, Enum):
@@ -255,9 +259,9 @@ class SolutionSpec:
                 omitted += 1
                 continue
             theta = nu * xi + shift
-            if kink:  # logistic_pair's S: e^min(theta, 0) / (1 + e^-|theta|)
-                append((x, u0 + amp * (exp(theta if theta < 0.0 else 0.0)
-                                       / (1.0 + exp(-abs(theta))))))
+            if kink:  # logistic_pair's S: (e if theta < 0 else 1) / (1 + e)
+                e = exp(-abs(theta))
+                append((x, u0 + amp * ((e if theta < 0.0 else 1.0) / (1.0 + e))))
                 continue
             try:
                 s = 1.0 / -expm1(-theta)

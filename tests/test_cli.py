@@ -417,22 +417,36 @@ def test_wave_number_at_the_top_of_the_range_builds_the_catalog(tmp_path,
 
 
 def test_simulate_writes_exports(tmp_path, capsys):
+    # the default scheme is the split step, and the manifest records the
+    # step it took: its own default, where --dt is not given
     code, out, _ = run(["simulate", "--entry", "eq20+", "--T", "0.2",
                         "--grid=-20,20,201", "--out-dir", str(tmp_path)],
                        capsys)
     assert code == 0
     assert "measured front speed" in out
-    traj = np.loadtxt(tmp_path / "sim_eq20+_rk4_trajectory.csv",
+    traj = np.loadtxt(tmp_path / "sim_eq20+_imex_trajectory.csv",
                       delimiter=",", skiprows=1)
     assert traj.shape[1] == 2
-    metrics = (tmp_path / "sim_eq20+_rk4_metrics.csv").read_text().splitlines()
+    metrics = (tmp_path / "sim_eq20+_imex_metrics.csv").read_text().splitlines()
     assert metrics[0] == "t,linf_error,l2_error,energy"
-    snap0 = np.loadtxt(tmp_path / "sim_eq20+_rk4_t0.csv", delimiter=",",
+    snap0 = np.loadtxt(tmp_path / "sim_eq20+_imex_t0.csv", delimiter=",",
                        skiprows=1)
     assert snap0.shape == (201, 2)
     manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
     assert manifest["parameters"]["measured_speed"] is not None
     assert manifest["parameters"]["boundary"] == "exact_dirichlet"
+    assert manifest["parameters"]["scheme"] == "imex_cn"
+    assert manifest["parameters"]["dt"] == simulate.SPLIT_DT
+
+
+def test_simulate_manifest_records_the_rk4_default_step(tmp_path, capsys):
+    code, _, _ = run(["simulate", "--entry", "eq20+", "--T", "0.1",
+                      "--grid=-20,20,201", "--scheme", "rk4",
+                      "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+    assert manifest["parameters"]["scheme"] == "explicit_rk4_mol"
+    assert manifest["parameters"]["dt"] == simulate.explicit_dt_limit(0.2)
 
 
 def test_simulate_imex(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Finite-difference dynamics: accuracy, fronts, invariants, two schemes."""
 
 import math
+import sys
 import tracemalloc
+import warnings
 from itertools import islice
 
 import numpy as np
 import pytest
 from conftest import constant_solution
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cahnallen import simulate
 from cahnallen.reduction import MAX_STEPS
@@ -85,7 +89,7 @@ def test_no_step_is_longer_than_dt():
     starts, steps, marks = zip(*schedule)
     assert at_zero and max(steps) <= 0.03
     assert math.isclose(sum(steps), 1.0)
-    assert [m for m in marks if m is not None] == [0.1, 0.25, 1.0]
+    assert [t for times in marks for t in times] == [0.1, 0.25, 1.0]
     # SimConfig rejects a dt below 1e-14; the schedule alone does not
     # stretch such a step to the next snapshot time either
     schedule = _schedule(SimConfig(T=2e-12), 1e-15)[1]
@@ -107,6 +111,118 @@ def test_schedule_is_made_step_by_step():
     assert at_zero and len(first) == 1000
     assert first[-1][0] == pytest.approx(999e-6)
     assert peak - start <= 1e6, peak - start
+
+
+def test_on_lattice_run_starts_every_step_at_a_lattice_time():
+    # the dynamics benchmark's split run: 200 steps of exactly dt, step i
+    # from exactly i*dt, every twentieth one recorded; the running sum took
+    # steps of 5 lengths here
+    config = SimConfig(dt=0.005, T=1.0, scheme="imex_cn")
+    at_zero, schedule = _schedule(config, config.dt)
+    starts, steps, marks = zip(*schedule)
+    assert at_zero == (0.0,)
+    assert list(starts) == [i * 0.005 for i in range(200)]
+    assert set(steps) == {0.005}
+    assert [i for i, times in enumerate(marks) if times] == list(
+        range(19, 200, 20))
+    assert [t for times in marks for t in times] == list(
+        config.resolved_snapshots()[1:])
+
+
+def test_off_lattice_snapshot_cuts_exactly_one_step():
+    config = SimConfig(dt=0.01, T=1.0, snapshot_times=(0.0, 0.333, 1.0))
+    _, schedule = _schedule(config, config.dt)
+    starts, steps, marks = zip(*schedule)
+    assert len(steps) == 101
+    # steps 0..32 and 34..99 of the lattice are whole; step 33 is cut at
+    # the snapshot, which is recorded after its first piece
+    assert list(starts) == [i * 0.01 for i in range(34)] + [0.333] + [
+        i * 0.01 for i in range(34, 100)]
+    assert [i for i, step in enumerate(steps) if step != 0.01] == [33, 34]
+    assert steps[33] == 0.333 - 0.33 and steps[34] == 0.34 - 0.333
+    assert marks[33] == (0.333,) and marks[-1] == (1.0,)
+    assert sum(map(len, marks)) == 2
+
+
+def test_off_lattice_final_time_cuts_only_the_last_step():
+    T = 1.0037
+    config = SimConfig(dt=0.01, T=T, snapshot_times=(T,))
+    at_zero, schedule = _schedule(config, config.dt)
+    starts, steps, marks = zip(*schedule)
+    assert at_zero == () and len(steps) == 101
+    assert list(starts) == [i * 0.01 for i in range(101)]
+    assert set(steps[:-1]) == {0.01} and steps[-1] == T - 1.0
+    assert marks[-1] == (T,) and sum(map(len, marks)) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1.0), st.integers(1, 500), st.floats(0.0, 1.0),
+       st.lists(st.floats(0.0, 1.0) | st.integers(0, 500) | st.just(1.0),
+                max_size=8))
+def test_schedule_covers_the_run_in_positive_steps(dt, whole, part, picks):
+    # T = (whole + part)*dt, on the lattice or off it; each pick is a
+    # fraction of T or a lattice index, repeats and the ends included
+    T = (whole + part) * dt
+    times = tuple(min(p * dt, T) if isinstance(p, int) else p * T
+                  for p in picks)
+    config = SimConfig(dt=dt, T=T, snapshot_times=times)
+    at_zero, schedule = _schedule(config, dt)
+    steps = list(schedule)
+    assert all(0.0 < step <= dt for _, step, _ in steps)
+    ends = [start + step for start, step, _ in steps]
+    assert all(math.isclose(end, start, rel_tol=1e-12, abs_tol=1e-12 * dt)
+               for end, (start, _, _) in zip(ends, steps[1:]))
+    assert abs(ends[-1] - T) <= 1e-9 * dt + 1e-12 * T
+    recorded = list(at_zero) + [t for _, _, marks in steps for t in marks]
+    assert recorded == sorted(times)
+    for end, (_, _, marks) in zip(ends, steps):
+        assert all(abs(t - end) <= 1e-9 * dt + 1e-12 * T for t in marks)
+
+
+@pytest.mark.parametrize("scheme", ["explicit_rk4_mol", "imex_cn"])
+@pytest.mark.parametrize("times", [(0.0, 0.5, 0.5, 1.0), (0.0, 0.0, 1.0)])
+def test_repeated_snapshot_time_is_recorded_again(kink, scheme, times):
+    # the running-sum schedule took a step of length 0 here, and the split
+    # step's phi1 = 0/0 ended the run as unstable
+    config = SimConfig(T=1.0, dt=0.01, scheme=scheme, snapshot_times=times)
+    at_zero, schedule = _schedule(config, config.dt)
+    assert min(step for _, step, _ in schedule) > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate(kink, Grid1D(-20.0, 20.0, 201), config)
+    assert res.times == list(times)
+    repeat = 0 if times[0] == times[1] else 1
+    first, second = res.snapshots[repeat], res.snapshots[repeat + 1]
+    assert np.array_equal(first, second) and first is not second
+    assert res.linf_errors[-1] <= 1e-4  # RK4's spatial error on 201 points
+
+
+def test_dynamics_split_run_fills_its_factors_once(kink, monkeypatch):
+    # the dynamics benchmark's split configuration; the running-sum
+    # schedule's ulp-short steps refilled them 18 times
+    fills = []
+    fill = _Split._fill
+
+    def counted(self, step):
+        fills.append(step)
+        fill(self, step)
+
+    monkeypatch.setattr(_Split, "_fill", counted)
+    res = integrate(kink, Grid1D(-20.0, 20.0, 6401),
+                    SimConfig(dt=0.005, T=1.0, scheme="imex_cn"))
+    assert fills == [0.005]
+    assert res.linf_errors[-1] <= 1e-7
+
+
+def test_split_records_do_not_change_a_run(kink):
+    # a record closes a copy and the march goes on from the open field, so
+    # a snapshot at every step leaves the run's joined reactions as they are
+    grid = Grid1D(-20.0, 20.0, 201)
+    ends_only, every_step = (integrate(kink, grid, SimConfig(
+        dt=0.01, T=0.5, scheme="imex_cn", snapshot_times=times))
+        for times in ((0.5,), tuple(0.01 * np.arange(51))))
+    assert len(every_step.snapshots) == 51
+    assert np.array_equal(ends_only.snapshots[-1], every_step.snapshots[-1])
 
 
 def test_step_count_is_capped_before_the_first_step(kink):
@@ -482,22 +598,29 @@ def _previous_dst(x):
     return out
 
 
-def _previous_split_step(stepper, u, step, end=None):
-    """The allocating Strang step, from the stepper's own e^z and phi1(z)
-    but with a lift map of its own."""
-    decay, phi1, half = stepper.factors(step)
+def _previous_react(v, length):
+    """The allocating reaction flow over half of `length`."""
+    decay = max(math.exp(-length), sys.float_info.min)
+    w = v * v
+    w *= 1.0 - decay
+    w += decay
+    np.sqrt(w, out=w)
+    return np.divide(v, w, out=w)
 
-    def react(v):
-        w = v * v
-        w *= 1.0 - half
-        w += half
-        np.sqrt(w, out=w)
-        return np.divide(v, w, out=w)
 
+def _previous_split_step(stepper, u, step, end=None, pending=0.0):
+    """The allocating Strang step, with factors and a lift map of its own
+    from the stepper's eigenvalues and lifts: one reaction over
+    (pending + step)/2, then the heat flow over `step`; its closing half
+    is `_previous_close`'s."""
+    z = step * stepper.lam
+    decay = np.exp(z)
     if stepper.periodic:
-        return react(np.fft.irfft(decay * np.fft.rfft(react(u)), u.size))
+        return np.fft.irfft(decay * np.fft.rfft(_previous_react(
+            u, pending + step)), u.size)
+    phi1 = np.expm1(z) / z
     u = u.copy()
-    u[1:-1] = react(u[1:-1])
+    u[1:-1] = _previous_react(u[1:-1], pending + step)
     u_hat = _previous_dst(u[1:-1])
     u_hat *= decay
     weights = np.concatenate([(phi1 - decay) * stepper.lift_hat,
@@ -506,7 +629,15 @@ def _previous_split_step(stepper, u, step, end=None):
     out = np.empty_like(u)
     out[1:-1] = _previous_dst(u_hat)
     out[[0, -1]] = end
-    out[1:-1] = react(out[1:-1])
+    return out
+
+
+def _previous_close(stepper, u, pending):
+    """u after the closing half reaction of a step of length `pending`."""
+    if stepper.periodic:
+        return _previous_react(u, pending)
+    out = u.copy()
+    out[1:-1] = _previous_react(u[1:-1], pending)
     return out
 
 
@@ -527,35 +658,48 @@ def _split_case(periodic: bool, n: int, seed: int):
 @pytest.mark.parametrize("periodic", [False, True])
 @pytest.mark.parametrize("steps", [1, 100])
 def test_split_step_is_bit_identical_to_allocating_step(n, periodic, steps):
+    # each step's open field (its closing half reaction pending) and its
+    # closed field; closing leaves the half pending for the next step
     stepper, u, ends = _split_case(periodic, n, 4)
     before = u.copy()
     want = got = u
+    pending = 0.0
     for i in range(steps):
         step = 0.01 if i < steps - 1 else 0.0037  # a shortened last step
         end = ends()
-        want = _previous_split_step(stepper, want, step, end)
+        want = _previous_split_step(stepper, want, step, end, pending)
+        pending = step
         got = stepper.step(got, step, None, end)
         assert np.array_equal(got, want), i
+        closed = stepper.close(got)
+        assert np.array_equal(closed, _previous_close(stepper, want, step)), i
+        assert not np.shares_memory(closed, got)
     assert np.array_equal(u, before)
     assert not np.shares_memory(got, u)
 
 
 @pytest.mark.parametrize("n", [64, 801])
 def test_split_step_stays_bit_identical_across_step_lengths(n):
-    # alternating step lengths rebuild the one lift map in both directions
+    # alternating step lengths refill the one set of factors and lift map
+    # in both directions
     stepper, u, ends = _split_case(False, n, 6)
+    buffers = stepper.exp_z, stepper.phi1, stepper.weights
     want = got = u
+    pending = 0.0
     for i in range(20):
         step = (0.01, 0.0037)[i % 2]
         end = ends()
-        want = _previous_split_step(stepper, want, step, end)
+        want = _previous_split_step(stepper, want, step, end, pending)
+        pending = step
         got = stepper.step(got, step, None, end)
-        assert stepper.weights_step == step
-        assert stepper.factors_step == step
+        assert stepper.filled == step
         assert np.array_equal(got, want), i
-    # one e^z, phi1(z) pair, refilled in place for each length in turn
-    assert all(a is b for a, b in zip(stepper.factors(0.01)[:2],
-                                      stepper.factors(0.0037)[:2]))
+        assert np.array_equal(stepper.close(got),
+                              _previous_close(stepper, want, step)), i
+    # one e^z, phi1(z) pair and lift map, refilled in place for each length
+    # in turn
+    assert all(a is b for a, b in zip(buffers, (stepper.exp_z, stepper.phi1,
+                                                stepper.weights)))
 
 
 def test_split_step_allocates_little_beyond_its_result():

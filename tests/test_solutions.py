@@ -58,6 +58,30 @@ def test_logistic_pair_matches_math_exp_to_full_precision():
         assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
+def _three_exponential_pair(theta):
+    """logistic_pair's earlier form: e^min(theta, 0) / (1 + e^-|theta|)
+    and its mirror."""
+    d = 1.0 + np.exp(-np.abs(theta))
+    return np.exp(np.minimum(theta, 0.0)) / d, np.exp(np.minimum(-theta, 0.0)) / d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([0.0, -0.0, 745.5, -745.5, 800.0, -800.0,
+                                   5e-324, -5e-324]),
+                min_size=1, max_size=40))
+def test_logistic_pair_equals_the_three_exponential_form(values):
+    # one exponential where there were three, with the same inputs: equal
+    # bit for bit, NaN in the same places (its sign bit is not kept)
+    theta = np.array(values)
+    with np.errstate(invalid="ignore"):
+        pairs = zip(logistic_pair(theta), _three_exponential_pair(theta))
+        for got, want in pairs:
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 # --- exact verdicts ---------------------------------------------------------
 
 
