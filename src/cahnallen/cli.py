@@ -17,8 +17,9 @@ validity of `catalog` and of `verify` is one predicate, the exact
 structural zero of each entry's k-free ODE coefficients
 (SolutionSpec.solves_ode), and eval writes the rows of
 SolutionSpec.profile_rows, the scalar `math` twin of the array evaluator.
-Each handler imports the modules it uses, so only verify, simulate and
-convergence load numpy.  The audit JSON is written from the audit's own
+Each handler checks all of its arguments first, then imports the modules
+it uses: only verify, simulate and convergence load numpy, and none does
+for a usage error.  The audit JSON is written from the audit's own
 records (verify.AuditRow).
 """
 
@@ -34,13 +35,12 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .closure import run_derivation
-from .reduction import (EvolutionEquation, Grid1D, WaveFrame,
-                        check_step_count, check_times, check_wave_number,
-                        reduce_to_ode)
+from .reduction import (EvolutionEquation, Grid1D, GridSpec, SimConfig,
+                        WaveFrame, check_wave_number, linspace,
+                        reduce_to_ode, refinement_levels)
 
 if TYPE_CHECKING:
     from .solutions import SolutionSpec
-    from .verify import GridSpec
 
 if "numpy" in sys.modules:
     # numpy is loaded already, so the numeric modules cost only their own
@@ -156,8 +156,6 @@ def _integer(text: str) -> int:
 
 
 def _parse_grid2(text: str) -> GridSpec:
-    from .verify import GridSpec
-
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(
@@ -207,28 +205,13 @@ def _check_resolution(spec: SolutionSpec, grid: Grid1D) -> None:
                          " front; refine the grid")
 
 
-def _linspace(start: float, stop: float, n: int) -> list[float]:
-    """numpy.linspace(start, stop, n), bit for bit, as a list."""
-    delta = stop - start
-    if n < 2:  # no step: numpy's 0*delta + start
-        return [0.0 * delta + start] * n
-    div = n - 1
-    step = delta / div
-    if step:
-        xs = [i * step + start for i in range(n)]
-    else:  # a step that underflows: scale each index by delta instead
-        xs = [i / div * delta + start for i in range(n)]
-    xs[-1] = stop
-    return xs
-
-
 def emit_plot_data(spec: SolutionSpec, t_list: list[float],
                    x_grid: tuple[float, float, int], out_dir: str,
                    run_id: str) -> tuple[list[str], list[str]]:
     """One x,u CSV per requested time; singular zones become omitted rows.
     Every time is evaluated before the first file is written, so a time
     whose wave coordinate overflows leaves no file behind."""
-    xs = _linspace(*x_grid)
+    xs = linspace(*x_grid)
     tables = [spec.profile_rows(xs, t) for t in t_list]
     outputs: list[str] = []
     notes: list[str] = []
@@ -297,9 +280,8 @@ def _audit_row(row) -> dict:
 
 def _cmd_verify(args) -> int:
     from .solutions import enumerate_catalog
-    from .verify import GridSpec, classify_branches
 
-    catalog = enumerate_catalog(args.k)
+    catalog = enumerate_catalog(args.k)  # checks k before numpy loads
     if args.corrupt:
         from dataclasses import replace
 
@@ -311,7 +293,9 @@ def _cmd_verify(args) -> int:
                 exact = spec.exact._replace(W=-spec.exact.W)
                 catalog[i] = replace(spec, exact=exact,
                                      **exact.lowered(spec.k))
-    grid = args.grid or GridSpec()
+    from .verify import classify_branches
+
+    grid = args.grid
     audit = classify_branches(catalog, grid)
     payload = {
         "grid": {
@@ -347,30 +331,27 @@ def _cmd_eval(args) -> int:
     t_list = [float(s) for s in args.t.split(",")]
     if not all(math.isfinite(t) for t in t_list):
         raise ValueError(f"times must be finite numbers, got {args.t!r}")
-    x_grid = args.x or (-10.0, 10.0, 201)
-    outputs, notes = emit_plot_data(spec, t_list, x_grid, args.out_dir,
+    outputs, notes = emit_plot_data(spec, t_list, args.x, args.out_dir,
                                     spec.entry_id)
     _write_manifest(args.out_dir, "eval",
                     {"entry": spec.entry_id, "k": spec.k, "t": t_list,
-                     "x": list(x_grid)}, outputs, notes)
+                     "x": list(args.x)}, outputs, notes)
     for path in outputs:
         sys.stdout.write(f"wrote {path}\n")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    check_times(args.T, args.dt)  # before numpy loads and the derivation runs
-    if args.dt is not None:
-        check_step_count(args.T, args.dt)
-    import numpy as np
-
-    from .simulate import SimConfig, integrate
-
-    spec = resolve_entry(args.entry, args.k)
-    grid = args.grid or Grid1D(-20.0, 20.0, 801)
-    _check_resolution(spec, grid)
     scheme = {"rk4": "explicit_rk4_mol", "imex": "imex_cn"}[args.scheme]
     config = SimConfig(dt=args.dt, T=args.T, scheme=scheme)
+    grid = args.grid
+    dt = config.checked_dt(grid.h)  # before the derivation runs
+    spec = resolve_entry(args.entry, args.k)
+    _check_resolution(spec, grid)
+    import numpy as np
+
+    from .simulate import integrate
+
     result = integrate(spec, grid, config)
     run_id = f"sim_{spec.entry_id}_{args.scheme}"
     outputs = []
@@ -391,7 +372,7 @@ def _cmd_simulate(args) -> int:
     speed = result.measured_speed
     _write_manifest(args.out_dir, "simulate",
                     {"entry": spec.entry_id, "k": spec.k, "scheme": scheme,
-                     "T": args.T, "dt": config.resolved_dt(grid.h),
+                     "T": args.T, "dt": dt,
                      "grid": [grid.x_min, grid.x_max, grid.n],
                      "boundary": config.boundary,
                      "measured_speed": speed}, outputs, [])
@@ -403,18 +384,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    check_times(args.T, None)
-    from .simulate import SimConfig, convergence_study
-
+    config = SimConfig(T=args.T)  # RK4 on exact Dirichlet data
+    base = args.grid
+    grids = [Grid1D(base.x_min, base.x_max, (base.n - 1) * 2**i + 1)
+             for i in range(args.levels)]
+    refinement_levels(grids, config)  # before the derivation runs
     spec = resolve_entry(args.entry, args.k)
-    base = args.grid or Grid1D(-20.0, 20.0, 101)
     _check_resolution(spec, base)
-    grids = [
-        Grid1D(base.x_min, base.x_max, (base.n - 1) * 2**i + 1)
-        for i in range(args.levels)
-    ]
-    config = SimConfig(T=args.T, boundary="exact_dirichlet",
-                       scheme="explicit_rk4_mol")
+    from .simulate import convergence_study
+
     rows = convergence_study(spec, grids, config)
     path = os.path.join(args.out_dir, f"convergence_{spec.entry_id}.csv")
     _write_csv(path, ["h", "n", "linf_error", "observed_order"],
@@ -461,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact verdicts, residual cross-check")
     p.add_argument("--k", type=float, default=1.0,
                    help="wave number (default 1.0)")
-    p.add_argument("--grid", type=_parse_grid2, default=None,
+    p.add_argument("--grid", type=_parse_grid2, default=GridSpec(),
                    metavar="xmin,xmax,nx,tmin,tmax,nt",
                    help="audit grid (default -10,10,201,0,1,11)")
     p.add_argument("--corrupt", default=None, metavar="ID_PREFIX",
@@ -473,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", required=True,
                    help="catalog entry id, optionally with a k<value> suffix")
     p.add_argument("--t", required=True, help="comma-separated times")
-    p.add_argument("--x", type=_parse_profile_grid, default=None,
-                   metavar="xmin,xmax,n",
+    p.add_argument("--x", type=_parse_profile_grid,
+                   default=(-10.0, 10.0, 201), metavar="xmin,xmax,n",
                    help="profile grid (default -10,10,201)")
     p.add_argument("--k", type=float, default=None,
                    help="wave number (default 1.0 or the id suffix)")
@@ -485,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", required=True,
                    help="catalog entry id, optionally with a k<value> suffix")
     p.add_argument("--grid", type=_parse_run_grid,
-                   default=None, metavar="xmin,xmax,n",
+                   default=Grid1D(-20.0, 20.0, 801), metavar="xmin,xmax,n",
                    help="run grid (default -20,20,801)")
     p.add_argument("--scheme", choices=("rk4", "imex"), default="imex",
                    help="time stepper: imex, the split step (default), or"
@@ -506,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=3,
                    help="number of halvings from the base grid (default 3)")
     p.add_argument("--grid", type=_parse_run_grid,
-                   default=None, metavar="xmin,xmax,n",
+                   default=Grid1D(-20.0, 20.0, 101), metavar="xmin,xmax,n",
                    help="base grid (default -20,20,101)")
     p.add_argument("--T", type=float, default=0.5,
                    help="final time of each run (default 0.5)")

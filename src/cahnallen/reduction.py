@@ -5,8 +5,9 @@ u_xx by k**2 * u'', turning the PDE into a second-order ODE in xi.  The
 homogeneous-balance rule then fixes the ansatz degree from the formal
 degrees D(d^p u / dxi^p) = n + p and D(u^p * (d^q u)^s) = n*p + s*(n + q).
 
-The module also holds what the command line checks before numpy loads:
-the run grid (Grid1D), the run times and the step count.
+The module also decides, without numpy, what a valid run is (Grid1D,
+GridSpec, SimConfig and its checked_dt, refinement_levels), so the command
+line checks every run setting before numpy loads.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .qfield import Frozen
@@ -25,6 +27,10 @@ MIN_TIME_STEP = 1e-14
 # any run of the toolkit takes, and at least minutes of stepping on the
 # smallest grid, so a larger count is a mistyped T or dt
 MAX_STEPS = 10**7
+# The split scheme's default step.  Its spatial error is spectral, so its
+# error on the kink is temporal, about 2e-3*dt^2 at T = 1 on any grid that
+# resolves the front: 2e-7 at this step, in 100 steps.
+SPLIT_DT = 0.01
 
 
 class NonIntegerBalance(ValueError):
@@ -91,30 +97,131 @@ def check_wave_number(k: float) -> float:
     return k
 
 
-def check_times(T: float, dt: float | None) -> None:
-    """A ConfigError unless the final time T and the time step dt (None:
-    the scheme's default) are usable; needs no numpy, so the command line
-    checks them before it loads the numeric layers."""
-    if not (math.isfinite(T) and T > 0):
-        raise ConfigError("final time must be positive and finite")
-    if dt is None:
-        return
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigError("time step must be positive and finite")
-    if dt < MIN_TIME_STEP:
-        raise ConfigError(
-            f"time step {dt} is below the smallest step {MIN_TIME_STEP}")
+def linspace(start: float, stop: float, n: int) -> list[float]:
+    """numpy.linspace(start, stop, n), bit for bit, as a list."""
+    delta = stop - start
+    if n < 2:  # no step: numpy's 0*delta + start
+        return [0.0 * delta + start] * n
+    div = n - 1
+    step = delta / div
+    if step:
+        xs = [i * step + start for i in range(n)]
+    else:  # a step that underflows: scale each index by delta instead
+        xs = [i / div * delta + start for i in range(n)]
+    xs[-1] = stop
+    return xs
 
 
-def check_step_count(T: float, dt: float) -> None:
-    """A ConfigError if a run to T at steps of dt takes more than MAX_STEPS
-    steps.  check_times leaves it out, as a configuration may name any
-    usable dt: each run checks its own count before its first step, and
-    the command line checks a given --dt before it loads numpy."""
-    if T / dt > MAX_STEPS:
-        raise ConfigError(
-            f"a run to T = {T:g} at dt = {dt:g} takes {T / dt:.3g} steps,"
-            f" more than the cap of {MAX_STEPS:,}")
+class GridSpec(Frozen):
+    """The audit's grid of nx points on x_range by nt on t_range; checked
+    without numpy, which only mesh() loads."""
+
+    __slots__ = ("x_range", "t_range", "nx", "nt")
+
+    def __init__(self, x_range: tuple[float, float] = (-10.0, 10.0),
+                 t_range: tuple[float, float] = (0.0, 1.0),
+                 nx: int = 201, nt: int = 11) -> None:
+        if nx < 2 or nt < 1:
+            raise ValueError("grid needs nx >= 2 and nt >= 1")
+        if not all(math.isfinite(hi - lo) for lo, hi in (x_range, t_range)):
+            raise ValueError("grid span is not a finite number")
+        super().__init__(x_range, t_range, nx, nt)
+
+    @lru_cache(maxsize=16)
+    def mesh(self):
+        """The (x, t) mesh, built once per grid and shared read-only."""
+        import numpy as np
+
+        xs = np.linspace(self.x_range[0], self.x_range[1], self.nx)
+        ts = np.linspace(self.t_range[0], self.t_range[1], self.nt)
+        X, T = np.meshgrid(xs, ts, indexing="ij")
+        X.flags.writeable = T.flags.writeable = False
+        return X, T
+
+
+def explicit_dt_limit(h: float) -> float:
+    """The RK4 step on a grid of spacing h: the default step and the
+    largest one a run accepts.  For |u| <= 1 the spectrum of the linearised
+    right-hand side lies in [-(4/h^2 + 2), 1], so this step puts its
+    stiffest mode at z = -2, where |R(z)| = 1/3, well inside RK4's real
+    stability interval [-2.785, 0] (Hairer & Wanner, Solving ODEs II,
+    section IV.2)."""
+    return 2.0 / (4.0 / (h * h) + 2.0)
+
+
+class SimConfig(Frozen):
+    __slots__ = ("dt", "T", "boundary", "scheme", "snapshot_times")
+
+    def __init__(self, dt: float | None = None, T: float = 1.0,
+                 boundary: str = "exact_dirichlet",
+                 scheme: str = "explicit_rk4_mol",
+                 snapshot_times: tuple[float, ...] | None = None) -> None:
+        """boundary "exact_dirichlet" or "periodic"; scheme
+        "explicit_rk4_mol" or "imex_cn", the split scheme."""
+        if not (math.isfinite(T) and T > 0):
+            raise ConfigError("final time must be positive and finite")
+        if dt is not None:
+            if not (math.isfinite(dt) and dt > 0):
+                raise ConfigError("time step must be positive and finite")
+            if dt < MIN_TIME_STEP:
+                raise ConfigError(f"time step {dt} is below the smallest"
+                                  f" step {MIN_TIME_STEP}")
+        if boundary not in ("exact_dirichlet", "periodic"):
+            raise ValueError(f"unknown boundary {boundary!r}")
+        if scheme not in ("explicit_rk4_mol", "imex_cn"):
+            raise ValueError(f"unknown scheme {scheme!r}")
+        if snapshot_times is not None:
+            if not all(map(math.isfinite, snapshot_times)):
+                raise ConfigError("snapshot times must be finite numbers")
+            if not all(0 <= t <= T * (1 + 1e-12) for t in snapshot_times):
+                raise ValueError("snapshot times outside [0, T]")
+        super().__init__(dt, T, boundary, scheme, snapshot_times)
+
+    def resolved_dt(self, h: float) -> float:
+        """The given dt, or the scheme's default step."""
+        if self.dt is not None:
+            return self.dt
+        if self.scheme == "imex_cn":
+            return SPLIT_DT
+        return explicit_dt_limit(h)
+
+    def checked_dt(self, h: float) -> float:
+        """The step a run on a grid of spacing h takes, resolved_dt(h); a
+        ConfigError if the run takes more than MAX_STEPS steps, or if an
+        RK4 run's step exceeds explicit_dt_limit(h)."""
+        T, dt = self.T, self.resolved_dt(h)
+        if T / dt > MAX_STEPS:
+            raise ConfigError(f"a run to T = {T:g} at dt = {dt:g} takes"
+                              f" {T / dt:.3g} steps, more than the cap of"
+                              f" {MAX_STEPS:,}")
+        if self.scheme == "explicit_rk4_mol":
+            limit = explicit_dt_limit(h)
+            if dt > limit * (1.0 + 1e-12):
+                raise ConfigError(f"explicit scheme needs dt <= {limit:g}"
+                                  f" at h = {h:g}, got {dt:g}")
+        return dt
+
+    def resolved_snapshots(self) -> tuple[float, ...]:
+        if self.snapshot_times is not None:
+            return tuple(sorted(self.snapshot_times))
+        return tuple(linspace(0.0, self.T, 11))
+
+
+def refinement_levels(grids: list[Grid1D],
+                      config: SimConfig) -> list[SimConfig]:
+    """The run settings of each grid of a refinement study: dt scaled with
+    h**2 from the config's step on the first grid, so that the spatial
+    error leads.  Every level's step is checked before any level runs."""
+    if len(grids) < 3:
+        raise ValueError("a refinement study needs at least 3 grids")
+    h0 = grids[0].h
+    dt0 = config.resolved_dt(h0)
+    levels = [SimConfig(dt=dt0 * (g.h / h0) ** 2, T=config.T,
+                        boundary=config.boundary, scheme=config.scheme,
+                        snapshot_times=(0.0, config.T)) for g in grids]
+    for g, level in zip(grids, levels):
+        level.checked_dt(g.h)
+    return levels
 
 
 class TravelingWaveODE(NamedTuple):

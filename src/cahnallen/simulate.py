@@ -23,8 +23,8 @@ A run's memory is bounded by its grid, not by its step count: the step
 schedule is made as the run takes each step, the exact boundary data are
 evaluated one block of STEPS_PER_PROFILE steps at a time, each snapshot
 evaluates the exact u alone, and the steppers own fixed work buffers.
-`reduction.check_step_count` caps T/dt at `MAX_STEPS`.  The run grid,
-`Grid1D`, lives in `reduction`, which loads no numpy.
+A run takes its step, `reduction`'s SimConfig.checked_dt (at most
+`MAX_STEPS` steps), before it evaluates or copies its initial field.
 """
 
 from __future__ import annotations
@@ -36,27 +36,12 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .qfield import Frozen
-from .reduction import ConfigError, Grid1D, check_step_count, check_times
+from .reduction import ConfigError, Grid1D, SimConfig, refinement_levels
 from .solutions import SolutionSpec
 
 BLOWUP_LIMIT = 1e6
 STEPS_PER_PROFILE = 256  # boundary data evaluated per block of steps
 LATTICE_TOL = 1e-9  # a time this many dt from a lattice time lies on it
-# The split scheme's default step.  Its spatial error is spectral, so its
-# error on the kink is temporal, about 2e-3*dt^2 at T = 1 on any grid that
-# resolves the front: 2e-7 at this step, in 100 steps.
-SPLIT_DT = 0.01
-
-
-def explicit_dt_limit(h: float) -> float:
-    """The RK4 step on a grid of spacing h: the default step and the
-    largest one a run accepts.  For |u| <= 1 the spectrum of the linearised
-    right-hand side lies in [-(4/h^2 + 2), 1], so this step puts its
-    stiffest mode at z = -2, where |R(z)| = 1/3, well inside RK4's real
-    stability interval [-2.785, 0] (Hairer & Wanner, Solving ODEs II,
-    section IV.2)."""
-    return 2.0 / (4.0 / (h * h) + 2.0)
 
 
 class UnstableStep(ValueError):
@@ -69,39 +54,6 @@ class NoCrossing(ValueError):
 
 class InsufficientData(ValueError):
     pass
-
-
-class SimConfig(Frozen):
-    __slots__ = ("dt", "T", "boundary", "scheme", "snapshot_times")
-
-    def __init__(self, dt: float | None = None, T: float = 1.0,
-                 boundary: str = "exact_dirichlet",
-                 scheme: str = "explicit_rk4_mol",
-                 snapshot_times: tuple[float, ...] | None = None) -> None:
-        """boundary "exact_dirichlet" or "periodic"; scheme
-        "explicit_rk4_mol" or "imex_cn", the split scheme."""
-        check_times(T, dt)
-        if boundary not in ("exact_dirichlet", "periodic"):
-            raise ValueError(f"unknown boundary {boundary!r}")
-        if scheme not in ("explicit_rk4_mol", "imex_cn"):
-            raise ValueError(f"unknown scheme {scheme!r}")
-        super().__init__(dt, T, boundary, scheme, snapshot_times)
-
-    def resolved_dt(self, h: float) -> float:
-        """The given dt, or the scheme's default step."""
-        if self.dt is not None:
-            return self.dt
-        if self.scheme == "imex_cn":
-            return SPLIT_DT
-        return explicit_dt_limit(h)
-
-    def resolved_snapshots(self) -> tuple[float, ...]:
-        if self.snapshot_times is not None:
-            times = tuple(sorted(self.snapshot_times))
-            if times and (times[0] < 0 or times[-1] > self.T * (1 + 1e-12)):
-                raise ValueError("snapshot times outside [0, T]")
-            return times
-        return tuple(np.linspace(0.0, self.T, 11))
 
 
 class SimResult:
@@ -155,8 +107,9 @@ def front_position(field_values: np.ndarray, grid: Grid1D, level: float,
 
 def measure_speed(trajectory: list[tuple[float, float]]) -> float:
     """Least-squares slope of x_front versus t over (t, x_front) pairs."""
-    if len(trajectory) < 3:
-        raise InsufficientData("speed fit needs at least 3 trajectory points")
+    if len(trajectory) < 3 or len({t for t, _ in trajectory}) < 2:
+        raise InsufficientData("speed fit needs at least 3 trajectory points"
+                               " at 2 distinct times")
     ts = np.array([t for t, _ in trajectory])
     xs = np.array([x for _, x in trajectory])
     tm, xm = ts.mean(), xs.mean()
@@ -462,23 +415,15 @@ def _boundary_data(spec: SolutionSpec, edges: np.ndarray, schedule,
         yield from zip(block, (spec.w * du).tolist(), u[:, -1].tolist())
 
 
-def _march(u, grid, config, spec: SolutionSpec | None) -> SimResult:
-    """One loop over the schedule with the scheme's stepper from the field
-    u, which no step writes into; `spec` gives the exact Dirichlet data,
-    None means a periodic grid."""
+def _march(u, grid, config, dt: float, spec: SolutionSpec | None) -> SimResult:
+    """One loop over the schedule at steps of dt (config.checked_dt) with
+    the scheme's stepper from the field u, which no step writes into;
+    `spec` gives the exact Dirichlet data, None means a periodic grid."""
     periodic = spec is None
     h = grid.h
-    dt = config.resolved_dt(h)
-    check_step_count(config.T, dt)
-    rk4 = config.scheme == "explicit_rk4_mol"
-    if rk4:
-        limit = explicit_dt_limit(h)
-        if dt > limit * (1.0 + 1e-12):
-            raise ConfigError(
-                f"explicit scheme needs dt <= {limit:g} at h = {h:g}, got {dt:g}"
-            )
     at_zero, schedule = _schedule(config, dt)
-    stepper = _Rk4(grid) if rk4 else _Split(grid, periodic)
+    stepper = (_Rk4(grid) if config.scheme == "explicit_rk4_mol"
+               else _Split(grid, periodic))
     xs = grid.xs()
     stream = (zip(schedule, repeat(None), repeat(None)) if periodic else
               _boundary_data(spec, xs[[0, -1]], schedule, stepper.stages))
@@ -515,8 +460,10 @@ def _march(u, grid, config, spec: SolutionSpec | None) -> SimResult:
         for mark in marks:
             record(mark, stepper.close(u))
 
-    if len(result.front_trajectory) >= 3:
+    try:
         result.measured_speed = measure_speed(result.front_trajectory)
+    except InsufficientData:
+        pass
     return result
 
 
@@ -537,7 +484,8 @@ def integrate(spec: SolutionSpec, grid: Grid1D, config: SimConfig) -> SimResult:
             f"{spec.entry_id} is singular inside the space-time window;"
             " choose a domain clear of the traveling pole"
         )
-    return _march(spec.eval(grid.xs(), 0.0), grid, config, spec)
+    dt = config.checked_dt(grid.h)
+    return _march(spec.eval(grid.xs(), 0.0), grid, config, dt, spec)
 
 
 def simulate_field(u0, grid: Grid1D, config: SimConfig) -> SimResult:
@@ -545,33 +493,25 @@ def simulate_field(u0, grid: Grid1D, config: SimConfig) -> SimResult:
     one per grid point."""
     if config.boundary != "periodic":
         raise ConfigError("raw initial data needs periodic boundaries")
+    dt = config.checked_dt(grid.h)
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n,):
         raise ValueError(f"initial data of shape {u0.shape} on a grid of"
                          f" {grid.n} points")
     if not np.isfinite(u0).all():
         raise ValueError("initial data holds non-finite values")
-    return _march(u0, grid, config, None)
+    return _march(u0, grid, config, dt, None)
 
 
 def convergence_study(spec: SolutionSpec, grids: list[Grid1D],
                       config: SimConfig) -> list[dict]:
-    """Refinement study: dt is scaled with h**2 so the spatial error leads.
+    """Refinement study on the levels of refinement_levels(grids, config).
 
     Returns one row per grid with h, the final-time maximum error, and the
     observed order against the previous grid.
     """
-    if len(grids) < 3:
-        raise ValueError("a refinement study needs at least 3 grids")
-    h0 = grids[0].h
-    dt0 = config.resolved_dt(h0)
-    scaled = [SimConfig(dt=dt0 * (g.h / h0) ** 2, T=config.T,
-                        boundary=config.boundary, scheme=config.scheme,
-                        snapshot_times=(0.0, config.T)) for g in grids]
-    for level in scaled:  # before any level runs
-        check_step_count(level.T, level.dt)
     rows: list[dict] = []
-    for g, level in zip(grids, scaled):
+    for g, level in zip(grids, refinement_levels(grids, config)):
         res = integrate(spec, g, level)
         rows.append({"h": g.h, "n": g.n, "linf_error": res.linf_errors[-1]})
     for prev, cur in zip(rows, rows[1:]):

@@ -22,44 +22,17 @@ and canonical forms repeat other entries' floats (the catalog's 54 rows are
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .qfield import Frozen
+from .reduction import GridSpec
 from .solutions import SolutionSpec
 
 PDE_THRESHOLD = 1e-8
 ODE_THRESHOLD = 1e-10
 
 STANDARD_XI_POINTS = tuple(np.linspace(-15.0, 15.0, 61))
-
-
-class GridSpec(Frozen):
-    __slots__ = ("x_range", "t_range", "nx", "nt")
-
-    def __init__(self, x_range: tuple[float, float] = (-10.0, 10.0),
-                 t_range: tuple[float, float] = (0.0, 1.0),
-                 nx: int = 201, nt: int = 11) -> None:
-        if nx < 2 or nt < 1:
-            raise ValueError("grid needs nx >= 2 and nt >= 1")
-        if not all(math.isfinite(hi - lo) for lo, hi in (x_range, t_range)):
-            raise ValueError("grid span is not a finite number")
-        super().__init__(x_range, t_range, nx, nt)
-
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (x, t) mesh, built once per grid and shared read-only."""
-        return _mesh(self)
-
-
-@lru_cache(maxsize=16)
-def _mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(grid.x_range[0], grid.x_range[1], grid.nx)
-    ts = np.linspace(grid.t_range[0], grid.t_range[1], grid.nt)
-    X, T = np.meshgrid(xs, ts, indexing="ij")
-    X.flags.writeable = T.flags.writeable = False
-    return X, T
 
 
 class ResidualReport(NamedTuple):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cahnallen
-from cahnallen import simulate
+from cahnallen import reduction, simulate
 from cahnallen.cli import _write_floats, main, resolve_entry
 from cahnallen.simulate import Grid1D, SimConfig, integrate
 from cahnallen.solutions import catalog_by_id
@@ -219,18 +219,15 @@ def test_scalar_and_array_profiles_agree(k):
 @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
        st.integers(1, 40))
 def test_linspace_matches_numpy_bit_for_bit(start, stop, n):
-    from cahnallen.cli import _linspace
-
-    assert np.array(_linspace(start, stop, n)).tobytes() == \
+    assert np.array(reduction.linspace(start, stop, n)).tobytes() == \
         np.linspace(start, stop, n).tobytes()
 
 
 @pytest.mark.parametrize("grid", [(0.0, 5e-324, 3), (-0.0, 0.0, 1),
                                   (5e-324, -0.0, 4), (1.0, 1.0, 3)])
 def test_linspace_matches_numpy_on_tiny_steps(grid):
-    from cahnallen.cli import _linspace
-
-    assert np.array(_linspace(*grid)).tobytes() == np.linspace(*grid).tobytes()
+    assert np.array(reduction.linspace(*grid)).tobytes() == \
+        np.linspace(*grid).tobytes()
 
 
 @pytest.mark.parametrize("rows", [
@@ -436,7 +433,7 @@ def test_simulate_writes_exports(tmp_path, capsys):
     assert manifest["parameters"]["measured_speed"] is not None
     assert manifest["parameters"]["boundary"] == "exact_dirichlet"
     assert manifest["parameters"]["scheme"] == "imex_cn"
-    assert manifest["parameters"]["dt"] == simulate.SPLIT_DT
+    assert manifest["parameters"]["dt"] == reduction.SPLIT_DT
 
 
 def test_simulate_manifest_records_the_rk4_default_step(tmp_path, capsys):
@@ -446,7 +443,7 @@ def test_simulate_manifest_records_the_rk4_default_step(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
     assert manifest["parameters"]["scheme"] == "explicit_rk4_mol"
-    assert manifest["parameters"]["dt"] == simulate.explicit_dt_limit(0.2)
+    assert manifest["parameters"]["dt"] == reduction.explicit_dt_limit(0.2)
 
 
 def test_simulate_imex(tmp_path, capsys):
@@ -726,6 +723,9 @@ def test_stdlib_command_loads_no_numpy(argv, tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+_CAP = ", more than the cap of 10,000,000"
+
+
 @pytest.mark.parametrize("argv, reason", [
     (["simulate", "--entry", "eq20+", "--dt=-1"],
      "time step must be positive and finite"),
@@ -733,31 +733,62 @@ def test_stdlib_command_loads_no_numpy(argv, tmp_path):
      "final time must be positive and finite"),
     (["simulate", "--entry", "eq20+", "--scheme", "imex", "--T", "0.1",
       "--dt", "1e-13"],
-     "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps,"
-     " more than the cap of 10,000,000"),
+     "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps" + _CAP),
     # a grid option is parsed without numpy
     (["simulate", "--entry", "eq20+", "--scheme", "imex", "--grid=-20,20,201",
       "--T", "0.1", "--dt", "1e-13"],
-     "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps,"
-     " more than the cap of 10,000,000"),
+     "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps" + _CAP),
     (["convergence", "--entry", "eq20+", "--grid=-20,20,201", "--T", "nan"],
      "final time must be positive and finite"),
+    # the default steps, known from the grid alone: the split step's 0.01,
+    # and the RK4 limit 2/(4/h^2 + 2) on the default grid
+    (["simulate", "--entry", "eq20+", "--T", "1e6"],
+     "a run to T = 1e+06 at dt = 0.01 takes 1e+08 steps" + _CAP),
+    (["simulate", "--entry", "eq20+", "--scheme", "rk4", "--T", "2e4"],
+     "a run to T = 20000 at dt = 0.00124844 takes 1.6e+07 steps" + _CAP),
+    # the coarsest of three levels, at the RK4 default step 2/27, already
+    # asks for more than the cap; the finest for about 2e8 steps
+    (["convergence", "--entry", "eq20+", "--T", "1e6"],
+     "a run to T = 1e+06 at dt = 0.0740741 takes 1.35e+07 steps" + _CAP),
+    (["convergence", "--entry", "eq20+", "--levels", "1"],
+     "a refinement study needs at least 3 grids"),
+    (["simulate", "--entry", "eq20+", "--k", "-1"],
+     "wave number k must be positive and finite, got -1.0"),
+    (["convergence", "--entry", "eq20+", "--k", "-1"],
+     "wave number k must be positive and finite, got -1.0"),
+    (["verify", "--k", "-1"],
+     "wave number k must be positive and finite, got -1.0"),
+    (["simulate", "--entry", "nosuch"],
+     "unknown catalog entry 'nosuch'; run the catalog command for ids"),
+    # argparse's usage error, after its usage lines
+    (["verify", "--grid=-10,10,1,0,1,11"],
+     "argument --grid: grid needs nx >= 2 and nt >= 1"),
 ], ids=["simulate-dt", "convergence-T", "simulate-steps", "simulate-grid",
-        "convergence-grid"])
+        "convergence-grid", "simulate-default-step", "simulate-rk4-default-step",
+        "convergence-default-step", "convergence-levels", "simulate-k",
+        "convergence-k", "verify-k", "simulate-entry", "verify-grid"])
 def test_bad_time_is_reported_before_numpy_loads(argv, reason, tmp_path):
+    # any usage error in a command's arguments, not only a bad time: each
+    # is reported before numpy loads
     import cahnallen
 
     src = os.path.dirname(os.path.dirname(cahnallen.__file__))
     probe = ("import sys\n"
              "from cahnallen.cli import main\n"
-             "code = main(sys.argv[1:])\n"
+             "try:\n"
+             "    code = main(sys.argv[1:])\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
              "print('numpy' in sys.modules)\n"
              "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", probe, *argv],
                           capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 2
-    assert proc.stderr == f"error: {reason}\n"
+    if proc.stderr.startswith("usage: "):
+        assert proc.stderr.endswith(f" {argv[0]}: error: {reason}\n")
+    else:
+        assert proc.stderr == f"error: {reason}\n"
     assert proc.stdout == "False\n"
     assert list(tmp_path.iterdir()) == []
 
@@ -767,15 +798,10 @@ def test_bad_time_is_reported_before_numpy_loads(argv, reason, tmp_path):
     (["simulate", "--entry", "eq20+", "--scheme", "imex", "--grid=-20,20,201",
       "--T", "0.1", "--dt", "1e-13"],
      "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps"),
-    # the default steps are known only with the grid: the finest of three
-    # levels asks for about 2e8 steps, and the coarsest, at the RK4 default
-    # step 2/27, already for more than the cap
-    (["convergence", "--entry", "eq20+", "--T", "1e6"],
-     "a run to T = 1e+06 at dt = 0.0740741 takes 1.35e+07 steps"),
-    (["simulate", "--entry", "eq20+", "--scheme", "imex", "--T", "1e6"],
-     "a run to T = 1e+06 at dt = 0.01 takes 1e+08 steps"),
-], ids=["simulate-grid", "convergence", "simulate-imex"])
+], ids=["simulate-grid"])
 def test_runs_beyond_the_step_cap_are_usage_errors(argv, reason, tmp_path):
+    # run as a module; the default-step cases are cases of
+    # test_bad_time_is_reported_before_numpy_loads
     import cahnallen
 
     src = os.path.dirname(os.path.dirname(cahnallen.__file__))
@@ -783,7 +809,7 @@ def test_runs_beyond_the_step_cap_are_usage_errors(argv, reason, tmp_path):
                           capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 2
-    assert proc.stderr == f"error: {reason}, more than the cap of 10,000,000\n"
+    assert proc.stderr == f"error: {reason}{_CAP}\n"
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
 

@@ -18,10 +18,9 @@ import pytest
 import cahnallen
 from cahnallen.closure import ClosureBranch
 from cahnallen.qfield import Radical2
-from cahnallen.reduction import EvolutionEquation, WaveFrame
-from cahnallen.simulate import ConfigError, Grid1D, SimConfig
+from cahnallen.reduction import (ConfigError, EvolutionEquation, Grid1D,
+                                 GridSpec, SimConfig, WaveFrame)
 from cahnallen.symexpr import Monomial, SymExpr
-from cahnallen.verify import GridSpec
 
 RECORDS = {
     "Monomial": lambda: Monomial(Radical2(1, 2), (("k", 2),), ((0, 1),),
@@ -86,6 +85,10 @@ def test_records_of_different_fields_differ():
      "unknown boundary 'reflecting'"),
     (lambda: SimConfig(scheme="spectral"), ValueError,
      "unknown scheme 'spectral'"),
+    (lambda: SimConfig(snapshot_times=(math.nan, 0.5, 1.0)), ConfigError,
+     "snapshot times must be finite numbers"),
+    (lambda: SimConfig(T=1.0, snapshot_times=(0.5, 2.0)), ValueError,
+     "snapshot times outside [0, T]"),
     (lambda: GridSpec(nx=1), ValueError, "grid needs nx >= 2 and nt >= 1"),
     (lambda: GridSpec(nt=0), ValueError, "grid needs nx >= 2 and nt >= 1"),
     (lambda: EvolutionEquation(1), ValueError,

@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cahnallen import simulate
-from cahnallen.reduction import MAX_STEPS
+from cahnallen.reduction import MAX_STEPS, SPLIT_DT, explicit_dt_limit
 from cahnallen.simulate import (
-    SPLIT_DT,
     ConfigError,
     Grid1D,
     InsufficientData,
@@ -28,7 +27,6 @@ from cahnallen.simulate import (
     _schedule,
     convergence_study,
     discrete_energy,
-    explicit_dt_limit,
     front_position,
     integrate,
     measure_speed,
@@ -234,6 +232,19 @@ def test_step_count_is_capped_before_the_first_step(kink):
         integrate(kink, KINK_GRID, SimConfig(T=1.0, dt=0.99 / MAX_STEPS))
 
 
+def test_step_count_is_capped_before_the_field_is_evaluated(kink,
+                                                            monkeypatch):
+    # the RK4 limit on 100001 points over [-20, 20] is about 8e-8, so a run
+    # to T = 1 takes 1.25e7 steps; it is refused before the entry's eval
+    # forms the 100001-point initial field
+    calls = []
+    monkeypatch.setattr(type(kink), "eval",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="takes 1.25e\\+07 steps, more"):
+        integrate(kink, Grid1D(-20.0, 20.0, 100001), SimConfig(T=1.0))
+    assert calls == []
+
+
 def test_integrate_rejects_periodic_boundaries(kink):
     with pytest.raises(ConfigError):
         integrate(kink, KINK_GRID, SimConfig(T=1.0, boundary="periodic"))
@@ -322,7 +333,7 @@ def test_blowup_check_catches_nan(scheme):
     u0[17] = np.nan
     config = SimConfig(dt=1e-3, T=0.01, boundary="periodic", scheme=scheme)
     with pytest.raises(UnstableStep, match="exceeded"):
-        _march(u0, grid, config, None)
+        _march(u0, grid, config, config.dt, None)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -814,6 +825,21 @@ def test_fixed_bump_has_zero_speed():
 def test_speed_needs_three_points():
     with pytest.raises(InsufficientData):
         measure_speed([(0.0, 0.0), (1.0, -2.1)])
+
+
+def test_speed_needs_times_that_spread():
+    with pytest.raises(InsufficientData, match="2 distinct times"):
+        measure_speed([(0.5, 1.0), (0.5, 1.0), (0.5, 1.0)])
+
+
+@pytest.mark.parametrize("scheme", ["explicit_rk4_mol", "imex_cn"])
+def test_run_at_one_time_measures_no_speed(kink, scheme):
+    # three crossings at one time give the fit no slope; a 0/0 would warn,
+    # which the suite treats as an error
+    config = SimConfig(T=1.0, scheme=scheme, snapshot_times=(0.5, 0.5, 0.5))
+    res = integrate(kink, Grid1D(-20.0, 20.0, 201), config)
+    assert len(res.front_trajectory) == 3
+    assert res.measured_speed is None
 
 
 # --- invariants ----------------------------------------------------------------------
