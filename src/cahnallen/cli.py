@@ -17,10 +17,10 @@ validity of `catalog` and of `verify` is one predicate, the exact
 structural zero of each entry's k-free ODE coefficients
 (SolutionSpec.solves_ode), and eval writes the rows of
 SolutionSpec.profile_rows, the scalar `math` twin of the array evaluator.
-Each handler checks all of its arguments first, then imports the modules
-it uses: only verify, simulate and convergence load numpy, and none does
-for a usage error.  The audit JSON is written from the audit's own
-records (verify.AuditRow).
+Each handler checks all of its arguments first, the singular-zone checks
+of SolutionSpec.check_zone included, then imports the modules it uses:
+only verify, simulate and convergence load numpy, none for a usage
+error.  The audit JSON is written from verify.AuditRow records.
 """
 
 from __future__ import annotations
@@ -194,15 +194,17 @@ def _checked(grid_type, *args):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _check_resolution(spec: SolutionSpec, grid: Grid1D) -> None:
+def _check_run(spec: SolutionSpec, grid: Grid1D, T: float) -> None:
     """A usage error when the grid spacing h exceeds the front width 1/|N|
-    (N the entry's rate in x): the front then falls between nodes, and its
-    measured speed and the observed orders say nothing."""
+    (N the entry's rate in x: the front falls between nodes), when the zone
+    meets the run's window (integrate's refusal), or xi overflows there."""
     rate = abs(float(spec.exact.N))
     if grid.h * rate > 1.0:
         raise ValueError(f"grid spacing h = {grid.h:g} exceeds the width"
                          f" 1/|N| = {1.0 / rate:g} of the {spec.entry_id}"
                          " front; refine the grid")
+    for every in (False, True):
+        spec.check_zone((grid.x_min, grid.x_max), (0.0, T), every)
 
 
 def emit_plot_data(spec: SolutionSpec, t_list: list[float],
@@ -293,9 +295,11 @@ def _cmd_verify(args) -> int:
                 exact = spec.exact._replace(W=-spec.exact.W)
                 catalog[i] = replace(spec, exact=exact,
                                      **exact.lowered(spec.k))
+    grid = args.grid
+    for spec in catalog:  # the audit's order; with nt = 1 its t is t_range[0]
+        spec.check_zone(grid.x_range, grid.t_range[:grid.nt], every=True)
     from .verify import classify_branches
 
-    grid = args.grid
     audit = classify_branches(catalog, grid)
     payload = {
         "grid": {
@@ -347,7 +351,7 @@ def _cmd_simulate(args) -> int:
     grid = args.grid
     dt = config.checked_dt(grid.h)  # before the derivation runs
     spec = resolve_entry(args.entry, args.k)
-    _check_resolution(spec, grid)
+    _check_run(spec, grid, args.T)
     import numpy as np
 
     from .simulate import integrate
@@ -390,7 +394,7 @@ def _cmd_convergence(args) -> int:
              for i in range(args.levels)]
     refinement_levels(grids, config)  # before the derivation runs
     spec = resolve_entry(args.entry, args.k)
-    _check_resolution(spec, base)
+    _check_run(spec, base, args.T)  # every level has the base's window
     from .simulate import convergence_study
 
     rows = convergence_study(spec, grids, config)

@@ -470,20 +470,14 @@ def _march(u, grid, config, dt: float, spec: SolutionSpec | None) -> SimResult:
 def integrate(spec: SolutionSpec, grid: Grid1D, config: SimConfig) -> SimResult:
     """Evolve the exact profile at t = 0 and compare against it over time.
 
-    Rejects profiles whose singular zone touches the space-time window of
-    the run (the pole travels with the wave, so it can enter the domain
-    after t = 0), and periodic boundaries: every catalog entry tends to
-    different values at its two ends, so none is periodic.
+    Rejects profiles whose singular zone meets the run's space-time window
+    (SolutionSpec.check_zone; the pole travels with the wave, so it can
+    enter the domain after t = 0), and periodic boundaries: every catalog
+    entry tends to different values at its two ends, so none is periodic.
     """
     if config.boundary != "exact_dirichlet":
         raise ConfigError("catalog entries need exact_dirichlet boundaries")
-    xi_lo = spec.k * grid.x_min + min(0.0, spec.w * config.T)
-    xi_hi = spec.k * grid.x_max + max(0.0, spec.w * config.T)
-    if not spec.clear_of_pole(xi_lo, xi_hi):
-        raise ValueError(
-            f"{spec.entry_id} is singular inside the space-time window;"
-            " choose a domain clear of the traveling pole"
-        )
+    spec.check_zone((grid.x_min, grid.x_max), (0.0, config.T))
     dt = config.checked_dt(grid.h)
     return _march(spec.eval(grid.xs(), 0.0), grid, config, dt, spec)
 

@@ -184,12 +184,24 @@ class SolutionSpec:
         return ~(np.abs(np.asarray(xi, dtype=float) - pole)
                  < SINGULAR_HALF_WIDTH + margin)
 
-    def clear_of_pole(self, lo: float, hi: float) -> bool:
-        """Whether every wave coordinate in [lo, hi] lies outside the
-        singular zone."""
-        pole = self.pole
-        return pole is None or not (lo - SINGULAR_HALF_WIDTH < pole
-                                    < hi + SINGULAR_HALF_WIDTH)
+    def check_zone(self, x_range, t_range, every: bool = False) -> None:
+        """Refuse, without numpy, a run's window x_range x t_range that the
+        zone meets (lo - half < pole < hi + half, xi in [lo, hi]), or with
+        every an audit grid with these corners whose xi overflows or lies in
+        the zone at every point: the corners bound xi = k*x + w*t and each
+        rounding is monotone, so they decide what xi and regular_mask do."""
+        xis = [self.k * x + self.w * t for x in x_range for t in t_range]
+        lo, hi, pole, half = min(xis), max(xis), self.pole, SINGULAR_HALF_WIDTH
+        if not every:
+            if pole is not None and lo - half < pole < hi + half:
+                raise ValueError(f"{self.entry_id} is singular inside the"
+                                 " space-time window; choose a domain clear"
+                                 " of the traveling pole")
+        elif not all(map(math.isfinite, xis)):
+            raise self._overflow()
+        elif pole is not None and max(abs(lo - pole), abs(hi - pole)) < half:
+            raise ValueError(f"{self.entry_id}: every grid point fell inside"
+                             " a singular zone")
 
     def _check_regular(self, xi) -> None:
         pole = self.pole

@@ -763,10 +763,31 @@ _CAP = ", more than the cap of 10,000,000"
     # argparse's usage error, after its usage lines
     (["verify", "--grid=-10,10,1,0,1,11"],
      "argument --grid: grid needs nx >= 2 and nt >= 1"),
+    # the zone refusals: integrate's window, and an audit grid that the
+    # zone holds (the audit's message for its first such entry)
+    (["simulate", "--entry", "eq21+"],
+     "eq21+ is singular inside the space-time window; choose a domain clear"
+     " of the traveling pole"),
+    (["convergence", "--entry", "eq21+"],
+     "eq21+ is singular inside the space-time window; choose a domain clear"
+     " of the traveling pole"),
+    (["verify", "--grid=-0.01,0.01,3,0,0.001,2"],
+     "eq21+: every grid point fell inside a singular zone"),
+    # a wave coordinate that overflows: in the audit at eq19+r, which comes
+    # before eq21+, whose zone holds this one-point grid; in a run at t > 0
+    (["verify", "--grid=1e308,1e308,2,-4.714045207910316e+307,0,1"],
+     "eq19+r: the wave coordinate k*x + w*t overflows at k = 1,"
+     " w = -2.12132"),
+    (["simulate", "--entry", "eq20+", "--k", "1e150", "--T", "1e160",
+      "--dt", "1e154"],
+     "eq20+: the wave coordinate k*x + w*t overflows at k = 1e+150,"
+     " w = 2.12132e+150"),
 ], ids=["simulate-dt", "convergence-T", "simulate-steps", "simulate-grid",
         "convergence-grid", "simulate-default-step", "simulate-rk4-default-step",
         "convergence-default-step", "convergence-levels", "simulate-k",
-        "convergence-k", "verify-k", "simulate-entry", "verify-grid"])
+        "convergence-k", "verify-k", "simulate-entry", "verify-grid",
+        "simulate-window", "convergence-window", "verify-zone-grid",
+        "verify-overflow", "simulate-overflow"])
 def test_bad_time_is_reported_before_numpy_loads(argv, reason, tmp_path):
     # any usage error in a command's arguments, not only a bad time: each
     # is reported before numpy loads

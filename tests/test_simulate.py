@@ -1,6 +1,7 @@
 """Finite-difference dynamics: accuracy, fronts, invariants, two schemes."""
 
 import math
+import random
 import sys
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from cahnallen import simulate
 from cahnallen.reduction import MAX_STEPS, SPLIT_DT, explicit_dt_limit
+from cahnallen.solutions import SINGULAR_HALF_WIDTH
 from cahnallen.simulate import (
     ConfigError,
     Grid1D,
@@ -311,6 +313,35 @@ def test_traveling_pole_entering_domain_is_rejected(table1):
     # reversed frame: the pole sits left of the domain at t = 0 but moves in
     with pytest.raises(ValueError):
         integrate(table1["eq21+r"], Grid1D(1.0, 30.0, 301), SimConfig(T=1.0))
+
+
+def test_window_refusal_is_the_old_pole_test(catalog1):
+    # integrate refuses a window exactly when the pole test it wrote inline
+    # before SolutionSpec.check_zone says so, with the same text; every
+    # other run here asks for more than MAX_STEPS steps, which checked_dt
+    # refuses next, before any field is evaluated
+    rng = random.Random(33)
+    half = SINGULAR_HALF_WIDTH
+    singular = [s for s in catalog1 if s.pole is not None]
+    met = 0
+    for _ in range(2000):
+        spec = rng.choice(singular)
+        x_min = rng.uniform(-3.0, 3.0) + rng.choice((0.0, half, -half))
+        x_max = x_min + rng.choice((1e-9, rng.uniform(0.0, 2.0)))
+        T = rng.uniform(1e-6, 0.2)
+        lo = spec.k * x_min + min(0.0, spec.w * T)
+        hi = spec.k * x_max + max(0.0, spec.w * T)
+        meets = lo - half < spec.pole < hi + half
+        with pytest.raises(ValueError) as exc:
+            integrate(spec, Grid1D(x_min, x_max, 8),
+                      SimConfig(dt=1e-14, T=T, scheme="imex_cn"))
+        window = (f"{spec.entry_id} is singular inside the space-time window;"
+                  " choose a domain clear of the traveling pole")
+        assert (str(exc.value) == window) == meets, (spec.entry_id, x_min,
+                                                     x_max, T)
+        assert meets or isinstance(exc.value, ConfigError)
+        met += meets
+    assert 200 < met < 1800
 
 
 def test_singular_profile_runs_off_pole(table1):

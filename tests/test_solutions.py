@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import random
 import struct
 import warnings
 from dataclasses import replace
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 
 from cahnallen import solutions
 from cahnallen.qfield import Radical2
+from cahnallen.reduction import GridSpec
 from cahnallen.solutions import (
     SINGULAR_HALF_WIDTH,
     Family,
     InvalidReduction,
     SingularEvaluation,
     branch_for,
+    catalog_by_id,
     derived_entry,
     enumerate_catalog,
     logistic_pair,
@@ -263,15 +266,129 @@ def test_only_solutions_states_the_zone_rule():
     assert naming == ["solutions.py"]
 
 
-def test_clear_of_pole_is_the_mask_over_a_span(table1):
+def _refuses(spec, x_range, t_range, every=False) -> bool:
+    """Whether check_zone refuses the rectangle for its singular zone (an
+    overflow is not such a refusal)."""
+    try:
+        spec.check_zone(x_range, t_range, every)
+    except ValueError as exc:
+        if "overflows" in str(exc):
+            raise
+        return True
+    return False
+
+
+def _window_meets(spec, x_min, x_max, T) -> bool:
+    """The run window's pole test as integrate wrote it before check_zone:
+    the parent oracle for check_zone's "meets"."""
+    pole = spec.pole
+    if pole is None:
+        return False
+    lo = spec.k * x_min + min(0.0, spec.w * T)
+    hi = spec.k * x_max + max(0.0, spec.w * T)
+    return lo - SINGULAR_HALF_WIDTH < pole < hi + SINGULAR_HALF_WIDTH
+
+
+def test_check_zone_is_the_mask_over_a_span(table1):
     spec = table1["eq21+"]
     pole = spec.pole
     for lo, hi in ((pole - 3.0, pole - 0.2), (pole + 0.2, pole + 3.0),
                    (pole - 3.0, pole - 0.05), (pole - 1.0, pole + 1.0),
                    (pole + 0.05, pole + 0.05)):
-        span = np.linspace(lo, hi, 2001)
-        assert spec.clear_of_pole(lo, hi) == spec.regular_mask(span).all()
-    assert table1["eq20+"].clear_of_pole(-1e300, 1e300)
+        span = np.linspace(lo, hi, 2001)  # k = 1 and t = 0: xi is x
+        assert _refuses(spec, (lo, hi), (0.0, 0.0)) == (
+            not spec.regular_mask(span).all())
+        assert _refuses(spec, (lo, hi), (0.0, 0.0), every=True) == (
+            not spec.regular_mask(span).any())
+    table1["eq20+"].check_zone((-1e300, 1e300), (0.0, 0.0))
+    table1["eq20+"].check_zone((-1e300, 1e300), (0.0, 0.0), every=True)
+
+
+def _singular_specs():
+    """(spec, number of grids): each coth entry, each at its own k, and
+    general-ratio entries whose negative constant ratio puts the pole off
+    xi = 0."""
+    coth = [s for s in enumerate_catalog(1.0) if s.pole is not None]
+    assert len(coth) == 8
+    specs = [(catalog_by_id(k)[s.entry_id], 400) for s, k in
+             zip(coth, (1.0, 0.37, 8.0, 0.05, 3.0, 1.7, 20.0, 0.6))]
+    specs += [(derived_entry("eq19(c2=-3)", "eq19", Family.GENERAL_EXP_RATIO,
+                             0, s1, sw, k, c1=1.0, c2=-3.0), 200)
+              for k in (0.5, 3.0) for s1, sw in ((1, 1), (-1, -1))]
+    assert all(s.pole is not None for s, _ in specs)
+    return specs
+
+
+def _near(rng, centre, scale):
+    """A float near centre: often one of the zone's edges a few ulps off,
+    where the rounding of every step decides."""
+    edge = centre + rng.choice((-1.0, 1.0)) * SINGULAR_HALF_WIDTH
+    value = edge if rng.random() < 0.4 else centre + rng.uniform(-scale, scale)
+    for _ in range(rng.randrange(4)):
+        value = math.nextafter(value, rng.choice((-math.inf, math.inf)))
+    return value
+
+
+def test_corner_rule_is_the_mask_on_every_grid():
+    # seeded: every grid near a pole, with reversed x ranges, nt = 1 and
+    # zero-width spans; "holds" is the mask on the whole mesh, and "meets"
+    # is the run window's pole test
+    rng = random.Random(20261021)
+    tally = {"grids": 0, "held": 0, "met": 0}
+    for spec, count in _singular_specs():
+        pole, k, w = spec.pole, spec.k, spec.w
+        for _ in range(count):
+            t0 = rng.choice((0.0, rng.uniform(-0.05, 0.05)))
+            t1 = rng.choice((t0, t0 + rng.uniform(0.0, 0.05)))
+            # x ends whose wave coordinates at t0 lie near the zone
+            x0 = _near(rng, pole, 0.3) / k - w * t0 / k
+            x1 = rng.choice((x0, _near(rng, pole, 0.3) / k - w * t0 / k))
+            if rng.random() < 0.5:
+                x0, x1 = x1, x0
+            nt = rng.choice((1, 1, 2, 3, 5))
+            grid = GridSpec((x0, x1), (t0, t1), rng.choice((2, 3, 5)), nt)
+            holds = not spec.regular_mask(spec.xi(*grid.mesh())).any()
+            assert _refuses(spec, grid.x_range, grid.t_range[:nt], True) \
+                == holds, (spec.entry_id, grid)
+            x_min, x_max, T = min(x0, x1), max(x0, x1), abs(t1 - t0)
+            meets = _window_meets(spec, x_min, x_max, T)
+            assert _refuses(spec, (x_min, x_max), (0.0, T)) == meets, (
+                spec.entry_id, x_min, x_max, T)
+            tally["grids"] += 1
+            tally["held"] += holds
+            tally["met"] += meets
+    assert tally["grids"] == 4000
+    # both answers are often yes and often no
+    assert 0.1 < tally["held"] / tally["grids"] < 0.9
+    assert 0.1 < tally["met"] / tally["grids"] < 0.9
+
+
+def test_window_rule_is_the_old_one_at_every_magnitude():
+    # the run window's decision for any finite floats, including windows
+    # whose wave coordinates overflow to +-inf or to nan
+    rng = random.Random(7)
+    magnitude = (lambda: rng.choice((-1.0, 1.0))
+                 * 10.0 ** rng.uniform(-5.0, 308.25))
+    specs = [s for k in (1e-10, 1.0, 1e150) for s in enumerate_catalog(k)]
+    specs += [s for s, _ in _singular_specs()]
+    met = overflowed = 0
+    for _ in range(4000):
+        spec = rng.choice(specs)
+        x_min, x_max = sorted((magnitude(), magnitude()))
+        T = abs(magnitude())
+        meets = _window_meets(spec, x_min, x_max, T)
+        assert _refuses(spec, (x_min, x_max), (0.0, T)) == meets, (
+            spec.entry_id, x_min, x_max, T)
+        met += meets
+        overflowed += not math.isfinite(spec.k * x_max + spec.w * T)
+    assert met > 400 and overflowed > 400
+
+
+def test_audit_grid_refusal_names_an_overflow():
+    spec = catalog_by_id(1.0)["eq20+"]
+    with pytest.raises(ValueError, match=r"^eq20\+: the wave coordinate"):
+        spec.check_zone((0.0, 1e308), (0.0, 1e308), every=True)
+    spec.check_zone((0.0, 1e308), (0.0, 1e308))  # a run's window: no pole
 
 
 def test_case_two_kink_connects_zero_and_a0(table1):
