@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .closure import run_derivation
-from .reduction import (EvolutionEquation, Grid1D, GridSpec, SimConfig,
-                        WaveFrame, check_wave_number, linspace,
+from .reduction import (MAX_POINTS, EvolutionEquation, Grid1D, GridSpec,
+                        SimConfig, WaveFrame, check_wave_number, linspace,
                         reduce_to_ode, refinement_levels)
 
 if TYPE_CHECKING:
@@ -176,6 +176,9 @@ def _parse_profile_grid(text: str) -> tuple[float, float, int]:
     xmin, xmax, n = _parse_grid1(text)
     if n < 1:
         raise argparse.ArgumentTypeError("grid needs at least 1 point")
+    if n > MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid needs at most {MAX_POINTS:,} points")
     if not math.isfinite(xmax - xmin):
         raise argparse.ArgumentTypeError("grid span is not a finite number")
     return xmin, xmax, n

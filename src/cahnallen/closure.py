@@ -46,10 +46,6 @@ from .symexpr import (
 )
 
 
-class ClosureUnsupported(ValueError):
-    """The closure solver only treats the degree-1 ansatz."""
-
-
 class Ansatz(NamedTuple):
     u: SymExpr
     u1: SymExpr
@@ -332,25 +328,25 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
     """
     grades = system.grades()
     if grades != (0, 1, 2, 3):
-        raise ClosureUnsupported(f"expected grades (0, 1, 2, 3), got {grades}")
+        raise ValueError(f"expected grades (0, 1, 2, 3), got {grades}")
 
     g0 = _coeff_lists(system.equations[0], {"A0": (ONE, 1)})
     if set(g0) != {()}:
-        raise ClosureUnsupported("grade-0 equation is not a polynomial in A0")
+        raise ValueError("grade-0 equation is not a polynomial in A0")
     a0_roots_nz, a0_zero = _poly_roots(g0[()])
     a0_values = ([Radical2()] if a0_zero else []) + a0_roots_nz
 
     # homogeneous in (A1, k), so its roots in A1/k are its roots at k = 1
     g3 = _coeff_lists(system.equations[3], {"A1": (ONE, 1), "k": (ONE, 0)})
     if set(g3) != {((1, 3),)}:
-        raise ClosureUnsupported("grade-3 equation is not a pure (S')^3 condition")
+        raise ValueError("grade-3 equation is not a pure (S')^3 condition")
     if len({sum(p for _, p in t.sym_powers)
             for t in system.equations[3].terms}) > 1:
         raise ValueError("polynomial is not homogeneous")
     alpha_roots, alpha_zero = _poly_roots(g3[((1, 3),)])
     del alpha_zero  # A1 = 0 collapses the ansatz; only nonzero roots proceed
     if not alpha_roots:
-        raise ClosureUnsupported(
+        raise ValueError(
             "top-coefficient condition admits only A1 = 0; ansatz closes"
             " for no branch")
     signs = sorted({1 if float(a) > 0 else -1 for a in alpha_roots}, reverse=True)
@@ -369,7 +365,7 @@ def solve_closure(system: CoefficientSystem) -> ClosureSolution:
             pair = {"A0": (a0, 0), "A1": (alpha, 0), "k": (ONE, 0)}
             coeffs = _coeff_lists(consistency, {**pair, "w": (ONE, 1)})
             if len(coeffs.get((), ())) != 3:
-                raise ClosureUnsupported("speed consistency is not quadratic")
+                raise ValueError("speed consistency is not quadratic")
             roots, zero_mult = _poly_roots(coeffs[()])
             beta = 3 * a0 * alpha
             for rho in [Radical2()] * zero_mult + roots:
@@ -454,7 +450,7 @@ def run_derivation(ode: TravelingWaveODE) -> DerivationReport:
     """Execute the full pipeline with structural checks and a printable trace."""
     n = balance_degree(ode)
     if n != 1:
-        raise ClosureUnsupported(f"closure requires balance degree 1, got {n}")
+        raise ValueError(f"closure requires balance degree 1, got {n}")
     ansatz = build_ansatz_derivatives()
     system = form_coefficient_system(ode, ansatz)
     solution = solve_closure(system)

@@ -27,18 +27,14 @@ MIN_TIME_STEP = 1e-14
 # any run of the toolkit takes, and at least minutes of stepping on the
 # smallest grid, so a larger count is a mistyped T or dt
 MAX_STEPS = 10**7
+# the most points a grid may hold, an audit grid's nx*nt included: ten
+# times the finest grid of the tests (100001 points), so a larger count is
+# a mistyped one, refused before anything is allocated
+MAX_POINTS = 10**6
 # The split scheme's default step.  Its spatial error is spectral, so its
 # error on the kink is temporal, about 2e-3*dt^2 at T = 1 on any grid that
 # resolves the front: 2e-7 at this step, in 100 steps.
 SPLIT_DT = 0.01
-
-
-class NonIntegerBalance(ValueError):
-    """The balance equation has no positive integer solution."""
-
-
-class ConfigError(ValueError):
-    """A run configuration outside the domain of the time steppers."""
 
 
 class EvolutionEquation(Frozen):
@@ -70,6 +66,8 @@ class Grid1D(Frozen):
     def __init__(self, x_min: float, x_max: float, n: int) -> None:
         if n < 8:
             raise ValueError("grid needs at least 8 points")
+        if n > MAX_POINTS:
+            raise ValueError(f"grid needs at most {MAX_POINTS:,} points")
         if x_max <= x_min:
             raise ValueError("empty grid interval")
         if not math.isfinite(x_max - x_min):
@@ -123,6 +121,8 @@ class GridSpec(Frozen):
                  nx: int = 201, nt: int = 11) -> None:
         if nx < 2 or nt < 1:
             raise ValueError("grid needs nx >= 2 and nt >= 1")
+        if nx * nt > MAX_POINTS:
+            raise ValueError(f"grid needs nx*nt <= {MAX_POINTS:,}")
         if not all(math.isfinite(hi - lo) for lo, hi in (x_range, t_range)):
             raise ValueError("grid span is not a finite number")
         super().__init__(x_range, t_range, nx, nt)
@@ -159,20 +159,20 @@ class SimConfig(Frozen):
         """boundary "exact_dirichlet" or "periodic"; scheme
         "explicit_rk4_mol" or "imex_cn", the split scheme."""
         if not (math.isfinite(T) and T > 0):
-            raise ConfigError("final time must be positive and finite")
+            raise ValueError("final time must be positive and finite")
         if dt is not None:
             if not (math.isfinite(dt) and dt > 0):
-                raise ConfigError("time step must be positive and finite")
+                raise ValueError("time step must be positive and finite")
             if dt < MIN_TIME_STEP:
-                raise ConfigError(f"time step {dt} is below the smallest"
-                                  f" step {MIN_TIME_STEP}")
+                raise ValueError(f"time step {dt} is below the smallest"
+                                 f" step {MIN_TIME_STEP}")
         if boundary not in ("exact_dirichlet", "periodic"):
             raise ValueError(f"unknown boundary {boundary!r}")
         if scheme not in ("explicit_rk4_mol", "imex_cn"):
             raise ValueError(f"unknown scheme {scheme!r}")
         if snapshot_times is not None:
             if not all(map(math.isfinite, snapshot_times)):
-                raise ConfigError("snapshot times must be finite numbers")
+                raise ValueError("snapshot times must be finite numbers")
             if not all(0 <= t <= T * (1 + 1e-12) for t in snapshot_times):
                 raise ValueError("snapshot times outside [0, T]")
         super().__init__(dt, T, boundary, scheme, snapshot_times)
@@ -187,18 +187,18 @@ class SimConfig(Frozen):
 
     def checked_dt(self, h: float) -> float:
         """The step a run on a grid of spacing h takes, resolved_dt(h); a
-        ConfigError if the run takes more than MAX_STEPS steps, or if an
-        RK4 run's step exceeds explicit_dt_limit(h)."""
+        ValueError, with its reason, if the run takes more than MAX_STEPS
+        steps, or if an RK4 run's step exceeds explicit_dt_limit(h)."""
         T, dt = self.T, self.resolved_dt(h)
         if T / dt > MAX_STEPS:
-            raise ConfigError(f"a run to T = {T:g} at dt = {dt:g} takes"
-                              f" {T / dt:.3g} steps, more than the cap of"
-                              f" {MAX_STEPS:,}")
+            raise ValueError(f"a run to T = {T:g} at dt = {dt:g} takes"
+                             f" {T / dt:.3g} steps, more than the cap of"
+                             f" {MAX_STEPS:,}")
         if self.scheme == "explicit_rk4_mol":
             limit = explicit_dt_limit(h)
             if dt > limit * (1.0 + 1e-12):
-                raise ConfigError(f"explicit scheme needs dt <= {limit:g}"
-                                  f" at h = {h:g}, got {dt:g}")
+                raise ValueError(f"explicit scheme needs dt <= {limit:g}"
+                                 f" at h = {h:g}, got {dt:g}")
         return dt
 
     def resolved_snapshots(self) -> tuple[float, ...]:
@@ -247,7 +247,7 @@ def _degree_line(u_powers: tuple) -> tuple[int, int]:
 
 def balance_degree(ode: TravelingWaveODE) -> int:
     """Smallest positive integer n balancing the top nonlinearity against
-    the top derivative; raises NonIntegerBalance when no such n exists."""
+    the top derivative; a ValueError when no such n exists."""
     nonlinear: list[tuple[int, int]] = []
     derivative: list[tuple[int, int]] = []
     for t in ode.expression.terms:
@@ -264,10 +264,10 @@ def balance_degree(ode: TravelingWaveODE) -> int:
     bd, ad = max(derivative)
     # an*n + bn = ad*n + bd
     if an == ad:
-        raise NonIntegerBalance("balance equation is degenerate")
+        raise ValueError("balance equation is degenerate")
     n = Fraction(bd - bn, an - ad)
     if n.denominator != 1 or n <= 0:
-        raise NonIntegerBalance(
+        raise ValueError(
             f"balance gives n = {n}, not a positive integer; method inapplicable"
         )
     return int(n)

@@ -36,24 +36,12 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .reduction import ConfigError, Grid1D, SimConfig, refinement_levels
+from .reduction import Grid1D, SimConfig, refinement_levels
 from .solutions import SolutionSpec
 
 BLOWUP_LIMIT = 1e6
 STEPS_PER_PROFILE = 256  # boundary data evaluated per block of steps
 LATTICE_TOL = 1e-9  # a time this many dt from a lattice time lies on it
-
-
-class UnstableStep(ValueError):
-    pass
-
-
-class NoCrossing(ValueError):
-    pass
-
-
-class InsufficientData(ValueError):
-    pass
 
 
 class SimResult:
@@ -85,9 +73,10 @@ def discrete_energy(u: np.ndarray, h: float, periodic: bool) -> float:
 
 
 def front_position(field_values: np.ndarray, grid: Grid1D, level: float,
-                   xs: np.ndarray | None = None) -> float:
-    """x of the leftmost level crossing, linearly interpolated; `xs`, the
-    grid's nodes, is built when not given."""
+                   xs: np.ndarray | None = None) -> float | None:
+    """x of the leftmost level crossing, linearly interpolated, or None when
+    the field never crosses the level; `xs`, the grid's nodes, is built
+    when not given."""
     if xs is None:
         xs = grid.xs()
     d = np.asarray(field_values, dtype=float) - level
@@ -100,16 +89,14 @@ def front_position(field_values: np.ndarray, grid: Grid1D, level: float,
         i = int(sign_changes[0])
         frac = d[i] / (d[i] - d[i + 1])
         candidates.append(float(xs[i] + frac * grid.h))
-    if not candidates:
-        raise NoCrossing(f"field never crosses level {level:g}")
-    return min(candidates)
+    return min(candidates, default=None)
 
 
-def measure_speed(trajectory: list[tuple[float, float]]) -> float:
-    """Least-squares slope of x_front versus t over (t, x_front) pairs."""
+def measure_speed(trajectory: list[tuple[float, float]]) -> float | None:
+    """Least-squares slope of x_front versus t over (t, x_front) pairs, or
+    None for fewer than 3 pairs or fewer than 2 distinct times."""
     if len(trajectory) < 3 or len({t for t, _ in trajectory}) < 2:
-        raise InsufficientData("speed fit needs at least 3 trajectory points"
-                               " at 2 distinct times")
+        return None
     ts = np.array([t for t, _ in trajectory])
     xs = np.array([x for _, x in trajectory])
     tm, xm = ts.mean(), xs.mean()
@@ -440,12 +427,9 @@ def _march(u, grid, config, dt: float, spec: SolutionSpec | None) -> SimResult:
             diff = u - exact
             result.linf_errors.append(float(np.max(np.abs(diff))))
             result.l2_errors.append(float(math.sqrt(h * np.dot(diff, diff))))
-            try:
-                level = spec.front_level()
-                result.front_trajectory.append(
-                    (t, front_position(u, grid, level, xs)))
-            except NoCrossing:
-                pass
+            x = front_position(u, grid, spec.front_level(), xs)
+            if x is not None:
+                result.front_trajectory.append((t, x))
 
     u = np.asarray(u, dtype=float)
     for mark in at_zero:
@@ -455,15 +439,12 @@ def _march(u, grid, config, dt: float, spec: SolutionSpec | None) -> SimResult:
         # NaN fails it too; the pending reaction keeps a passing field
         # within max(BLOWUP_LIMIT, 1)
         if not -BLOWUP_LIMIT <= u.min() <= u.max() <= BLOWUP_LIMIT:
-            raise UnstableStep(f"field magnitude exceeded {BLOWUP_LIMIT:g}"
-                               f" at t = {start + step:g}")
+            raise ValueError(f"field magnitude exceeded {BLOWUP_LIMIT:g}"
+                             f" at t = {start + step:g}")
         for mark in marks:
             record(mark, stepper.close(u))
 
-    try:
-        result.measured_speed = measure_speed(result.front_trajectory)
-    except InsufficientData:
-        pass
+    result.measured_speed = measure_speed(result.front_trajectory)
     return result
 
 
@@ -476,7 +457,7 @@ def integrate(spec: SolutionSpec, grid: Grid1D, config: SimConfig) -> SimResult:
     entry tends to different values at its two ends, so none is periodic.
     """
     if config.boundary != "exact_dirichlet":
-        raise ConfigError("catalog entries need exact_dirichlet boundaries")
+        raise ValueError("catalog entries need exact_dirichlet boundaries")
     spec.check_zone((grid.x_min, grid.x_max), (0.0, config.T))
     dt = config.checked_dt(grid.h)
     return _march(spec.eval(grid.xs(), 0.0), grid, config, dt, spec)
@@ -486,7 +467,7 @@ def simulate_field(u0, grid: Grid1D, config: SimConfig) -> SimResult:
     """Evolve raw initial data (periodic boundaries only): finite values,
     one per grid point."""
     if config.boundary != "periodic":
-        raise ConfigError("raw initial data needs periodic boundaries")
+        raise ValueError("raw initial data needs periodic boundaries")
     dt = config.checked_dt(grid.h)
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n,):

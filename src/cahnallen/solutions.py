@@ -50,14 +50,6 @@ from .reduction import (EvolutionEquation, WaveFrame, check_wave_number,
 SINGULAR_HALF_WIDTH = 0.1
 
 
-class SingularEvaluation(ValueError):
-    """A point inside a singular zone was evaluated."""
-
-
-class InvalidReduction(ValueError):
-    """The a/b -> shift reduction needs positive constants."""
-
-
 def logistic_pair(theta):
     """(1/(1 + e^-theta), 1/(1 + e^theta)) to full relative precision.
 
@@ -206,7 +198,7 @@ class SolutionSpec:
     def _check_regular(self, xi) -> None:
         pole = self.pole
         if pole is not None and not self.regular_mask(xi).all():
-            raise SingularEvaluation(
+            raise ValueError(
                 f"{self.entry_id}: point inside singular zone at"
                 f" xi = {pole:g} (half width {SINGULAR_HALF_WIDTH:g})"
             )
@@ -443,7 +435,7 @@ def reduce_ab_to_canonical(spec: SolutionSpec) -> SolutionSpec:
     if spec.family is not Family.AB_EXP_FORM:
         raise ValueError("reduce_ab_to_canonical needs an a-b exponential spec")
     if spec.a is None or spec.b is None or spec.a <= 0 or spec.b <= 0:
-        raise InvalidReduction("reduction needs a > 0 and b > 0")
+        raise ValueError("reduction needs a > 0 and b > 0")
     c = 0.5 * math.log(spec.a / spec.b)
     # the paper numbers each canonical form right after its a-b form
     code = f"eq{int(spec.family_code[2:]) + 1}"

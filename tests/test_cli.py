@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import cahnallen
 from cahnallen import reduction, simulate
-from cahnallen.cli import _write_floats, main, resolve_entry
+from cahnallen.cli import (_parse_profile_grid, _write_floats, main,
+                           resolve_entry)
 from cahnallen.simulate import Grid1D, SimConfig, integrate
 from cahnallen.solutions import catalog_by_id
 
@@ -724,94 +725,163 @@ def test_stdlib_command_loads_no_numpy(argv, tmp_path):
 
 
 _CAP = ", more than the cap of 10,000,000"
+_HUGE = str(10**400)  # a count no float holds
 
-
-@pytest.mark.parametrize("argv, reason", [
-    (["simulate", "--entry", "eq20+", "--dt=-1"],
-     "time step must be positive and finite"),
-    (["convergence", "--entry", "eq20+", "--T", "nan"],
-     "final time must be positive and finite"),
-    (["simulate", "--entry", "eq20+", "--scheme", "imex", "--T", "0.1",
-      "--dt", "1e-13"],
-     "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps" + _CAP),
+# every usage error in a command's arguments, not only a bad time: the
+# case's id, its arguments and its reason
+_USAGE_ERRORS = {
+    "simulate-dt": (
+        ["simulate", "--entry", "eq20+", "--dt=-1"],
+        "time step must be positive and finite"),
+    "convergence-T": (
+        ["convergence", "--entry", "eq20+", "--T", "nan"],
+        "final time must be positive and finite"),
+    "simulate-steps": (
+        ["simulate", "--entry", "eq20+", "--scheme", "imex", "--T", "0.1",
+         "--dt", "1e-13"],
+        "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps" + _CAP),
     # a grid option is parsed without numpy
-    (["simulate", "--entry", "eq20+", "--scheme", "imex", "--grid=-20,20,201",
-      "--T", "0.1", "--dt", "1e-13"],
-     "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps" + _CAP),
-    (["convergence", "--entry", "eq20+", "--grid=-20,20,201", "--T", "nan"],
-     "final time must be positive and finite"),
+    "simulate-grid": (
+        ["simulate", "--entry", "eq20+", "--scheme", "imex",
+         "--grid=-20,20,201", "--T", "0.1", "--dt", "1e-13"],
+        "a run to T = 0.1 at dt = 1e-13 takes 1e+12 steps" + _CAP),
+    "convergence-grid": (
+        ["convergence", "--entry", "eq20+", "--grid=-20,20,201", "--T", "nan"],
+        "final time must be positive and finite"),
     # the default steps, known from the grid alone: the split step's 0.01,
     # and the RK4 limit 2/(4/h^2 + 2) on the default grid
-    (["simulate", "--entry", "eq20+", "--T", "1e6"],
-     "a run to T = 1e+06 at dt = 0.01 takes 1e+08 steps" + _CAP),
-    (["simulate", "--entry", "eq20+", "--scheme", "rk4", "--T", "2e4"],
-     "a run to T = 20000 at dt = 0.00124844 takes 1.6e+07 steps" + _CAP),
+    "simulate-default-step": (
+        ["simulate", "--entry", "eq20+", "--T", "1e6"],
+        "a run to T = 1e+06 at dt = 0.01 takes 1e+08 steps" + _CAP),
+    "simulate-rk4-default-step": (
+        ["simulate", "--entry", "eq20+", "--scheme", "rk4", "--T", "2e4"],
+        "a run to T = 20000 at dt = 0.00124844 takes 1.6e+07 steps" + _CAP),
     # the coarsest of three levels, at the RK4 default step 2/27, already
     # asks for more than the cap; the finest for about 2e8 steps
-    (["convergence", "--entry", "eq20+", "--T", "1e6"],
-     "a run to T = 1e+06 at dt = 0.0740741 takes 1.35e+07 steps" + _CAP),
-    (["convergence", "--entry", "eq20+", "--levels", "1"],
-     "a refinement study needs at least 3 grids"),
-    (["simulate", "--entry", "eq20+", "--k", "-1"],
-     "wave number k must be positive and finite, got -1.0"),
-    (["convergence", "--entry", "eq20+", "--k", "-1"],
-     "wave number k must be positive and finite, got -1.0"),
-    (["verify", "--k", "-1"],
-     "wave number k must be positive and finite, got -1.0"),
-    (["simulate", "--entry", "nosuch"],
-     "unknown catalog entry 'nosuch'; run the catalog command for ids"),
+    "convergence-default-step": (
+        ["convergence", "--entry", "eq20+", "--T", "1e6"],
+        "a run to T = 1e+06 at dt = 0.0740741 takes 1.35e+07 steps" + _CAP),
+    "convergence-levels": (
+        ["convergence", "--entry", "eq20+", "--levels", "1"],
+        "a refinement study needs at least 3 grids"),
+    "simulate-k": (
+        ["simulate", "--entry", "eq20+", "--k", "-1"],
+        "wave number k must be positive and finite, got -1.0"),
+    "convergence-k": (
+        ["convergence", "--entry", "eq20+", "--k", "-1"],
+        "wave number k must be positive and finite, got -1.0"),
+    "verify-k": (
+        ["verify", "--k", "-1"],
+        "wave number k must be positive and finite, got -1.0"),
+    "simulate-entry": (
+        ["simulate", "--entry", "nosuch"],
+        "unknown catalog entry 'nosuch'; run the catalog command for ids"),
     # argparse's usage error, after its usage lines
-    (["verify", "--grid=-10,10,1,0,1,11"],
-     "argument --grid: grid needs nx >= 2 and nt >= 1"),
+    "verify-grid": (
+        ["verify", "--grid=-10,10,1,0,1,11"],
+        "argument --grid: grid needs nx >= 2 and nt >= 1"),
     # the zone refusals: integrate's window, and an audit grid that the
     # zone holds (the audit's message for its first such entry)
-    (["simulate", "--entry", "eq21+"],
-     "eq21+ is singular inside the space-time window; choose a domain clear"
-     " of the traveling pole"),
-    (["convergence", "--entry", "eq21+"],
-     "eq21+ is singular inside the space-time window; choose a domain clear"
-     " of the traveling pole"),
-    (["verify", "--grid=-0.01,0.01,3,0,0.001,2"],
-     "eq21+: every grid point fell inside a singular zone"),
+    "simulate-window": (
+        ["simulate", "--entry", "eq21+"],
+        "eq21+ is singular inside the space-time window; choose a domain"
+        " clear of the traveling pole"),
+    "convergence-window": (
+        ["convergence", "--entry", "eq21+"],
+        "eq21+ is singular inside the space-time window; choose a domain"
+        " clear of the traveling pole"),
+    "verify-zone-grid": (
+        ["verify", "--grid=-0.01,0.01,3,0,0.001,2"],
+        "eq21+: every grid point fell inside a singular zone"),
     # a wave coordinate that overflows: in the audit at eq19+r, which comes
     # before eq21+, whose zone holds this one-point grid; in a run at t > 0
-    (["verify", "--grid=1e308,1e308,2,-4.714045207910316e+307,0,1"],
-     "eq19+r: the wave coordinate k*x + w*t overflows at k = 1,"
-     " w = -2.12132"),
-    (["simulate", "--entry", "eq20+", "--k", "1e150", "--T", "1e160",
-      "--dt", "1e154"],
-     "eq20+: the wave coordinate k*x + w*t overflows at k = 1e+150,"
-     " w = 2.12132e+150"),
-], ids=["simulate-dt", "convergence-T", "simulate-steps", "simulate-grid",
-        "convergence-grid", "simulate-default-step", "simulate-rk4-default-step",
-        "convergence-default-step", "convergence-levels", "simulate-k",
-        "convergence-k", "verify-k", "simulate-entry", "verify-grid",
-        "simulate-window", "convergence-window", "verify-zone-grid",
-        "verify-overflow", "simulate-overflow"])
-def test_bad_time_is_reported_before_numpy_loads(argv, reason, tmp_path):
-    # any usage error in a command's arguments, not only a bad time: each
-    # is reported before numpy loads
+    "verify-overflow": (
+        ["verify", "--grid=1e308,1e308,2,-4.714045207910316e+307,0,1"],
+        "eq19+r: the wave coordinate k*x + w*t overflows at k = 1,"
+        " w = -2.12132"),
+    "simulate-overflow": (
+        ["simulate", "--entry", "eq20+", "--k", "1e150", "--T", "1e160",
+         "--dt", "1e154"],
+        "eq20+: the wave coordinate k*x + w*t overflows at k = 1e+150,"
+        " w = 2.12132e+150"),
+    # point counts beyond reduction.MAX_POINTS, refused before anything is
+    # allocated: counts no float holds, one that a float holds, an audit
+    # grid whose nx*nt alone is too large, and a refinement study stopped
+    # at its first level beyond the cap (the 15th, of 1638401 points)
+    "simulate-huge-grid": (
+        ["simulate", "--entry", "eq20+", f"--grid=-20,20,{_HUGE}"],
+        "argument --grid: grid needs at most 1,000,000 points"),
+    "convergence-huge-grid": (
+        ["convergence", "--entry", "eq20+", f"--grid=-20,20,{_HUGE}"],
+        "argument --grid: grid needs at most 1,000,000 points"),
+    "eval-huge-grid": (
+        ["eval", "--entry", "eq20+", "--t", "0", f"--x=-10,10,{_HUGE}"],
+        "argument --x: grid needs at most 1,000,000 points"),
+    "verify-huge-grid": (
+        ["verify", f"--grid=-20,20,{_HUGE},0,1,2"],
+        "argument --grid: grid needs nx*nt <= 1,000,000"),
+    "simulate-points": (
+        ["simulate", "--entry", "eq20+", f"--grid=-20,20,{10**9}"],
+        "argument --grid: grid needs at most 1,000,000 points"),
+    "verify-points": (
+        ["verify", "--grid=-10,10,1001,0,1,1000"],
+        "argument --grid: grid needs nx*nt <= 1,000,000"),
+    "convergence-levels-points": (
+        ["convergence", "--entry", "eq20+", "--levels", "100000000"],
+        "grid needs at most 1,000,000 points"),
+}
+
+# one interpreter runs every case of _USAGE_ERRORS, each in an empty
+# directory of its own, and reports each case's exit code, stdout, stderr,
+# whether numpy is loaded after it, and the files left in its directory
+_USAGE_PROBE = """\
+import contextlib, io, json, os, sys, traceback
+from cahnallen.cli import main
+results = {}
+for case, argv, directory in json.load(sys.stdin):
+    os.chdir(directory)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        except Exception:  # what the interpreter would print, and its code
+            traceback.print_exc()
+            code = 1
+    results[case] = (code, out.getvalue(), err.getvalue(),
+                     "numpy" in sys.modules, os.listdir(directory))
+sys.stdout.write(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def usage_error_runs(tmp_path_factory):
     import cahnallen
 
     src = os.path.dirname(os.path.dirname(cahnallen.__file__))
-    probe = ("import sys\n"
-             "from cahnallen.cli import main\n"
-             "try:\n"
-             "    code = main(sys.argv[1:])\n"
-             "except SystemExit as exc:\n"
-             "    code = exc.code\n"
-             "print('numpy' in sys.modules)\n"
-             "sys.exit(code)\n")
-    proc = subprocess.run([sys.executable, "-c", probe, *argv],
-                          capture_output=True, text=True, cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert proc.returncode == 2
-    if proc.stderr.startswith("usage: "):
-        assert proc.stderr.endswith(f" {argv[0]}: error: {reason}\n")
+    cases = [(case, argv, str(tmp_path_factory.mktemp(case)))
+             for case, (argv, _) in _USAGE_ERRORS.items()]
+    proc = subprocess.run([sys.executable, "-c", _USAGE_PROBE],
+                          input=json.dumps(cases), capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("case", _USAGE_ERRORS)
+def test_bad_time_is_reported_before_numpy_loads(case, usage_error_runs):
+    argv, reason = _USAGE_ERRORS[case]
+    code, out, err, numpy_loaded, written = usage_error_runs[case]
+    assert code == 2, err
+    if err.startswith("usage: "):
+        assert err.endswith(f" {argv[0]}: error: {reason}\n")
     else:
-        assert proc.stderr == f"error: {reason}\n"
-    assert proc.stdout == "False\n"
-    assert list(tmp_path.iterdir()) == []
+        assert err == f"error: {reason}\n"
+    assert out == ""
+    assert not numpy_loaded
+    assert written == []
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -835,17 +905,28 @@ def test_runs_beyond_the_step_cap_are_usage_errors(argv, reason, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_grids_of_the_most_points_are_accepted():
+    # the refusals beyond reduction.MAX_POINTS are cases of
+    # test_bad_time_is_reported_before_numpy_loads
+    most = reduction.MAX_POINTS
+    assert most == 10**6
+    assert Grid1D(-1.0, 1.0, most).n == most
+    assert reduction.GridSpec(nx=1000, nt=1000).nx * 1000 == most
+    assert _parse_profile_grid(f"-1,1,{most}") == (-1.0, 1.0, most)
+
+
 def test_every_library_error_is_a_usage_error():
     # cli.main maps ValueError to exit 2, so no library error escapes as a
-    # traceback
-    errors = []
+    # traceback; the library raises plain ValueErrors with their reasons,
+    # and a new exception class would need a place in that one map
+    defined = []
     for info in pkgutil.iter_modules(cahnallen.__path__):
         module = importlib.import_module(f"cahnallen.{info.name}")
-        errors += [obj for obj in vars(module).values()
-                   if isinstance(obj, type) and issubclass(obj, Exception)
-                   and obj.__module__ == module.__name__]
-    assert errors
-    assert [e.__name__ for e in errors if not issubclass(e, ValueError)] == []
+        defined += [f"{info.name}.{name}" for name, obj in vars(module).items()
+                    if isinstance(obj, type)
+                    and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__]
+    assert defined == []
 
 
 def test_unknown_subcommand_exit_code():
@@ -858,6 +939,9 @@ def test_unknown_subcommand_exit_code():
 
 ENTRY_IDS = sorted(catalog_by_id(1.0))  # kinks and singular entries alike
 _big = st.floats(-1e308, 1e308)
+# point counts that no float holds; a count between reduction.MAX_POINTS
+# and 1e308 would be allocated by a tree without the cap
+_huge_count = st.integers(10**309, 10**400)
 
 
 def _fuzz_wave_number():
@@ -887,10 +971,13 @@ def _check_parses(path):
         "--t=" + ",".join(map(repr, ts)), f"--x={x0!r},{x1!r},{n}"],
         st.sampled_from(ENTRY_IDS), _fuzz_wave_number(),
         st.lists(_big, min_size=1, max_size=3), _big, _big,
-        st.integers(1, 30)),
-    st.builds(lambda k, bad: ["verify", "--k", repr(k),
-                              *(["--corrupt", bad] if bad else [])],
-              _fuzz_wave_number(), st.none() | st.sampled_from(ENTRY_IDS)),
+        st.integers(1, 30) | _huge_count),
+    st.builds(lambda k, bad, grid: [
+        "verify", "--k", repr(k), *(["--corrupt", bad] if bad else []),
+        *([f"--grid=-10,10,{grid[0]},0,1,{grid[1]}"] if grid else [])],
+        _fuzz_wave_number(), st.none() | st.sampled_from(ENTRY_IDS),
+        st.none() | st.tuples(_huge_count, st.integers(1, 11))
+        | st.tuples(st.integers(2, 201), _huge_count)),
 ))
 def test_catalog_and_eval_fuzz(argv):
     # a failed audit is verify's exit 1; catalog and eval have no check
@@ -899,10 +986,11 @@ def test_catalog_and_eval_fuzz(argv):
 
 def _fuzz_run_grid():
     """xmin,xmax,n with spans up to +-1e300 around the origin; the second
-    range of exponents gives grids fine enough to run."""
+    range of exponents gives grids fine enough to run, and n is at most 40
+    or a count that no float holds."""
     end = (st.floats(0.0, 300.0) | st.floats(0.0, 1.5)).map(lambda e: 10.0 ** e)
     return st.builds(lambda lo, hi, n: f"{-lo!r},{hi!r},{n}",
-                     end, end, st.integers(8, 40))
+                     end, end, st.integers(8, 40) | _huge_count)
 
 
 @settings(max_examples=60, deadline=None)
@@ -912,11 +1000,13 @@ def _fuzz_run_grid():
         "--T", repr(T), "--scheme", scheme],
         st.sampled_from(ENTRY_IDS), _fuzz_wave_number(), _fuzz_run_grid(),
         st.floats(1e-3, 0.02), st.sampled_from(["rk4", "imex"])),
-    st.builds(lambda entry, k, grid, T: [
+    st.builds(lambda entry, k, grid, T, levels: [
         "convergence", "--entry", entry, "--k", repr(k), f"--grid={grid}",
-        "--T", repr(T)],
+        "--T", repr(T), "--levels", str(levels)],
         st.sampled_from(ENTRY_IDS), _fuzz_wave_number(), _fuzz_run_grid(),
-        st.floats(1e-3, 0.02)),
+        # the default 3 levels, or so many that a level of any base grid
+        # (8 points or more) exceeds reduction.MAX_POINTS: the 19th at most
+        st.floats(1e-3, 0.02), st.just(3) | st.integers(19, 2000)),
 ))
 def test_simulate_and_convergence_fuzz(argv):
     # simulate checks nothing yet; convergence checks its observed orders

@@ -6,7 +6,6 @@ import pytest
 
 from cahnallen.closure import (
     ClosureBranch,
-    ClosureUnsupported,
     CoefficientSystem,
     _coeff_lists,
     backsubstitute,
@@ -215,7 +214,8 @@ def test_backsubstitution_rejects_wrong_branches(system, solution):
 def test_closure_rejects_other_grade_sets():
     ode = reduce_to_ode(EvolutionEquation(2), WaveFrame())
     sys2 = form_coefficient_system(ode, build_ansatz_derivatives())
-    with pytest.raises(ClosureUnsupported):
+    with pytest.raises(ValueError, match="^top-coefficient condition admits"
+                       " only A1 = 0; ansatz closes for no branch$"):
         solve_closure(sys2)
 
 

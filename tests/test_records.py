@@ -18,8 +18,8 @@ import pytest
 import cahnallen
 from cahnallen.closure import ClosureBranch
 from cahnallen.qfield import Radical2
-from cahnallen.reduction import (ConfigError, EvolutionEquation, Grid1D,
-                                 GridSpec, SimConfig, WaveFrame)
+from cahnallen.reduction import (EvolutionEquation, Grid1D, GridSpec,
+                                 SimConfig, WaveFrame)
 from cahnallen.symexpr import Monomial, SymExpr
 
 RECORDS = {
@@ -71,26 +71,32 @@ def test_records_of_different_fields_differ():
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Grid1D(-1.0, 1.0, 7), ValueError, "grid needs at least 8 points"),
     (lambda: Grid1D(1.0, 0.0, 16), ValueError, "empty grid interval"),
-    (lambda: SimConfig(T=0.0), ConfigError,
+    (lambda: Grid1D(-1.0, 1.0, 10**6 + 1), ValueError,
+     "grid needs at most 1,000,000 points"),
+    (lambda: SimConfig(T=0.0), ValueError,
      "final time must be positive and finite"),
-    (lambda: SimConfig(T=math.nan), ConfigError,
+    (lambda: SimConfig(T=math.nan), ValueError,
      "final time must be positive and finite"),
-    (lambda: SimConfig(dt=-1.0), ConfigError,
+    (lambda: SimConfig(dt=-1.0), ValueError,
      "time step must be positive and finite"),
-    (lambda: SimConfig(dt=math.inf), ConfigError,
+    (lambda: SimConfig(dt=math.inf), ValueError,
      "time step must be positive and finite"),
-    (lambda: SimConfig(dt=1e-15), ConfigError,
+    (lambda: SimConfig(dt=1e-15), ValueError,
      "time step 1e-15 is below the smallest step 1e-14"),
     (lambda: SimConfig(boundary="reflecting"), ValueError,
      "unknown boundary 'reflecting'"),
     (lambda: SimConfig(scheme="spectral"), ValueError,
      "unknown scheme 'spectral'"),
-    (lambda: SimConfig(snapshot_times=(math.nan, 0.5, 1.0)), ConfigError,
-     "snapshot times must be finite numbers"),
+    # Named apart from the case below, whose generated id starts alike.
+    pytest.param(lambda: SimConfig(snapshot_times=(math.nan, 0.5, 1.0)),
+                 ValueError, "snapshot times must be finite numbers",
+                 id="nan snapshot time"),
     (lambda: SimConfig(T=1.0, snapshot_times=(0.5, 2.0)), ValueError,
      "snapshot times outside [0, T]"),
     (lambda: GridSpec(nx=1), ValueError, "grid needs nx >= 2 and nt >= 1"),
     (lambda: GridSpec(nt=0), ValueError, "grid needs nx >= 2 and nt >= 1"),
+    (lambda: GridSpec(nx=1001, nt=1000), ValueError,
+     "grid needs nx*nt <= 1,000,000"),
     (lambda: EvolutionEquation(1), ValueError,
      "nonlinearity power m must be >= 2"),
 ])

@@ -4,7 +4,6 @@ import pytest
 
 from cahnallen.reduction import (
     EvolutionEquation,
-    NonIntegerBalance,
     WaveFrame,
     balance_degree,
     reduce_to_ode,
@@ -48,5 +47,6 @@ def test_balance_degree(m, expected):
 
 
 def test_balance_without_integer_solution():
-    with pytest.raises(NonIntegerBalance):
+    with pytest.raises(ValueError, match="^balance gives n = 2/3, not a"
+                       " positive integer; method inapplicable$"):
         balance_degree(reduce_to_ode(EvolutionEquation(4), WaveFrame()))

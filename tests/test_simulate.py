@@ -17,12 +17,8 @@ from cahnallen import simulate
 from cahnallen.reduction import MAX_STEPS, SPLIT_DT, explicit_dt_limit
 from cahnallen.solutions import SINGULAR_HALF_WIDTH
 from cahnallen.simulate import (
-    ConfigError,
     Grid1D,
-    InsufficientData,
-    NoCrossing,
     SimConfig,
-    UnstableStep,
     _Rk4,
     _Split,
     _march,
@@ -68,7 +64,7 @@ def test_explicit_step_limit():
     limit = explicit_dt_limit(grid.h)
     assert SimConfig().resolved_dt(grid.h) == limit
     integrate_dummy = constant_solution(0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="^explicit scheme needs dt <= "):
         integrate(integrate_dummy, grid, SimConfig(dt=limit * 2.0, T=0.1))
     res = integrate(integrate_dummy, grid, SimConfig(dt=limit, T=0.1))
     assert res.times[-1] == pytest.approx(0.1)
@@ -228,9 +224,9 @@ def test_split_records_do_not_change_a_run(kink):
 def test_step_count_is_capped_before_the_first_step(kink):
     # the split scheme's default step of 0.01 to T = 1e6 is 1e8 steps; the
     # refusal comes before any step, so the run fails at once
-    with pytest.raises(ConfigError, match="more than the cap"):
+    with pytest.raises(ValueError, match="more than the cap"):
         integrate(kink, KINK_GRID, SimConfig(T=1e6, scheme="imex_cn"))
-    with pytest.raises(ConfigError, match="more than the cap"):
+    with pytest.raises(ValueError, match="more than the cap"):
         integrate(kink, KINK_GRID, SimConfig(T=1.0, dt=0.99 / MAX_STEPS))
 
 
@@ -242,13 +238,14 @@ def test_step_count_is_capped_before_the_field_is_evaluated(kink,
     calls = []
     monkeypatch.setattr(type(kink), "eval",
                         lambda *args: calls.append(args))
-    with pytest.raises(ConfigError, match="takes 1.25e\\+07 steps, more"):
+    with pytest.raises(ValueError, match="takes 1.25e\\+07 steps, more"):
         integrate(kink, Grid1D(-20.0, 20.0, 100001), SimConfig(T=1.0))
     assert calls == []
 
 
 def test_integrate_rejects_periodic_boundaries(kink):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="^catalog entries need"
+                       " exact_dirichlet boundaries$"):
         integrate(kink, KINK_GRID, SimConfig(T=1.0, boundary="periodic"))
 
 
@@ -339,7 +336,7 @@ def test_window_refusal_is_the_old_pole_test(catalog1):
                   " choose a domain clear of the traveling pole")
         assert (str(exc.value) == window) == meets, (spec.entry_id, x_min,
                                                      x_max, T)
-        assert meets or isinstance(exc.value, ConfigError)
+        assert meets or "more than the cap" in str(exc.value)
         met += meets
     assert 200 < met < 1800
 
@@ -351,7 +348,7 @@ def test_singular_profile_runs_off_pole(table1):
 
 def test_blowup_detection():
     grid = Grid1D(-10.0, 10.0, 64)
-    with pytest.raises(UnstableStep):
+    with pytest.raises(ValueError, match="^field magnitude exceeded 1e\\+06"):
         simulate_field(100.0 * _wavy_initial(grid), grid,
                        SimConfig(T=1.0, boundary="periodic"))
 
@@ -363,7 +360,7 @@ def test_blowup_check_catches_nan(scheme):
     u0 = _wavy_initial(grid)
     u0[17] = np.nan
     config = SimConfig(dt=1e-3, T=0.01, boundary="periodic", scheme=scheme)
-    with pytest.raises(UnstableStep, match="exceeded"):
+    with pytest.raises(ValueError, match="^field magnitude exceeded 1e\\+06"):
         _march(u0, grid, config, config.dt, None)
 
 
@@ -831,11 +828,10 @@ def test_front_of_shifted_field(kink):
     assert front_position(u, KINK_GRID, 0.5) == pytest.approx(3.7, abs=1e-12)
 
 
-def test_no_crossing_raises(kink):
+def test_no_crossing_is_none(kink):
     xs = KINK_GRID.xs()
     u = kink.eval(xs, np.zeros_like(xs))
-    with pytest.raises(NoCrossing):
-        front_position(u, KINK_GRID, 2.0)
+    assert front_position(u, KINK_GRID, 2.0) is None
 
 
 def test_analytic_trajectory_speed(kink):
@@ -854,13 +850,11 @@ def test_fixed_bump_has_zero_speed():
 
 
 def test_speed_needs_three_points():
-    with pytest.raises(InsufficientData):
-        measure_speed([(0.0, 0.0), (1.0, -2.1)])
+    assert measure_speed([(0.0, 0.0), (1.0, -2.1)]) is None
 
 
 def test_speed_needs_times_that_spread():
-    with pytest.raises(InsufficientData, match="2 distinct times"):
-        measure_speed([(0.5, 1.0), (0.5, 1.0), (0.5, 1.0)])
+    assert measure_speed([(0.5, 1.0), (0.5, 1.0), (0.5, 1.0)]) is None
 
 
 @pytest.mark.parametrize("scheme", ["explicit_rk4_mol", "imex_cn"])
