@@ -35,9 +35,10 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .closure import run_derivation
-from .reduction import (MAX_POINTS, EvolutionEquation, Grid1D, GridSpec,
-                        SimConfig, WaveFrame, check_wave_number, linspace,
-                        reduce_to_ode, refinement_levels)
+from .reduction import (MAX_POINTS, SCHEMES, SPLIT_DT, EvolutionEquation,
+                        Grid1D, GridSpec, SimConfig, WaveFrame,
+                        check_wave_number, linspace, reduce_to_ode,
+                        refinement_levels)
 
 if TYPE_CHECKING:
     from .solutions import SolutionSpec
@@ -53,23 +54,34 @@ if "numpy" in sys.modules:
 # a spatial refinement study checks the order of the central differences,
 # less a margin
 SPATIAL_ORDER, ORDER_MARGIN = 2.0, 0.25
+# the wave number of a command given no --k (nor an id suffix)
+DEFAULT_K = 1.0
+# the text forms of the grid options, each the option's metavar
+GRID_1D, GRID_2D = "xmin,xmax,n", "xmin,xmax,nx,tmin,tmax,nt"
+# every float written, to a file or to stdout, keeps 17 significant digits
+_G17 = "%.17g"
 
 
 def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    return _G17 % v
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+    """Write text to path through a temporary file in its directory, which
+    is removed on any failure; an OSError is a ValueError naming path."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=".tmp_", text=True)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _cells(row: list) -> str:
@@ -94,33 +106,36 @@ def _json_number(v: float) -> float | None:
 
 def _write_floats(path: str, header: list[str], rows) -> None:
     """A CSV of float rows (sequences of floats, one cell per header name);
-    one %-format over the whole block gives the bytes of a per-row
-    format(v, ".17g")."""
+    one %-format over the whole block gives the bytes of a per-row _fmt."""
     cells = tuple([v for row in rows for v in row])
-    row = ",".join(["%.17g"] * len(header)) + "\n"
+    row = ",".join([_G17] * len(header)) + "\n"
     _atomic_write(path, ",".join(header) + "\n"
                   + row * (len(cells) // len(header)) % cells)
 
 
-def _write_manifest(out_dir: str, command: str, parameters: dict,
-                    outputs: list[str], notes: list[str]) -> str:
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "tool_version": __version__,
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-        "notes": notes,
-    }
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    _write_json(path, manifest)
-    return path
+def _write_profiles(out_dir: str, run_id: str, tables) -> list[str]:
+    """The x,u CSV {run_id}_t{index}.csv of each table of (x, u) rows."""
+    outputs = []
+    for index, rows in enumerate(tables):
+        outputs.append(os.path.join(out_dir, f"{run_id}_t{index}.csv"))
+        _write_floats(outputs[-1], ["x", "u"], rows)
+    return outputs
+
+
+def _write_manifest(args, parameters: dict, outputs: list[str],
+                    notes: list[str]) -> None:
+    """The run's record, {command}_manifest.json in its output directory."""
+    _write_json(os.path.join(args.out_dir, f"{args.command}_manifest.json"),
+                {"command": args.command, "parameters": parameters,
+                 "tool_version": __version__, "notes": notes,
+                 "outputs": sorted(os.path.basename(p) for p in outputs)})
 
 
 def resolve_entry(entry: str, k: float | None) -> SolutionSpec:
     """Entry lookup; a trailing k<value> on the id pins the wave number."""
     from .solutions import catalog_by_id
 
-    base, k_from_id = entry, None
+    base, k_from_id = entry, DEFAULT_K
     pos = entry.rfind("k")
     if pos > 0:
         tail = entry[pos + 1:]
@@ -129,72 +144,75 @@ def resolve_entry(entry: str, k: float | None) -> SolutionSpec:
             base = entry[:pos]
         except ValueError:
             pass
-    k_eff = k if k is not None else (k_from_id if k_from_id is not None else 1.0)
-    table = catalog_by_id(k_eff)
+    table = catalog_by_id(k if k is not None else k_from_id)
     if base not in table:
         raise ValueError(
             f"unknown catalog entry {base!r}; run the catalog command for ids")
     return table[base]
 
 
+def _quoted(text: str) -> str:
+    """text quoted, cut to 12 characters, so a usage error stays short.
+    The type functions of the options raise ArgumentTypeError with their
+    reason: for a ValueError argparse would report only the function name."""
+    return repr(text) if len(text) <= 12 else f"{text[:12]!r}..."
+
+
 def _finite(text: str) -> float:
-    """A number option; nan and inf are usage errors."""
-    value = float(text)
+    """A number; nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{_quoted(text)} is not a number") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        raise argparse.ArgumentTypeError(
+            f"{_quoted(text)} is not a finite number")
     return value
 
 
 def _integer(text: str) -> int:
-    """A point count; argparse would report only the name of the type
-    function for int()'s ValueError."""
+    """A count; int() also refuses more than sys.get_int_max_str_digits()
+    digits (Python 3.10.7 on), the limit that the reason names for a longer
+    text."""
     try:
         return int(text)
     except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        longer = f" of at most {limit} digits" if len(text) > limit > 0 else ""
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer") from None
+            f"{_quoted(text)} is not an integer{longer}") from None
 
 
-def _parse_grid2(text: str) -> GridSpec:
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise argparse.ArgumentTypeError(
-            "grid must be xmin,xmax,nx,tmin,tmax,nt")
-    xmin, xmax, nx, tmin, tmax, nt = parts
-    return _checked(GridSpec, (_finite(xmin), _finite(xmax)),
-                    (_finite(tmin), _finite(tmax)), _integer(nx), _integer(nt))
+def _grid(form: str, build) -> dict:
+    """The type and metavar of a grid option whose text has the form `form`:
+    its numbers, then its counts (the parts named n...), are read in order
+    and passed to build, whose ValueError is the usage error."""
+    counts = [name.startswith("n") for name in form.split(",")]
+
+    def read(text: str):
+        parts = text.split(",")
+        if len(parts) != len(counts):
+            raise argparse.ArgumentTypeError(f"grid must be {form}")
+        numbers = [None if n else _finite(p) for n, p in zip(counts, parts)]
+        try:
+            return build(*[_integer(p) if n else v
+                           for n, p, v in zip(counts, parts, numbers)])
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return {"type": read, "metavar": form}
 
 
-def _parse_grid1(text: str) -> tuple[float, float, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be xmin,xmax,n")
-    return _finite(parts[0]), _finite(parts[1]), _integer(parts[2])
-
-
-def _parse_profile_grid(text: str) -> tuple[float, float, int]:
-    xmin, xmax, n = _parse_grid1(text)
+def _profile_grid(xmin: float, xmax: float, n: int) -> tuple[float, float, int]:
+    """eval's grid: any n >= 1 points, in either direction."""
     if n < 1:
-        raise argparse.ArgumentTypeError("grid needs at least 1 point")
+        raise ValueError("grid needs at least 1 point")
     if n > MAX_POINTS:
-        raise argparse.ArgumentTypeError(
-            f"grid needs at most {MAX_POINTS:,} points")
+        raise ValueError(f"grid needs at most {MAX_POINTS:,} points")
     if not math.isfinite(xmax - xmin):
-        raise argparse.ArgumentTypeError("grid span is not a finite number")
+        raise ValueError("grid span is not a finite number")
     return xmin, xmax, n
-
-
-def _parse_run_grid(text: str) -> Grid1D:
-    return _checked(Grid1D, *_parse_grid1(text))
-
-
-def _checked(grid_type, *args):
-    """grid_type(*args); the reason of its ValueError is the usage error
-    (argparse would report only the name of the type function)."""
-    try:
-        return grid_type(*args)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _check_run(spec: SolutionSpec, grid: Grid1D, T: float) -> None:
@@ -218,17 +236,10 @@ def emit_plot_data(spec: SolutionSpec, t_list: list[float],
     whose wave coordinate overflows leaves no file behind."""
     xs = linspace(*x_grid)
     tables = [spec.profile_rows(xs, t) for t in t_list]
-    outputs: list[str] = []
-    notes: list[str] = []
-    for index, (t, (rows, omitted)) in enumerate(zip(t_list, tables)):
-        if omitted:
-            notes.append(
-                f"t={_fmt(t)}: omitted {omitted} rows inside the singular"
-                f" zone of {spec.entry_id}")
-        path = os.path.join(out_dir, f"{run_id}_t{index}.csv")
-        _write_floats(path, ["x", "u"], rows)
-        outputs.append(path)
-    return outputs, notes
+    notes = [f"t={_fmt(t)}: omitted {omitted} rows inside the singular"
+             f" zone of {spec.entry_id}"
+             for t, (_, omitted) in zip(t_list, tables) if omitted]
+    return _write_profiles(out_dir, run_id, [rows for rows, _ in tables]), notes
 
 
 # --- subcommands -------------------------------------------------------------
@@ -255,21 +266,17 @@ def _cmd_derive(args) -> int:
 def _cmd_catalog(args) -> int:
     from .solutions import enumerate_catalog
 
-    entries = enumerate_catalog(args.k)
-    rows = []
-    for spec in entries:
-        rows.append([
-            spec.entry_id, spec.family_code, spec.family.value, spec.reading,
-            spec.a0, spec.s1, spec.sw, float(spec.k),
-            json.dumps(spec.params(), sort_keys=True,
-                       allow_nan=False).replace(",", ";"),
-            "valid" if spec.solves_ode else "invalid",
-        ])
+    rows = [_cells([
+        spec.entry_id, spec.family_code, spec.family.value, spec.reading,
+        spec.a0, spec.s1, spec.sw, float(spec.k),
+        json.dumps(dict(spec.params), sort_keys=True,
+                   allow_nan=False).replace(",", ";"),
+        "valid" if spec.solves_ode else "invalid",
+    ]) for spec in enumerate_catalog(args.k)]
     path = os.path.join(args.out_dir, "catalog.csv")
     _write_csv(path, ["entry_id", "family_code", "family", "reading", "a0",
-                      "s1", "sw", "k", "params", "validity"],
-               [_cells(row) for row in rows])
-    _write_manifest(args.out_dir, "catalog", {"k": args.k}, [path], [])
+                      "s1", "sw", "k", "params", "validity"], rows)
+    _write_manifest(args, {"k": args.k}, [path], [])
     sys.stdout.write(f"wrote {len(rows)} entries to {path}\n")
     return 0
 
@@ -315,8 +322,8 @@ def _cmd_verify(args) -> int:
     }
     path = os.path.join(args.out_dir, "audit.json")
     _write_json(path, payload)
-    _write_manifest(args.out_dir, "verify",
-                    {"k": args.k, "corrupt": args.corrupt or ""}, [path], [])
+    _write_manifest(args, {"k": args.k, "corrupt": args.corrupt or ""},
+                    [path], [])
     bad = sorted(code for code, ok in audit.family_valid.items() if not ok)
     for code in bad:
         members = [r.entry_id for r in audit.rows if r.family_code == code]
@@ -340,49 +347,41 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"times must be finite numbers, got {args.t!r}")
     outputs, notes = emit_plot_data(spec, t_list, args.x, args.out_dir,
                                     spec.entry_id)
-    _write_manifest(args.out_dir, "eval",
-                    {"entry": spec.entry_id, "k": spec.k, "t": t_list,
-                     "x": list(args.x)}, outputs, notes)
+    _write_manifest(args, {"entry": spec.entry_id, "k": spec.k, "t": t_list,
+                           "x": list(args.x)}, outputs, notes)
     for path in outputs:
         sys.stdout.write(f"wrote {path}\n")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    scheme = {"rk4": "explicit_rk4_mol", "imex": "imex_cn"}[args.scheme]
+    scheme = SCHEMES[args.scheme]
     config = SimConfig(dt=args.dt, T=args.T, scheme=scheme)
     grid = args.grid
     dt = config.checked_dt(grid.h)  # before the derivation runs
     spec = resolve_entry(args.entry, args.k)
     _check_run(spec, grid, args.T)
-    import numpy as np
-
     from .simulate import integrate
 
     result = integrate(spec, grid, config)
     run_id = f"sim_{spec.entry_id}_{args.scheme}"
-    outputs = []
-    xs = grid.xs()
-    for index, u in enumerate(result.snapshots):
-        path = os.path.join(args.out_dir, f"{run_id}_t{index}.csv")
-        _write_floats(path, ["x", "u"], np.column_stack([xs, u]).tolist())
-        outputs.append(path)
+    xs = grid.xs().tolist()
+    outputs = _write_profiles(args.out_dir, run_id, [
+        zip(xs, u.tolist()) for u in result.snapshots])
     tpath = os.path.join(args.out_dir, f"{run_id}_trajectory.csv")
     _write_floats(tpath, ["t", "x_front"], result.front_trajectory)
     outputs.append(tpath)
     mpath = os.path.join(args.out_dir, f"{run_id}_metrics.csv")
     _write_floats(mpath, ["t", "linf_error", "l2_error", "energy"],
-                  np.column_stack([result.times, result.linf_errors,
-                                   result.l2_errors,
-                                   result.energy_series]).tolist())
+                  zip(result.times, result.linf_errors, result.l2_errors,
+                      result.energy_series))
     outputs.append(mpath)
     speed = result.measured_speed
-    _write_manifest(args.out_dir, "simulate",
-                    {"entry": spec.entry_id, "k": spec.k, "scheme": scheme,
-                     "T": args.T, "dt": dt,
-                     "grid": [grid.x_min, grid.x_max, grid.n],
-                     "boundary": config.boundary,
-                     "measured_speed": speed}, outputs, [])
+    _write_manifest(args, {"entry": spec.entry_id, "k": spec.k,
+                           "scheme": scheme, "T": args.T, "dt": dt,
+                           "grid": [grid.x_min, grid.x_max, grid.n],
+                           "boundary": config.boundary,
+                           "measured_speed": speed}, outputs, [])
     sys.stdout.write(
         f"measured front speed: {_fmt(speed) if speed is not None else 'n/a'}"
         f" (frame ratio -w/k = {_fmt(-spec.w / spec.k)})\n")
@@ -405,10 +404,10 @@ def _cmd_convergence(args) -> int:
     _write_csv(path, ["h", "n", "linf_error", "observed_order"],
                [_cells([r["h"], r["n"], r["linf_error"],
                         r.get("observed_order", "")]) for r in rows])
-    _write_manifest(args.out_dir, "convergence",
-                    {"entry": spec.entry_id, "k": spec.k,
-                     "levels": args.levels, "T": args.T,
-                     "grid": [base.x_min, base.x_max, base.n]}, [path], [])
+    _write_manifest(args, {"entry": spec.entry_id, "k": spec.k,
+                           "levels": args.levels, "T": args.T,
+                           "grid": [base.x_min, base.x_max, base.n]},
+                    [path], [])
     short = 0
     for r in rows:
         order = r.get("observed_order")
@@ -431,81 +430,76 @@ def build_parser() -> argparse.ArgumentParser:
         " certification for u_t = u_xx - u^3 + u.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options several commands share, each declared once
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out-dir", default=".", help="output directory")
+    at_k = argparse.ArgumentParser(add_help=False)
+    at_k.add_argument("--k", type=float, default=DEFAULT_K,
+                      help="wave number (default %(default)s)")
+    entry = argparse.ArgumentParser(add_help=False)
+    entry.add_argument("--entry", required=True,
+                       help="catalog entry id, optionally with a k<value>"
+                       " suffix")
+    entry.add_argument("--k", type=float, default=None,
+                       help=f"wave number (default {DEFAULT_K} or the id"
+                       " suffix)")
 
-    p = sub.add_parser("derive", help="print the symbolic derivation trace")
+    def command(name, func, about, *parents):
+        p = sub.add_parser(name, help=about, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("derive", _cmd_derive, "print the symbolic derivation trace")
     p.add_argument("--k", default="symbolic",
-                   help="'symbolic' (default) or a numeric wave number")
-    p.set_defaults(func=_cmd_derive)
+                   help="%(default)r (default) or a numeric wave number")
 
-    p = sub.add_parser("catalog", help="write the solution catalog table")
-    p.add_argument("--k", type=float, default=1.0,
-                   help="wave number (default 1.0)")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=_cmd_catalog)
+    command("catalog", _cmd_catalog, "write the solution catalog table",
+            at_k, writes)
 
-    p = sub.add_parser("verify", help="exact verdicts, residual cross-check")
-    p.add_argument("--k", type=float, default=1.0,
-                   help="wave number (default 1.0)")
-    p.add_argument("--grid", type=_parse_grid2, default=GridSpec(),
-                   metavar="xmin,xmax,nx,tmin,tmax,nt",
-                   help="audit grid (default -10,10,201,0,1,11)")
+    p = command("verify", _cmd_verify, "exact verdicts, residual cross-check",
+                at_k, writes)
+    audit = GridSpec()
+    p.add_argument("--grid", **_grid(GRID_2D, lambda x0, x1, nx, t0, t1, nt:
+                                     GridSpec((x0, x1), (t0, t1), nx, nt)),
+                   default=",".join(f"{v:g}" for v in (
+                       *audit.x_range, audit.nx, *audit.t_range, audit.nt)),
+                   help="audit grid (default %(default)s)")
     p.add_argument("--corrupt", default=None, metavar="ID_PREFIX",
                    help="testing hook: flip the speed sign of matching entries")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("eval", help="emit x,u profile CSV files")
-    p.add_argument("--entry", required=True,
-                   help="catalog entry id, optionally with a k<value> suffix")
+    p = command("eval", _cmd_eval, "emit x,u profile CSV files", entry, writes)
     p.add_argument("--t", required=True, help="comma-separated times")
-    p.add_argument("--x", type=_parse_profile_grid,
-                   default=(-10.0, 10.0, 201), metavar="xmin,xmax,n",
-                   help="profile grid (default -10,10,201)")
-    p.add_argument("--k", type=float, default=None,
-                   help="wave number (default 1.0 or the id suffix)")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=_cmd_eval)
+    p.add_argument("--x", **_grid(GRID_1D, _profile_grid),
+                   default="-10,10,201", help="profile grid (default %(default)s)")
 
-    p = sub.add_parser("simulate", help="time-stepped run seeded by an entry")
-    p.add_argument("--entry", required=True,
-                   help="catalog entry id, optionally with a k<value> suffix")
-    p.add_argument("--grid", type=_parse_run_grid,
-                   default=Grid1D(-20.0, 20.0, 801), metavar="xmin,xmax,n",
-                   help="run grid (default -20,20,801)")
-    p.add_argument("--scheme", choices=("rk4", "imex"), default="imex",
+    p = command("simulate", _cmd_simulate,
+                "time-stepped run seeded by an entry", entry, writes)
+    p.add_argument("--grid", **_grid(GRID_1D, Grid1D), default="-20,20,801",
+                   help="run grid (default %(default)s)")
+    p.add_argument("--scheme", choices=tuple(SCHEMES), default="imex",
                    help="time stepper: imex, the split step (default), or"
                    " rk4")
     p.add_argument("--T", type=float, default=1.0,
-                   help="final time (default 1.0)")
+                   help="final time (default %(default)s)")
     p.add_argument("--dt", type=float, default=None,
                    help="time step (rk4: default and limit 2/(4/h^2 + 2);"
-                   " imex: default 0.01)")
-    p.add_argument("--k", type=float, default=None,
-                   help="wave number (default 1.0 or the id suffix)")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=_cmd_simulate)
+                   f" imex: default {SPLIT_DT})")
 
-    p = sub.add_parser("convergence", help="spatial refinement study")
-    p.add_argument("--entry", required=True,
-                   help="catalog entry id, optionally with a k<value> suffix")
-    p.add_argument("--levels", type=int, default=3,
-                   help="number of halvings from the base grid (default 3)")
-    p.add_argument("--grid", type=_parse_run_grid,
-                   default=Grid1D(-20.0, 20.0, 101), metavar="xmin,xmax,n",
-                   help="base grid (default -20,20,101)")
+    p = command("convergence", _cmd_convergence, "spatial refinement study",
+                entry, writes)
+    p.add_argument("--levels", type=_integer, default=3,
+                   help="number of halvings from the base grid"
+                   " (default %(default)s)")
+    p.add_argument("--grid", **_grid(GRID_1D, Grid1D), default="-20,20,101",
+                   help="base grid (default %(default)s)")
     p.add_argument("--T", type=float, default=0.5,
-                   help="final time of each run (default 0.5)")
-    p.add_argument("--k", type=float, default=None,
-                   help="wave number (default 1.0 or the id suffix)")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=_cmd_convergence)
+                   help="final time of each run (default %(default)s)")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         out_dir = getattr(args, "out_dir", None)
         if out_dir is not None and not os.path.isdir(out_dir):

@@ -127,10 +127,16 @@ class DegenerateRoot(NamedTuple):
         return f"{_label(self.a0, self.s1, self.w_over_k)} : {self.reason}"
 
 
+def _signed(value: Radical2) -> str:
+    """value's text with a sign, + too, unless it is 0."""
+    text = str(value)
+    return text if text.startswith("-") or not value else f"+{text}"
+
+
 def _label(a0: Radical2, s1: int, w_over_k: Radical2) -> str:
     """The a0=... A1=... w=(...)*k name of a branch or a discarded root."""
-    a0_text = f"{int(a0.r):+d}" if a0 else "0"
-    return f"a0={a0_text} A1={'+' if s1 > 0 else '-'}sqrt2*k w=({w_over_k})*k"
+    return (f"a0={_signed(a0)} A1={_signed(Radical2.sqrt2(s1))}*k"
+            f" w=({w_over_k})*k")
 
 
 class ClosureSolution(NamedTuple):
@@ -498,16 +504,22 @@ def run_derivation(ode: TravelingWaveODE) -> DerivationReport:
             and b.s1_scale * b.nu_times_k == 1 for b in solution.branches),
     ))
 
-    trace = _render_trace(ode, ansatz, system, solution)
+    trace = _render_trace(n, ode, ansatz, system, solution)
     return DerivationReport(ansatz, system, solution, tuple(checks), trace)
 
 
-def _render_trace(ode, ansatz, system, solution) -> str:
+def _render_trace(n, ode, ansatz, system, solution) -> str:
+    """The printed derivation: n is the balance degree, and the roots of
+    g=0 and g=3 are those of the branches and discarded roots found."""
+    roots = (*solution.branches, *solution.degenerate)
+    a0_roots = ", ".join(map(str, dict.fromkeys(r.a0 for r in roots)))
+    a1_roots = " or ".join(f"{_signed(Radical2.sqrt2(s1))}*k"
+                           for s1 in dict.fromkeys(r.s1 for r in roots))
     lines: list[str] = []
     add = lines.append
     add(f"traveling-wave reduction (m = {ode.m}):")
     add(f"  ode: {ode.expression} = 0")
-    add("homogeneous balance of the top nonlinearity against u'': n = 1")
+    add(f"homogeneous balance of the top nonlinearity against u'': n = {n}")
     add("ansatz and derivatives:")
     add(f"  u   = {ansatz.u}")
     add(f"  u'  = {ansatz.u1}")
@@ -518,10 +530,9 @@ def _render_trace(ode, ansatz, system, solution) -> str:
     add("  note: the S'*S'' coefficient in g=2 re-derives as 3*k^2;")
     add("        a 3*k^3 variant seen in transcriptions does not expand back"
         " to the ode.")
-    a1_roots = "A1 = +sqrt2*k or -sqrt2*k (A1 = 0 rejected: top coefficient)"
     add("roots of the polynomial conditions:")
-    add("  g=0 : A0 in {0, 1, -1}")
-    add(f"  g=3 : {a1_roots}")
+    add(f"  g=0 : A0 in {{{a0_roots}}}")
+    add(f"  g=3 : A1 = {a1_roots} (A1 = 0 rejected: top coefficient)")
     mu_num, mu_den = _cancel_common(*solution.rates[1])
     add("rate of the third derivative over the second, from g=1 with g=2:")
     add(f"  S'''/S'' = ({mu_num}) / ({mu_den})")

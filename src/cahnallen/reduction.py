@@ -35,6 +35,8 @@ MAX_POINTS = 10**6
 # error on the kink is temporal, about 2e-3*dt^2 at T = 1 on any grid that
 # resolves the front: 2e-7 at this step, in 100 steps.
 SPLIT_DT = 0.01
+# each time stepper's name on the command line, and its SimConfig scheme
+SCHEMES = {"rk4": "explicit_rk4_mol", "imex": "imex_cn"}
 
 
 class EvolutionEquation(Frozen):
@@ -168,7 +170,7 @@ class SimConfig(Frozen):
                                  f" step {MIN_TIME_STEP}")
         if boundary not in ("exact_dirichlet", "periodic"):
             raise ValueError(f"unknown boundary {boundary!r}")
-        if scheme not in ("explicit_rk4_mol", "imex_cn"):
+        if scheme not in SCHEMES.values():
             raise ValueError(f"unknown scheme {scheme!r}")
         if snapshot_times is not None:
             if not all(map(math.isfinite, snapshot_times)):

@@ -119,12 +119,8 @@ class SolutionSpec:
     sw: int
     k: float
     exact: ExactCore
-    # family parameters (unused ones stay None)
-    c1: float | None = None
-    c2: float | None = None
-    a: float | None = None
-    b: float | None = None
-    c: float | None = None
+    # the family's free constants, (name, value) in the catalog's order
+    params: tuple[tuple[str, float], ...] = ()
     # lowered numeric core
     u0: float = 0.0
     amp: float = 0.0
@@ -293,14 +289,6 @@ class SolutionSpec:
         predicate, the structural zero of its ode_coefficients."""
         return not any(ode_coefficients(self.exact))
 
-    def params(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for name in ("c1", "c2", "a", "b", "c"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
 
 @lru_cache(maxsize=64)
 def ode_coefficients(core: ExactCore) -> tuple[Radical2, ...]:
@@ -349,8 +337,8 @@ def derived_entry(entry_id: str, family_code: str, family: Family, a0: int,
     rate = branch.nu_times_k
     exact = ExactCore(branch.a0, branch.alpha * rate, rate, branch.w_over_k)
     return SolutionSpec(entry_id, family_code, family, "derived", a0, s1, sw,
-                        k, exact, **params, **exact.lowered(k), shift=shift,
-                        qsign=qsign)
+                        k, exact, tuple(params.items()), **exact.lowered(k),
+                        shift=shift, qsign=qsign)
 
 
 # (id suffix, a0, s1, sw) of the sign variants, for a0 = 0 and a0 = +-1
@@ -377,7 +365,7 @@ def enumerate_catalog(k: float) -> list[SolutionSpec]:
                               branch.nu_times_k * multiple, branch.w_over_k)
             entries.append(SolutionSpec(
                 f"{stem}printed", stem[:4], family, "printed", a0, s1, sw, k,
-                exact, **params, **exact.lowered(k)))
+                exact, tuple(params.items()), **exact.lowered(k)))
 
     derived("eq19", Family.GENERAL_EXP_RATIO, A0_ZERO, c1=1.0, c2=1.0)
     derived("eq20", Family.TANH_KINK, A0_ZERO, c1=1.0)
@@ -434,9 +422,11 @@ def reduce_ab_to_canonical(spec: SolutionSpec) -> SolutionSpec:
     """
     if spec.family is not Family.AB_EXP_FORM:
         raise ValueError("reduce_ab_to_canonical needs an a-b exponential spec")
-    if spec.a is None or spec.b is None or spec.a <= 0 or spec.b <= 0:
+    constants = dict(spec.params)
+    a, b = constants["a"], constants["b"]
+    if a <= 0 or b <= 0:
         raise ValueError("reduction needs a > 0 and b > 0")
-    c = 0.5 * math.log(spec.a / spec.b)
+    c = 0.5 * math.log(a / b)
     # the paper numbers each canonical form right after its a-b form
     code = f"eq{int(spec.family_code[2:]) + 1}"
     return derived_entry(f"{spec.entry_id}->canonical", code,

@@ -239,7 +239,7 @@ def classify_branches(catalog: list[SolutionSpec],
             mismatches.append(spec.entry_id)
         rows.append(AuditRow(
             spec.entry_id, spec.family_code, spec.family.value, spec.reading,
-            spec.a0, spec.s1, spec.sw, spec.params(),
+            spec.a0, spec.s1, spec.sw, dict(spec.params),
             pde.max_abs, ode.max_abs, valid,
         ))
         family_valid[spec.family_code] = family_valid.get(spec.family_code, False) or valid

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,8 +21,7 @@ from hypothesis import strategies as st
 
 import cahnallen
 from cahnallen import reduction, simulate
-from cahnallen.cli import (_parse_profile_grid, _write_floats, main,
-                           resolve_entry)
+from cahnallen.cli import _write_floats, build_parser, main, resolve_entry
 from cahnallen.simulate import Grid1D, SimConfig, integrate
 from cahnallen.solutions import catalog_by_id
 
@@ -701,6 +701,18 @@ def test_missing_output_directory_is_usage_error(tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    # an operating-system error while writing is a usage error too; the
+    # temporary file the write went through is removed
+    target = tmp_path / "catalog.csv"
+    target.mkdir()
+    code, out, err = run(["catalog", "--out-dir", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["catalog.csv"]
+
+
 @pytest.mark.parametrize("argv", [
     ["derive"],
     ["catalog"],
@@ -726,6 +738,8 @@ def test_stdlib_command_loads_no_numpy(argv, tmp_path):
 
 _CAP = ", more than the cap of 10,000,000"
 _HUGE = str(10**400)  # a count no float holds
+_ONES = "1" * 5000  # a count int() does not read
+_OVERSIZED = "... is not an integer of at most 4300 digits"
 
 # every usage error in a command's arguments, not only a bad time: the
 # case's id, its arguments and its reason
@@ -829,6 +843,20 @@ _USAGE_ERRORS = {
     "convergence-levels-points": (
         ["convergence", "--entry", "eq20+", "--levels", "100000000"],
         "grid needs at most 1,000,000 points"),
+    # counts of more digits than int() reads: a short reason, which
+    # echoes only the first 12 characters
+    "simulate-oversized-grid": (
+        ["simulate", "--entry", "eq20+", f"--grid=-20,20,{_ONES}"],
+        f"argument --grid: {_ONES[:12]!r}{_OVERSIZED}"),
+    "eval-oversized-grid": (
+        ["eval", "--entry", "eq20+", "--t", "0", f"--x=-1,1,{'2' * 5000}"],
+        f"argument --x: {'2' * 12!r}{_OVERSIZED}"),
+    "verify-oversized-grid": (
+        ["verify", f"--grid=-10,10,{_ONES},0,1,2"],
+        f"argument --grid: {_ONES[:12]!r}{_OVERSIZED}"),
+    "convergence-oversized-levels": (
+        ["convergence", "--entry", "eq20+", "--levels", _ONES],
+        f"argument --levels: {_ONES[:12]!r}{_OVERSIZED}"),
 }
 
 # one interpreter runs every case of _USAGE_ERRORS, each in an empty
@@ -864,8 +892,10 @@ def usage_error_runs(tmp_path_factory):
              for case, (argv, _) in _USAGE_ERRORS.items()]
     proc = subprocess.run([sys.executable, "-c", _USAGE_PROBE],
                           input=json.dumps(cases), capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src},
-                          timeout=120)
+                          text=True, timeout=120,
+                          # argparse wraps its usage lines at COLUMNS
+                          env={**os.environ, "PYTHONPATH": src,
+                               "COLUMNS": "80"})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -879,6 +909,7 @@ def test_bad_time_is_reported_before_numpy_loads(case, usage_error_runs):
         assert err.endswith(f" {argv[0]}: error: {reason}\n")
     else:
         assert err == f"error: {reason}\n"
+    assert len(err.encode()) < 300
     assert out == ""
     assert not numpy_loaded
     assert written == []
@@ -912,7 +943,9 @@ def test_grids_of_the_most_points_are_accepted():
     assert most == 10**6
     assert Grid1D(-1.0, 1.0, most).n == most
     assert reduction.GridSpec(nx=1000, nt=1000).nx * 1000 == most
-    assert _parse_profile_grid(f"-1,1,{most}") == (-1.0, 1.0, most)
+    args = build_parser().parse_args(
+        ["eval", "--entry", "eq20+", "--t", "0", f"--x=-1,1,{most}"])
+    assert args.x == (-1.0, 1.0, most)
 
 
 def test_every_library_error_is_a_usage_error():
@@ -927,6 +960,46 @@ def test_every_library_error_is_a_usage_error():
                     and issubclass(obj, BaseException)
                     and obj.__module__ == module.__name__]
     assert defined == []
+
+
+# the required arguments of each command, for parsing it
+_REQUIRED = {"derive": [], "catalog": [], "verify": [],
+             "eval": ["--entry", "eq20+", "--t", "0"],
+             "simulate": ["--entry", "eq20+"],
+             "convergence": ["--entry", "eq20+"]}
+
+
+@pytest.mark.parametrize("command", _REQUIRED)
+def test_help_lists_each_option_once_with_its_default(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    # an option's entry starts on a line indented by two spaces
+    entries = re.split(r"^  (?=-)", text.split("\noptions:\n")[1], flags=re.M)
+    options = [entry.split()[0].rstrip(",") for entry in entries[1:]]
+    assert len(options) == len(set(options)) > 1, options
+    parser = build_parser()
+    base = [command, *_REQUIRED[command]]
+    checked = 0
+    for entry in entries[1:]:
+        option = entry.split()[0]
+        found = re.search(r"\(default (\S+?)( or the id suffix)?\)",
+                          " ".join(entry.split()))
+        if found is None:
+            continue
+        printed, by_id = found.groups()
+        dest = option.lstrip("-").replace("-", "_")
+        default = getattr(parser.parse_args(base), dest)
+        if by_id:  # no --k: the wave number resolve_entry gives the entry
+            assert resolve_entry("eq20+", default).k == float(printed)
+        else:
+            given = getattr(parser.parse_args([*base, f"{option}={printed}"]),
+                            dest)
+            assert given == default, (option, printed)
+        checked += 1
+    assert checked == {"derive": 0, "catalog": 1, "verify": 2, "eval": 2,
+                       "simulate": 3, "convergence": 4}[command]
 
 
 def test_unknown_subcommand_exit_code():

@@ -8,6 +8,7 @@ from cahnallen.closure import (
     ClosureBranch,
     CoefficientSystem,
     _coeff_lists,
+    _render_trace,
     backsubstitute,
     build_ansatz_derivatives,
     form_coefficient_system,
@@ -454,6 +455,25 @@ def test_trace_golden_head(report):
 def test_trace_is_deterministic(report):
     again = run_derivation(reduce_to_ode(EvolutionEquation(3), WaveFrame()))
     assert again.trace == report.trace
+
+
+def test_trace_prints_the_roots_the_solve_found(report):
+    # the balance degree and the g=0 and g=3 roots come from the derivation:
+    # a solution without the a0 = -1 roots, at another degree, prints other
+    # lines, and the rest of the g=3 line stays
+    def kept(roots):
+        return tuple(r for r in roots if r.a0 != -1)
+
+    sol = report.solution
+    trace = _render_trace(
+        2, reduce_to_ode(EvolutionEquation(3), WaveFrame()), report.ansatz,
+        report.system, sol._replace(branches=kept(sol.branches),
+                                    degenerate=kept(sol.degenerate)))
+    assert "against u'': n = 2\n" in trace
+    assert "  g=0 : A0 in {0, 1}\n" in trace
+    assert "  g=3 : A1 = +sqrt2*k or -sqrt2*k (A1 = 0 rejected: top" \
+        " coefficient)\n" in trace
+    assert "a0=-1" not in trace
 
 
 def test_trace_matches_golden_file(report):

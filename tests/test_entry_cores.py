@@ -31,7 +31,7 @@ def libm_scope() -> str:
 
 
 def _core(spec) -> str:
-    params = ";".join(f"{n}={v!r}" for n, v in spec.params().items())
+    params = ";".join(f"{n}={v!r}" for n, v in spec.params)
     return " ".join([*(repr(getattr(spec, f)) for f in FIELDS), params or "-"])
 
 

@@ -499,14 +499,14 @@ def test_speed_constraint_keeps_denominator_positive(catalog1):
 
 def test_reduce_equal_constants_gives_zero_shift(table1):
     canon = reduce_ab_to_canonical(table1["eq25+"])
-    assert canon.c == 0.0
+    assert canon.params == (("c", 0.0),)
     assert canon.family is Family.CANONICAL_TANH
 
 
 def test_reduce_log_ratio():
     ab = ab_entry(0, 1, 1, 1.0, a=math.e**2, b=1.0)
     canon = reduce_ab_to_canonical(ab)
-    assert canon.c == pytest.approx(1.0, abs=1e-15)
+    assert dict(canon.params)["c"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_reduce_requires_positive_constants():

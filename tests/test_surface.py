@@ -147,3 +147,18 @@ def test_every_private_function_is_used_in_the_package():
     assert not unused, (
         "private functions named nowhere in src outside their own def: "
         + ", ".join(unused))
+
+
+def test_no_command_line_option_is_declared_twice():
+    # an option that several commands share is declared once, on a parent
+    # parser; two add_argument calls with the same arguments, whatever
+    # parser they add to, are one option typed twice
+    tree = ast.parse((ROOT / "src" / "cahnallen" / "cli.py").read_text())
+    declared = [ast.unparse(ast.Call(ast.Name("add_argument"), node.args,
+                                     node.keywords))
+                for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"]
+    assert declared
+    repeated = sorted({d for d in declared if declared.count(d) > 1})
+    assert not repeated, "declared more than once: " + "; ".join(repeated)
