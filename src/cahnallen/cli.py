@@ -8,9 +8,9 @@ default, RK4 as the cross-check), convergence (refinement study).
 Numeric data goes to CSV with 17 significant digits so files are
 byte-identical across runs; JSON is used only for the run manifest and the
 audit table.  Every run writes a manifest listing its parameters and output
-files.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
-simulate and convergence refuse a grid that does not resolve the front,
-and convergence checks its observed orders.
+files, all of its files or none.  Exit codes: 0 all checks pass, 1 a check
+failed, 2 usage error.  simulate and convergence refuse a grid that does
+not resolve the front, and convergence checks its observed orders.
 
 `derive`, `catalog` and `eval` run on the standard library alone: the
 validity of `catalog` and of `verify` is one predicate, the exact
@@ -26,6 +26,7 @@ error.  The audit JSON is written from verify.AuditRow records.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -66,37 +67,18 @@ def _fmt(v: float) -> str:
     return _G17 % v
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path through a temporary file in its directory, which
-    is removed on any failure; an OSError is a ValueError naming path."""
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                                   prefix=".tmp_", text=True)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError as exc:
-        raise ValueError(
-            f"cannot write {path!r}: {exc.strerror or exc}") from None
-
-
 def _cells(row: list) -> str:
     """One CSV row of mixed cells; floats keep 17 significant digits."""
     return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
 
 
-def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
-    _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
+def _csv(header: list[str], lines: list[str]) -> str:
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
-def _write_json(path: str, data) -> None:
+def _json(data) -> str:
     """Strict JSON: a NaN or an infinity raises rather than being written."""
-    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True,
-                                   allow_nan=False) + "\n")
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _json_number(v: float) -> float | None:
@@ -104,31 +86,56 @@ def _json_number(v: float) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def _write_floats(path: str, header: list[str], rows) -> None:
+def _floats(header: list[str], rows) -> str:
     """A CSV of float rows (sequences of floats, one cell per header name);
     one %-format over the whole block gives the bytes of a per-row _fmt."""
     cells = tuple([v for row in rows for v in row])
     row = ",".join([_G17] * len(header)) + "\n"
-    _atomic_write(path, ",".join(header) + "\n"
-                  + row * (len(cells) // len(header)) % cells)
+    return ",".join(header) + "\n" + row * (len(cells) // len(header)) % cells
 
 
-def _write_profiles(out_dir: str, run_id: str, tables) -> list[str]:
+def _profiles(run_id: str, tables) -> dict[str, str]:
     """The x,u CSV {run_id}_t{index}.csv of each table of (x, u) rows."""
-    outputs = []
-    for index, rows in enumerate(tables):
-        outputs.append(os.path.join(out_dir, f"{run_id}_t{index}.csv"))
-        _write_floats(outputs[-1], ["x", "u"], rows)
-    return outputs
+    return {f"{run_id}_t{index}.csv": _floats(["x", "u"], rows)
+            for index, rows in enumerate(tables)}
 
 
-def _write_manifest(args, parameters: dict, outputs: list[str],
-                    notes: list[str]) -> None:
-    """The run's record, {command}_manifest.json in its output directory."""
-    _write_json(os.path.join(args.out_dir, f"{args.command}_manifest.json"),
-                {"command": args.command, "parameters": parameters,
-                 "tool_version": __version__, "notes": notes,
-                 "outputs": sorted(os.path.basename(p) for p in outputs)})
+def _write(out_dir: str, files: dict[str, str]) -> list[str]:
+    """The one writer: each {name: text} of files becomes out_dir/name, all
+    or nothing.  A name held by a directory is refused, every text is staged
+    under a .tmp_ name in out_dir, the stages are renamed only once all are
+    written, and a failure removes them; an OSError is a ValueError naming
+    the path.  Returns the paths, in the order of files."""
+    paths, staged = [os.path.join(out_dir, name) for name in files], []
+    try:
+        for path in paths:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, text in zip(paths, files.values()):
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp_", text=True)
+            staged.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for path, tmp in zip(paths, staged):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write {path!r}: {exc.strerror or exc}") from None
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return paths
+
+
+def _commit(args, parameters: dict, files: dict, notes=()) -> list[str]:
+    """Write files with the run's record, {command}_manifest.json, which
+    lists them; the paths of files."""
+    manifest = {"command": args.command, "parameters": parameters,
+                "tool_version": __version__, "notes": list(notes),
+                "outputs": sorted(files)}
+    return _write(args.out_dir, {
+        **files, f"{args.command}_manifest.json": _json(manifest)})[:-1]
 
 
 def resolve_entry(entry: str, k: float | None) -> SolutionSpec:
@@ -146,8 +153,8 @@ def resolve_entry(entry: str, k: float | None) -> SolutionSpec:
             pass
     table = catalog_by_id(k if k is not None else k_from_id)
     if base not in table:
-        raise ValueError(
-            f"unknown catalog entry {base!r}; run the catalog command for ids")
+        raise ValueError(f"unknown catalog entry {_quoted(base)};"
+                         " run the catalog command for ids")
     return table[base]
 
 
@@ -158,17 +165,31 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= 12 else f"{text[:12]!r}..."
 
 
-def _finite(text: str) -> float:
-    """A number; nan and inf are usage errors."""
+def _number(text: str) -> float:
+    """A number; nan and inf pass, for the option's own check to refuse
+    with its own reason."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{_quoted(text)} is not a number") from None
+
+
+def _finite(text: str) -> float:
+    """A number; nan and inf are usage errors."""
+    value = _number(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
             f"{_quoted(text)} is not a finite number")
     return value
+
+
+def _scheme(text: str) -> str:
+    if text not in SCHEMES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {_quoted(text)} (choose from"
+            f" {', '.join(map(repr, SCHEMES))})")
+    return text
 
 
 def _integer(text: str) -> int:
@@ -228,25 +249,31 @@ def _check_run(spec: SolutionSpec, grid: Grid1D, T: float) -> None:
         spec.check_zone((grid.x_min, grid.x_max), (0.0, T), every)
 
 
-def emit_plot_data(spec: SolutionSpec, t_list: list[float],
-                   x_grid: tuple[float, float, int], out_dir: str,
-                   run_id: str) -> tuple[list[str], list[str]]:
-    """One x,u CSV per requested time; singular zones become omitted rows.
-    Every time is evaluated before the first file is written, so a time
-    whose wave coordinate overflows leaves no file behind."""
+def _plot_data(spec: SolutionSpec, t_list: list[float],
+               x_grid: tuple[float, float, int], run_id: str):
+    """The files of one x,u CSV per requested time, and their notes:
+    singular zones become omitted rows."""
     xs = linspace(*x_grid)
     tables = [spec.profile_rows(xs, t) for t in t_list]
     notes = [f"t={_fmt(t)}: omitted {omitted} rows inside the singular"
              f" zone of {spec.entry_id}"
              for t, (_, omitted) in zip(t_list, tables) if omitted]
-    return _write_profiles(out_dir, run_id, [rows for rows, _ in tables]), notes
+    return _profiles(run_id, [rows for rows, _ in tables]), notes
+
+
+def emit_plot_data(spec: SolutionSpec, t_list: list[float],
+                   x_grid: tuple[float, float, int], out_dir: str,
+                   run_id: str) -> tuple[list[str], list[str]]:
+    """eval's x,u CSVs, written all or nothing; their paths and notes."""
+    files, notes = _plot_data(spec, t_list, x_grid, run_id)
+    return _write(out_dir, files), notes
 
 
 # --- subcommands -------------------------------------------------------------
 
 
 def _cmd_derive(args) -> int:
-    k = None if args.k == "symbolic" else check_wave_number(float(args.k))
+    k = None if args.k == "symbolic" else check_wave_number(args.k)
     report = run_derivation(reduce_to_ode(EvolutionEquation(3), WaveFrame()))
     sys.stdout.write(report.trace)
     if k is not None:
@@ -273,10 +300,9 @@ def _cmd_catalog(args) -> int:
                    allow_nan=False).replace(",", ";"),
         "valid" if spec.solves_ode else "invalid",
     ]) for spec in enumerate_catalog(args.k)]
-    path = os.path.join(args.out_dir, "catalog.csv")
-    _write_csv(path, ["entry_id", "family_code", "family", "reading", "a0",
-                      "s1", "sw", "k", "params", "validity"], rows)
-    _write_manifest(args, {"k": args.k}, [path], [])
+    path, = _commit(args, {"k": args.k}, {"catalog.csv": _csv([
+        "entry_id", "family_code", "family", "reading", "a0", "s1", "sw", "k",
+        "params", "validity"], rows)})
     sys.stdout.write(f"wrote {len(rows)} entries to {path}\n")
     return 0
 
@@ -320,10 +346,8 @@ def _cmd_verify(args) -> int:
         "mismatches": list(audit.mismatches),
         "family_valid": audit.family_valid,
     }
-    path = os.path.join(args.out_dir, "audit.json")
-    _write_json(path, payload)
-    _write_manifest(args, {"k": args.k, "corrupt": args.corrupt or ""},
-                    [path], [])
+    path, = _commit(args, {"k": args.k, "corrupt": args.corrupt or ""},
+                    {"audit.json": _json(payload)})
     bad = sorted(code for code, ok in audit.family_valid.items() if not ok)
     for code in bad:
         members = [r.entry_id for r in audit.rows if r.family_code == code]
@@ -342,14 +366,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_eval(args) -> int:
     spec = resolve_entry(args.entry, args.k)
-    t_list = [float(s) for s in args.t.split(",")]
-    if not all(math.isfinite(t) for t in t_list):
-        raise ValueError(f"times must be finite numbers, got {args.t!r}")
-    outputs, notes = emit_plot_data(spec, t_list, args.x, args.out_dir,
-                                    spec.entry_id)
-    _write_manifest(args, {"entry": spec.entry_id, "k": spec.k, "t": t_list,
-                           "x": list(args.x)}, outputs, notes)
-    for path in outputs:
+    if not all(math.isfinite(t) for t in args.t):
+        raise ValueError("times must be finite numbers, got"
+                         f" {_quoted(','.join(map(_fmt, args.t)))}")
+    files, notes = _plot_data(spec, args.t, args.x, spec.entry_id)
+    for path in _commit(args, {"entry": spec.entry_id, "k": spec.k,
+                               "t": args.t, "x": list(args.x)}, files, notes):
         sys.stdout.write(f"wrote {path}\n")
     return 0
 
@@ -366,22 +388,19 @@ def _cmd_simulate(args) -> int:
     result = integrate(spec, grid, config)
     run_id = f"sim_{spec.entry_id}_{args.scheme}"
     xs = grid.xs().tolist()
-    outputs = _write_profiles(args.out_dir, run_id, [
-        zip(xs, u.tolist()) for u in result.snapshots])
-    tpath = os.path.join(args.out_dir, f"{run_id}_trajectory.csv")
-    _write_floats(tpath, ["t", "x_front"], result.front_trajectory)
-    outputs.append(tpath)
-    mpath = os.path.join(args.out_dir, f"{run_id}_metrics.csv")
-    _write_floats(mpath, ["t", "linf_error", "l2_error", "energy"],
-                  zip(result.times, result.linf_errors, result.l2_errors,
-                      result.energy_series))
-    outputs.append(mpath)
+    files = _profiles(run_id, [zip(xs, u.tolist()) for u in result.snapshots])
+    files[f"{run_id}_trajectory.csv"] = _floats(["t", "x_front"],
+                                                result.front_trajectory)
+    files[f"{run_id}_metrics.csv"] = _floats(
+        ["t", "linf_error", "l2_error", "energy"],
+        zip(result.times, result.linf_errors, result.l2_errors,
+            result.energy_series))
     speed = result.measured_speed
-    _write_manifest(args, {"entry": spec.entry_id, "k": spec.k,
-                           "scheme": scheme, "T": args.T, "dt": dt,
-                           "grid": [grid.x_min, grid.x_max, grid.n],
-                           "boundary": config.boundary,
-                           "measured_speed": speed}, outputs, [])
+    _commit(args, {"entry": spec.entry_id, "k": spec.k, "scheme": scheme,
+                   "T": args.T, "dt": dt,
+                   "grid": [grid.x_min, grid.x_max, grid.n],
+                   "boundary": config.boundary, "measured_speed": speed},
+            files)
     sys.stdout.write(
         f"measured front speed: {_fmt(speed) if speed is not None else 'n/a'}"
         f" (frame ratio -w/k = {_fmt(-spec.w / spec.k)})\n")
@@ -400,14 +419,12 @@ def _cmd_convergence(args) -> int:
     from .simulate import convergence_study
 
     rows = convergence_study(spec, grids, config)
-    path = os.path.join(args.out_dir, f"convergence_{spec.entry_id}.csv")
-    _write_csv(path, ["h", "n", "linf_error", "observed_order"],
-               [_cells([r["h"], r["n"], r["linf_error"],
-                        r.get("observed_order", "")]) for r in rows])
-    _write_manifest(args, {"entry": spec.entry_id, "k": spec.k,
-                           "levels": args.levels, "T": args.T,
-                           "grid": [base.x_min, base.x_max, base.n]},
-                    [path], [])
+    _commit(args, {"entry": spec.entry_id, "k": spec.k, "levels": args.levels,
+                   "T": args.T, "grid": [base.x_min, base.x_max, base.n]},
+            {f"convergence_{spec.entry_id}.csv": _csv(
+                ["h", "n", "linf_error", "observed_order"],
+                [_cells([r["h"], r["n"], r["linf_error"],
+                         r.get("observed_order", "")]) for r in rows])})
     short = 0
     for r in rows:
         order = r.get("observed_order")
@@ -434,13 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     writes = argparse.ArgumentParser(add_help=False)
     writes.add_argument("--out-dir", default=".", help="output directory")
     at_k = argparse.ArgumentParser(add_help=False)
-    at_k.add_argument("--k", type=float, default=DEFAULT_K,
+    at_k.add_argument("--k", type=_number, default=DEFAULT_K,
                       help="wave number (default %(default)s)")
     entry = argparse.ArgumentParser(add_help=False)
     entry.add_argument("--entry", required=True,
                        help="catalog entry id, optionally with a k<value>"
                        " suffix")
-    entry.add_argument("--k", type=float, default=None,
+    entry.add_argument("--k", type=_number, default=None,
                        help=f"wave number (default {DEFAULT_K} or the id"
                        " suffix)")
 
@@ -451,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("derive", _cmd_derive, "print the symbolic derivation trace")
     p.add_argument("--k", default="symbolic",
+                   type=lambda s: s if s == "symbolic" else _number(s),
                    help="%(default)r (default) or a numeric wave number")
 
     command("catalog", _cmd_catalog, "write the solution catalog table",
@@ -468,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="testing hook: flip the speed sign of matching entries")
 
     p = command("eval", _cmd_eval, "emit x,u profile CSV files", entry, writes)
-    p.add_argument("--t", required=True, help="comma-separated times")
+    p.add_argument("--t", required=True, help="comma-separated times",
+                   type=lambda text: [_number(s) for s in text.split(",")])
     p.add_argument("--x", **_grid(GRID_1D, _profile_grid),
                    default="-10,10,201", help="profile grid (default %(default)s)")
 
@@ -476,12 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
                 "time-stepped run seeded by an entry", entry, writes)
     p.add_argument("--grid", **_grid(GRID_1D, Grid1D), default="-20,20,801",
                    help="run grid (default %(default)s)")
-    p.add_argument("--scheme", choices=tuple(SCHEMES), default="imex",
+    p.add_argument("--scheme", type=_scheme, default="imex",
+                   metavar="{%s}" % ",".join(SCHEMES),
                    help="time stepper: imex, the split step (default), or"
                    " rk4")
-    p.add_argument("--T", type=float, default=1.0,
+    p.add_argument("--T", type=_number, default=1.0,
                    help="final time (default %(default)s)")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dt", type=_number, default=None,
                    help="time step (rk4: default and limit 2/(4/h^2 + 2);"
                    f" imex: default {SPLIT_DT})")
 
@@ -492,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
                    " (default %(default)s)")
     p.add_argument("--grid", **_grid(GRID_1D, Grid1D), default="-20,20,101",
                    help="base grid (default %(default)s)")
-    p.add_argument("--T", type=float, default=0.5,
+    p.add_argument("--T", type=_number, default=0.5,
                    help="final time of each run (default %(default)s)")
 
     return parser

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import cahnallen
 from cahnallen import reduction, simulate
-from cahnallen.cli import _write_floats, build_parser, main, resolve_entry
+from cahnallen.cli import _floats, build_parser, main, resolve_entry
 from cahnallen.simulate import Grid1D, SimConfig, integrate
 from cahnallen.solutions import catalog_by_id
 
@@ -235,11 +235,9 @@ def test_linspace_matches_numpy_on_tiny_steps(grid):
     [(-0.0, 5e-324, 1e300, 0.1), (1 / 3, -1e300, -2.5e-17, 2.0)],
     [],
 ], ids=["edge-values", "no-rows"])
-def test_write_floats_matches_per_row_format(rows, tmp_path):
+def test_write_floats_matches_per_row_format(rows):
     # rows as simulate passes its trajectory: a list of tuples
-    path = tmp_path / "f.csv"
-    _write_floats(str(path), ["a", "b", "c", "d"], rows)
-    assert path.read_text() == "a,b,c,d\n" + "".join(
+    assert _floats(["a", "b", "c", "d"], rows) == "a,b,c,d\n" + "".join(
         ",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
 
 
@@ -713,6 +711,69 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["catalog.csv"]
 
 
+# each writing command, small, and the first file it writes; its manifest
+# is the last
+_WRITES = {
+    "catalog": (["catalog"], "catalog.csv"),
+    "verify": (["verify"], "audit.json"),
+    "eval": (["eval", "--entry", "eq20+", "--t", "0,1"], "eq20+_t0.csv"),
+    "simulate": (["simulate", "--entry", "eq20+", "--grid=-20,20,201",
+                  "--T", "0.1"], "sim_eq20+_imex_t0.csv"),
+    "convergence": (["convergence", "--entry", "eq20+", "--T", "0.05",
+                     "--grid=-20,20,51"], "convergence_eq20+.csv"),
+}
+
+
+def _tree(root):
+    """Every name under root, hidden ones included, with its bytes (None
+    for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("command", _WRITES)
+def test_failed_write_leaves_the_output_directory_as_it_was(
+        command, tmp_path, capsys, monkeypatch):
+    # a directory held at the first output name, or at the manifest's, or
+    # a temporary file that cannot be made for the last output: the
+    # command exits 2 naming the path, and no file it would write, an
+    # older one included, is replaced or left half written
+    argv, first = _WRITES[command]
+    manifest = f"{command}_manifest.json"
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    assert run([*argv, "--out-dir", str(clean)], capsys)[0] == 0
+    count = len(list(clean.iterdir()))
+    assert {first, manifest} <= {p.name for p in clean.iterdir()}
+    mkstemp, calls = tempfile.mkstemp, []
+
+    def full_disk(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == count:
+            raise OSError(28, "No space left on device")
+        return mkstemp(*args, **kwargs)
+
+    for case, (directory, older, reason) in {
+        "first": (first, manifest, "Is a directory"),
+        "manifest": (manifest, first, "Is a directory"),
+        "staging": (None, first, "No space left on device"),
+    }.items():
+        out_dir = tmp_path / case
+        out_dir.mkdir()
+        (out_dir / older).write_bytes(b"older bytes\n")
+        if directory is not None:
+            (out_dir / directory).mkdir()
+        else:
+            monkeypatch.setattr(tempfile, "mkstemp", full_disk)
+        before = _tree(out_dir)
+        code, out, err = run([*argv, "--out-dir", str(out_dir)], capsys)
+        failed = out_dir / (directory or manifest)
+        assert (code, out) == (2, ""), (case, err)
+        assert err == f"error: cannot write {str(failed)!r}: {reason}\n"
+        assert _tree(out_dir) == before, case
+    assert len(calls) == count
+
+
 @pytest.mark.parametrize("argv", [
     ["derive"],
     ["catalog"],
@@ -740,6 +801,8 @@ _CAP = ", more than the cap of 10,000,000"
 _HUGE = str(10**400)  # a count no float holds
 _ONES = "1" * 5000  # a count int() does not read
 _OVERSIZED = "... is not an integer of at most 4300 digits"
+_LONG = "x" * 3000  # a text that no option reads
+_ECHO = f"{_LONG[:12]!r}..."  # all of it that a usage error quotes
 
 # every usage error in a command's arguments, not only a bad time: the
 # case's id, its arguments and its reason
@@ -857,6 +920,38 @@ _USAGE_ERRORS = {
     "convergence-oversized-levels": (
         ["convergence", "--entry", "eq20+", "--levels", _ONES],
         f"argument --levels: {_ONES[:12]!r}{_OVERSIZED}"),
+    # every other option that reads a number or a name quotes the same way
+    "simulate-long-T": (
+        ["simulate", "--entry", "eq20+", "--T", _LONG],
+        f"argument --T: {_ECHO} is not a number"),
+    "simulate-long-dt": (
+        ["simulate", "--entry", "eq20+", "--dt", _LONG],
+        f"argument --dt: {_ECHO} is not a number"),
+    "simulate-long-k": (
+        ["simulate", "--entry", "eq20+", "--k", _LONG],
+        f"argument --k: {_ECHO} is not a number"),
+    "catalog-long-k": (
+        ["catalog", "--k", _LONG], f"argument --k: {_ECHO} is not a number"),
+    "verify-long-k": (
+        ["verify", "--k", _LONG], f"argument --k: {_ECHO} is not a number"),
+    "eval-long-t": (
+        ["eval", "--entry", "eq20+", "--t", f"0,{_LONG}"],
+        f"argument --t: {_ECHO} is not a number"),
+    "eval-empty-t": (
+        ["eval", "--entry", "eq20+", "--t", "1,,2"],
+        "argument --t: '' is not a number"),
+    "eval-long-nan-t": (
+        ["eval", "--entry", "eq20+", "--t", "0," * 1500 + "nan"],
+        "times must be finite numbers, got '0,0,0,0,0,0,'..."),
+    "eval-long-entry": (
+        ["eval", "--entry", _LONG, "--t", "0"],
+        f"unknown catalog entry {_ECHO}; run the catalog command for ids"),
+    "derive-long-k": (
+        ["derive", "--k", _LONG], f"argument --k: {_ECHO} is not a number"),
+    "simulate-long-scheme": (
+        ["simulate", "--entry", "eq20+", "--scheme", _LONG],
+        f"argument --scheme: invalid choice: {_ECHO}"
+        " (choose from 'rk4', 'imex')"),
 }
 
 # one interpreter runs every case of _USAGE_ERRORS, each in an empty

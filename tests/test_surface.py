@@ -162,3 +162,36 @@ def test_no_command_line_option_is_declared_twice():
     assert declared
     repeated = sorted({d for d in declared if declared.count(d) > 1})
     assert not repeated, "declared more than once: " + "; ".join(repeated)
+
+
+def test_one_writer_touches_the_disk_and_one_reader_reads_option_numbers():
+    # every file reaches the disk through cli._write, all or nothing, and
+    # every number an option reads goes through cli._number, which quotes
+    # the text it refuses: no add_argument reads with float(), and no
+    # handler converts an argument itself
+    tree = ast.parse((ROOT / "src" / "cahnallen" / "cli.py").read_text())
+    functions = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+
+    def calls(node):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)]
+
+    disk = ("open", "os.fdopen", "os.replace", "os.rename", "os.remove",
+            "os.unlink")
+    writers = {f.name for f in functions for c in calls(f)
+               if ast.unparse(c.func) in disk
+               or ast.unparse(c.func).startswith("tempfile.")}
+    assert writers == {"_write"}
+    float_typed = [ast.unparse(c) for c in calls(tree)
+                   if ast.unparse(c.func).endswith(".add_argument")
+                   and any(kw.arg == "type"
+                           and ast.unparse(kw.value) == "float"
+                           for kw in c.keywords)]
+    assert not float_typed, float_typed
+    converted = [f"{f.name}: {ast.unparse(c)}" for f in functions
+                 if f.name.startswith("_cmd_") for c in calls(f)
+                 if ast.unparse(c.func) == "float"
+                 and any(isinstance(n, ast.Attribute)
+                         and ast.unparse(n.value) == "args"
+                         for arg in c.args for n in ast.walk(arg))]
+    assert not converted, converted
